@@ -7,19 +7,18 @@ ints in [0, p)).  No floating point appears anywhere.
 
 Over the rationals, elimination is fraction-free: rows are cleared to
 integers and kept gcd-reduced, so entries stay integral and exact while
-coefficient growth stays controlled (Bareiss-style two-term updates).
-Over F_p elimination is the straightforward one.  Small matrices go
-through a dense routine, larger ones through sparse elimination with
-Markowitz-style pivoting.
+coefficient growth stays controlled (two-term cross-multiplication
+updates, each followed by a gcd reduction).  Over F_p elimination is the
+straightforward one.  Every rank goes through one sparse elimination with
+Markowitz-style pivoting, run on each connected component of the matrix's
+row/column graph separately.  Small dense solves and inverses share one
+Gauss-Jordan routine.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-
-
-DENSE_LIMIT = 512  # below this, dense elimination is fine
 
 
 class KernelError(Exception):
@@ -282,89 +281,51 @@ class SparseMatrix:
         return out
 
     def rank(self):
-        if not self.entries:
-            return 0
-        if max(self.nrows, self.ncols) < DENSE_LIMIT:
-            return _rank_dense(self)
-        return _rank_sparse_rows(self._integer_rows(), self.field)
+        return sum(_rank_sparse_rows(block, self.field)
+                   for block in _components(self._integer_rows()))
 
     def kernel_dim(self):
         return self.ncols - self.rank()
 
 
-def _rank_dense(m):
-    """Dense elimination; fraction-free Bareiss over Q, plain over F_p."""
-    f = m.field
-    rows = [[f.zero] * m.ncols for _ in range(m.nrows)]
-    for (i, j), v in m.entries.items():
-        rows[i][j] = v
-    if f.characteristic == 0:
-        # clear to integers row by row
-        irows = []
-        for row in rows:
-            lcm = 1
-            for v in row:
-                d = Fraction(v).denominator
-                lcm = lcm * d // gcd(lcm, d)
-            irows.append([int(v * lcm) for v in row])
-        rank = 0
-        prev = 1
-        r = 0
-        for c in range(m.ncols):
-            piv = None
-            for i in range(r, len(irows)):
-                if irows[i][c]:
-                    piv = i
-                    break
-            if piv is None:
-                continue
-            irows[r], irows[piv] = irows[piv], irows[r]
-            pv = irows[r][c]
-            for i in range(r + 1, len(irows)):
-                vi = irows[i][c]
-                # Bareiss update: exactness of the division needs every row
-                # below the pivot rescaled, zero pivot-column entry or not
-                irows[i] = [(pv * a - vi * b) // prev
-                            for a, b in zip(irows[i], irows[r])]
-            prev = pv
-            r += 1
-            rank += 1
-            if r == len(irows):
-                break
-        return rank
-    p = f.p
-    rank = 0
-    r = 0
-    for c in range(m.ncols):
-        piv = None
-        for i in range(r, len(rows)):
-            if rows[i][c] % p:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        for i in range(r + 1, len(rows)):
-            if rows[i][c] % p:
-                fac = rows[i][c] * inv % p
-                rows[i] = [(a - fac * b) % p for a, b in zip(rows[i], rows[r])]
-        r += 1
-        rank += 1
-        if r == len(rows):
-            break
-    return rank
+def _components(rows):
+    """Split nonempty rows (dicts col -> value) into the connected
+    components of the row/column graph, where a row meets each column it
+    has an entry in.  Elimination never carries one component's columns
+    into another, so a matrix's rank is the sum of its components' ranks.
+    Graded matrices split into their degree blocks this way."""
+    parent = {}
+
+    def find(c):
+        root = parent.setdefault(c, c)
+        while parent[root] != root:
+            root = parent[root]
+        while c != root:
+            parent[c], c = root, parent[c]
+        return root
+
+    for row in rows:
+        cols = iter(row)
+        first = find(next(cols))
+        for c in cols:
+            root = find(c)
+            if root != first:
+                parent[root] = first
+    blocks = {}
+    for row in rows:
+        blocks.setdefault(find(next(iter(row))), []).append(row)
+    return list(blocks.values())
 
 
 def _rank_sparse_rows(rows, field):
-    """Sparse elimination with Markowitz-style pivoting.
+    """Rank of a list of sparse rows by elimination with Markowitz-style
+    pivoting; the one elimination core behind every rank.
 
-    rows: list of dicts col -> value (ints over Q, residues over F_p).
-    Over Q rows stay integral: two-term cross-multiplication updates with a
-    gcd reduction afterwards.
+    rows: list of nonempty dicts col -> value (ints over Q, residues over
+    F_p).  Over Q rows stay integral: two-term cross-multiplication updates
+    with a gcd reduction afterwards.
     """
     modp = field.characteristic
-    rows = [r for r in rows if r]
     col_count = {}
     for r in rows:
         for c in r:
@@ -465,6 +426,46 @@ def homology_dim(d_in, d_out):
     return d_out.kernel_dim() - d_in.rank()
 
 
+def _gauss_jordan(m, extra):
+    """Reduced row echelon form of m with extra columns appended.
+
+    extra: one dict row -> value per extra column.  Returns (rows, pivots):
+    the reduced rows as dense lists and, for each pivot row in order, the
+    column of m it pivots on.  Pivots are only taken in m's own columns;
+    the extra columns ride along.
+    """
+    f = m.field
+    nc = m.ncols
+    width = nc + len(extra)
+    rows = [[f.zero] * width for _ in range(m.nrows)]
+    for (i, j), v in m.entries.items():
+        rows[i][j] = v
+    for k, col in enumerate(extra, nc):
+        for i, v in col.items():
+            rows[i][k] = v
+    pivots = []
+    for c in range(nc):
+        r = len(pivots)
+        for piv in range(r, len(rows)):
+            if not f.is_zero(rows[piv][c]):
+                break
+        else:
+            continue
+        prow = rows[piv]
+        rows[r], rows[piv] = prow, rows[r]
+        inv = f.inv(prow[c])
+        support = [k for k in range(c, width) if not f.is_zero(prow[k])]
+        for k in support:
+            prow[k] = f.mul(inv, prow[k])
+        for row in rows:
+            fac = row[c]
+            if row is not prow and not f.is_zero(fac):
+                for k in support:
+                    row[k] = f.sub(row[k], f.mul(fac, prow[k]))
+        pivots.append(c)
+    return rows, pivots
+
+
 def solve_dense(m, rhs):
     """One exact solution x of  m . x = rhs  for a small SparseMatrix.
 
@@ -473,40 +474,12 @@ def solve_dense(m, rhs):
     if the system is inconsistent.
     """
     f = m.field
-    nr, nc = m.nrows, m.ncols
-    aug = [[f.zero] * (nc + 1) for _ in range(nr)]
-    for (i, j), v in m.entries.items():
-        aug[i][j] = v
-    for i, v in rhs.items():
-        aug[i][nc] = f.coerce(v)
-    r = 0
-    pivots = []
-    for c in range(nc):
-        piv = None
-        for i in range(r, nr):
-            if not f.is_zero(aug[i][c]):
-                piv = i
-                break
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = f.inv(aug[r][c])
-        aug[r] = [f.mul(inv, v) for v in aug[r]]
-        for i in range(nr):
-            if i != r and not f.is_zero(aug[i][c]):
-                fac = aug[i][c]
-                aug[i] = [f.sub(a, f.mul(fac, b)) for a, b in zip(aug[i], aug[r])]
-        pivots.append((r, c))
-        r += 1
-    for i in range(r, nr):
-        if not f.is_zero(aug[i][nc]):
-            return None
-    sol = {}
-    for i, c in pivots:
-        v = aug[i][nc]
-        if not f.is_zero(v):
-            sol[c] = v
-    return sol
+    rows, pivots = _gauss_jordan(
+        m, [{i: f.coerce(v) for i, v in rhs.items()}])
+    if any(not f.is_zero(row[-1]) for row in rows[len(pivots):]):
+        return None
+    return {c: rows[i][-1] for i, c in enumerate(pivots)
+            if not f.is_zero(rows[i][-1])}
 
 
 def invert_dense(m):
@@ -516,34 +489,9 @@ def invert_dense(m):
         raise NonInvertibleError("not square")
     f = m.field
     n = m.nrows
-    rows = [[f.zero] * n for _ in range(n)]
-    for (i, j), v in m.entries.items():
-        rows[i][j] = v
-    aug = [row + [f.one if i == k else f.zero for k in range(n)]
-           for i, row in enumerate(rows)]
-    r = 0
-    for c in range(n):
-        piv = None
-        for i in range(r, n):
-            if not f.is_zero(aug[i][c]):
-                piv = i
-                break
-        if piv is None:
-            raise NonInvertibleError("singular at column %d" % c)
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = f.inv(aug[r][c])
-        aug[r] = [f.mul(inv, v) for v in aug[r]]
-        for i in range(n):
-            if i != r and not f.is_zero(aug[i][c]):
-                fac = aug[i][c]
-                aug[i] = [f.sub(a, f.mul(fac, b)) for a, b in zip(aug[i], aug[r])]
-        r += 1
-    cols = []
-    for j in range(n):
-        col = {}
-        for i in range(n):
-            v = aug[i][n + j]
-            if not f.is_zero(v):
-                col[i] = v
-        cols.append(col)
-    return cols
+    rows, pivots = _gauss_jordan(m, [{k: f.one} for k in range(n)])
+    if len(pivots) < n:
+        missing = next(c for c in range(n) if c not in pivots)
+        raise NonInvertibleError("singular at column %d" % missing)
+    return [{i: rows[i][n + j] for i in range(n)
+             if not f.is_zero(rows[i][n + j])} for j in range(n)]

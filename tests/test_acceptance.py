@@ -8,7 +8,8 @@ import sys
 import time
 from math import comb
 
-from twistres.kernel import QQ, PrimeField
+from twistres import kernel
+from twistres.kernel import QQ, PrimeField, SparseMatrix
 from twistres.algebra import (
     cyclic_group_algebra, heisenberg_algebra, polynomial_algebra,
     solvable_2dim_algebra, weyl_algebra,
@@ -212,7 +213,7 @@ def test_criterion_7_factor_moving_lift_suite():
             assert rep.passed, rep.violations[:1]
 
 
-def test_criterion_8_mutations_break_the_checks():
+def test_criterion_8_mutations_break_the_checks(monkeypatch):
     with _criterion(8, "seeded defects are caught", 60):
         # dropping the alternating sign from the vertical differential
         unsigned = koszul_pair_product(weyl_twist(), vertical_sign=False)
@@ -242,6 +243,14 @@ def test_criterion_8_mutations_break_the_checks():
         moved = transport_complex(tc.ore_form.rebundled.complex, wrong,
                                   lambda m: m, lambda lab: lab)
         assert not compose_check(moved).passed
+
+        # dropping one connected component from the rank split
+        split = kernel._components
+        monkeypatch.setattr(kernel, "_components",
+                            lambda rows: split(rows)[:-1])
+        two_blocks = SparseMatrix.from_rows([[1, 0], [0, 1]], QQ)
+        assert two_blocks.rank() != 2
+        assert not exactness_report(cplx, 4).passed
 
 
 def test_criterion_9_full_preset_suite_is_deterministic():

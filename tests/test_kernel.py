@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from twistres.kernel import (
     QQ, PrimeField, SparseMatrix, CompositionNonzeroError, NonInvertibleError,
-    homology_dim, invert_dense,
+    _components, homology_dim, invert_dense, solve_dense,
 )
 
 GF2 = PrimeField(2)
@@ -91,13 +91,14 @@ def test_homology_rejects_nonzero_composite():
 # ---------------------------------------------------------------- properties
 
 int_entries = st.integers(min_value=-9, max_value=9)
+fraction_entries = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 
 
 @st.composite
-def int_matrices(draw, max_dim=8):
+def int_matrices(draw, max_dim=8, entries=int_entries):
     n = draw(st.integers(1, max_dim))
     m = draw(st.integers(1, max_dim))
-    rows = draw(st.lists(st.lists(int_entries, min_size=m, max_size=m),
+    rows = draw(st.lists(st.lists(entries, min_size=m, max_size=m),
                          min_size=n, max_size=n))
     return rows
 
@@ -145,7 +146,7 @@ def test_homology_additive_over_blocks(rows_a, rows_b):
 # ---------------------------------------------------------------- sparse path
 
 def test_sparse_path_agrees_with_dense_on_structured_matrix():
-    # force the sparse branch with a >512-column matrix of known rank
+    # a 520-column matrix of known rank whose 41 rows form one component
     n = 520
     ent = []
     for i in range(40):
@@ -167,6 +168,107 @@ def test_sparse_rank_mod_p():
     assert a.rank() == 50
 
 
+# ------------------------------------------------- differential: F_p, blocks
+
+def sympy_rank_mod(rows, p):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+    return DomainMatrix.from_list(rows, sympy.GF(p)).rank()
+
+
+@pytest.mark.parametrize("p", [2, 3, 2**31 - 1])
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(rows=int_matrices())
+def test_rank_mod_p_matches_sympy(p, rows):
+    assert M(rows, PrimeField(p)).rank() == sympy_rank_mod(rows, p)
+
+
+@st.composite
+def scattered_blocks(draw, entries=int_entries):
+    """(blocks, rows): small blocks placed on disjoint, shuffled rows and
+    columns of one dense matrix that may also have all-zero rows and columns,
+    so no two blocks share a row or a column."""
+    blocks = draw(st.lists(int_matrices(max_dim=4, entries=entries),
+                           min_size=2, max_size=4))
+    nrows = sum(len(b) for b in blocks) + draw(st.integers(0, 3))
+    ncols = sum(len(b[0]) for b in blocks) + draw(st.integers(0, 3))
+    row_at = draw(st.permutations(range(nrows)))
+    col_at = draw(st.permutations(range(ncols)))
+    rows = [[0] * ncols for _ in range(nrows)]
+    r = c = 0
+    for block in blocks:
+        for i, brow in enumerate(block):
+            for j, v in enumerate(brow):
+                rows[row_at[r + i]][col_at[c + j]] = v
+        r += len(block)
+        c += len(block[0])
+    return blocks, rows
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(scattered_blocks(entries=fraction_entries))
+def test_rank_of_scattered_blocks_is_sum_of_block_ranks(case):
+    sympy = pytest.importorskip("sympy")
+    blocks, rows = case
+    want = sum(sympy.Matrix(b).rank() for b in blocks)
+    assert want == sympy.Matrix(rows).rank()
+    assert M(rows).rank() == want
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(case=scattered_blocks())
+def test_rank_mod_p_of_scattered_blocks_matches_sympy(p, case):
+    blocks, rows = case
+    want = sum(sympy_rank_mod(b, p) for b in blocks)
+    assert M(rows, PrimeField(p)).rank() == want
+
+
+def test_components_of_block_diagonal_matrix():
+    # blocks of rank 1, 3 and 1 with a zero row and a zero column between
+    # them; the middle identity block is three components by itself
+    h = Fraction(1, 2)
+    rows = [
+        [h, Fraction(1, 3), 0, 0, 0, 0, 0, 0],
+        [3 * h, 1, 0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 1, 0, 0, 0, 0],
+        [0, 0, 0, 0, 1, 0, 0, 0],
+        [0, 0, 0, 0, 0, 1, 0, 0],
+        [0, 0, 0, 0, 0, 0, 2, 4],
+        [0, 0, 0, 0, 0, 0, -1, -2],
+    ]
+    a = M(rows)
+    assert len(_components(a._integer_rows())) == 5
+    assert a.rank() == 5
+    assert a.transpose().rank() == 5
+    assert M(rows, PrimeField(5)).rank() == 5
+    assert a.kernel_dim() == 3
+
+
+def test_components_join_through_shared_columns():
+    # rows 0 and 2 meet only through row 1's columns
+    rows = [{0: 1}, {0: 1, 5: 1}, {5: 2}, {3: 1}]
+    blocks = sorted(_components(rows), key=len)
+    assert blocks == [[{3: 1}], [{0: 1}, {0: 1, 5: 1}, {5: 2}]]
+
+
+# ---------------------------------------------------------------- solving
+
+def test_solve_dense_consistent_and_inconsistent():
+    a = M([[1, 2, 0], [2, 4, 0], [0, 0, 3]])
+    sol = solve_dense(a, {0: 1, 1: 2, 2: 6})
+    assert sol == {0: 1, 2: 2}      # free column 1 is set to zero
+    assert solve_dense(a, {0: 1, 1: 3}) is None
+    assert solve_dense(a, {}) == {}
+
+
+def test_solve_dense_mod_p():
+    a = M([[1, 1], [1, 2]], GF3)
+    sol = solve_dense(a, {0: 2, 1: 0})
+    assert sol == {0: 1, 1: 1}
+
+
 # ---------------------------------------------------------------- inversion
 
 def test_invert_dense_roundtrip():
@@ -180,3 +282,13 @@ def test_invert_dense_roundtrip():
 def test_invert_dense_singular():
     with pytest.raises(NonInvertibleError):
         invert_dense(M([[1, 2], [2, 4]]))
+
+
+def test_invert_dense_mod_p_and_non_square():
+    a = M([[0, 1, 0], [1, 0, 0], [1, 1, 2]], GF3)
+    cols = invert_dense(a)
+    inv = SparseMatrix(3, 3, [(i, j, v) for j, col in enumerate(cols)
+                              for i, v in col.items()], GF3)
+    assert a.compose(inv) == SparseMatrix.identity(3, GF3)
+    with pytest.raises(NonInvertibleError):
+        invert_dense(M([[1, 2]]))
