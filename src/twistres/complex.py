@@ -271,17 +271,11 @@ class ChainComplexSpec:
             return out
         total = f.zero
         for k, c in elem.terms.items():
+            # degree-0 monomials (the unit, group elements) augment to 1
             if alg.monomial_degree(k[0]) == 0:
                 scalar = self.augmentation[k[1]]
-                unit = _ground_unit_coeff(alg, k[0])
-                total = f.add(total, f.mul(f.mul(c, f.coerce(scalar)), unit))
+                total = f.add(total, f.mul(c, f.coerce(scalar)))
         return total
-
-
-def _ground_unit_coeff(alg, mono):
-    """epsilon on a degree-0 monomial: 1 on the unit; group elements also
-    map to 1 (the group-algebra augmentation)."""
-    return alg.field.one
 
 
 class CompositionReport:

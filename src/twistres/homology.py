@@ -433,11 +433,6 @@ def _reduced_matrices(cplx):
     return sizes, mats
 
 
-def _transpose(mat, f):
-    triples = [(j, i, v) for (i, j), v in mat.entries.items()]
-    return SparseMatrix(mat.ncols, mat.nrows, triples, f)
-
-
 def _collapse_dims(cplx, n_top, transpose):
     f = cplx.algebra.field
     sizes, mats = _reduced_matrices(cplx)
@@ -458,8 +453,7 @@ def _collapse_dims(cplx, n_top, transpose):
         d_next = (mats[n + 1] if n + 1 <= top
                   else SparseMatrix(sizes[n], 0, [], f))
         if transpose:
-            dims.append(homology_dim(_transpose(d_here, f),
-                                     _transpose(d_next, f)))
+            dims.append(homology_dim(d_here.transpose(), d_next.transpose()))
         else:
             dims.append(homology_dim(d_next, d_here))
     return dims

@@ -97,6 +97,15 @@ class RationalField:
         return "QQ"
 
 
+def add_term(field, out, key, value):
+    """out[key] += value in a sparse dict key -> scalar, dropping zeros."""
+    acc = field.add(out.get(key, field.zero), value)
+    if field.is_zero(acc):
+        out.pop(key, None)
+    else:
+        out[key] = acc
+
+
 class PrimeField:
     """F_p for prime p < 2^31; elements are ints in [0, p)."""
 

@@ -26,7 +26,7 @@ across, project back) and compares.
 
 from itertools import combinations, permutations
 
-from .kernel import SparseMatrix, solve_dense
+from .kernel import SparseMatrix, add_term, solve_dense
 from .algebra import (
     POLYNOMIAL, ITERATED_ORE, CYCLIC_GROUP,
     AlgebraElement, basis_up_to, cyclic_group_algebra, parse_element,
@@ -99,14 +99,6 @@ def sort_wedge(indices):
         if idx[i - 1] == idx[i]:
             return None
     return tuple(idx), sign
-
-
-def _add(f, out, key, val):
-    acc = f.add(out.get(key, f.zero), val)
-    if f.is_zero(acc):
-        out.pop(key, None)
-    else:
-        out[key] = acc
 
 
 class ResolutionBundle:
@@ -194,7 +186,7 @@ def bar(spec, n_max, middle_cutoff=None, reduced=False):
         tgt = terms[n - 1]
         for mids in terms[n].labels:
             img = {}
-            _add(f, img, (mids[0], mids[1:], unit), f.one)
+            add_term(f, img, (mids[0], mids[1:], unit), f.one)
             sign = f.one
             for i in range(1, n):
                 sign = f.neg(sign)
@@ -206,9 +198,9 @@ def bar(spec, n_max, middle_cutoff=None, reduced=False):
                         raise CutoffError(
                             "middle-degree cutoff %d cannot hold %r"
                             % (middle_cutoff, newmids))
-                    _add(f, img, (unit, newmids, unit), f.mul(sign, c))
+                    add_term(f, img, (unit, newmids, unit), f.mul(sign, c))
             sign = f.neg(sign)
-            _add(f, img, (unit, mids[:-1], mids[-1]), sign)
+            add_term(f, img, (unit, mids[:-1], mids[-1]), sign)
             dn[mids] = FreeElement(tgt, img)
         diffs.append(dn)
     aug = {(): spec.one()}
@@ -275,10 +267,10 @@ def _wedge_differentials(spec, terms, side, delta=None):
                 sign = f.one if pos % 2 == 0 else f.neg(f.one)
                 gmono = _gen_mono(spec, w[pos])
                 if side == BIMODULE:
-                    _add(f, img, (gmono, rest, unit), sign)
-                    _add(f, img, (unit, rest, gmono), f.neg(sign))
+                    add_term(f, img, (gmono, rest, unit), sign)
+                    add_term(f, img, (unit, rest, gmono), f.neg(sign))
                 else:
-                    _add(f, img, (gmono, rest), sign)
+                    add_term(f, img, (gmono, rest), sign)
             if delta:
                 for pj in range(1, n):
                     sign = f.neg(f.one) if pj % 2 == 0 else f.one
@@ -298,9 +290,9 @@ def _wedge_differentials(spec, terms, side, delta=None):
                             if sgn < 0:
                                 val = f.neg(val)
                             if side == BIMODULE:
-                                _add(f, img, (unit, w2, unit), val)
+                                add_term(f, img, (unit, w2, unit), val)
                             else:
-                                _add(f, img, (unit, w2), val)
+                                add_term(f, img, (unit, w2), val)
             dn[w] = FreeElement(tgt, img)
         diffs.append(dn)
     return diffs
@@ -452,7 +444,7 @@ def _bar_left_rule(t, term, reduced):
             new = {}
             for (built, bcur), c in state.items():
                 for (am, bm), cc in t.monomial_rule(bcur, fac).items():
-                    _add(f, new, (built + (am,), bm), f.mul(c, cc))
+                    add_term(f, new, (built + (am,), bm), f.mul(c, cc))
             state = new
         out = {}
         for (built, bfin), c in state.items():
@@ -462,7 +454,7 @@ def _bar_left_rule(t, term, reduced):
             if not term.has_label(mids2):
                 raise CutoffError(
                     "lift image needs the missing label %r" % (mids2,))
-            _add(f, out, ((built[0], mids2, built[-1]), bfin), c)
+            add_term(f, out, ((built[0], mids2, built[-1]), bfin), c)
         return out
 
     return rule
@@ -482,7 +474,7 @@ def _bar_right_rule(t, term, reduced):
             new = {}
             for (built, acur), c in state.items():
                 for (am, bm), cc in t.monomial_rule(fac, acur).items():
-                    _add(f, new, (built + (bm,), am), f.mul(c, cc))
+                    add_term(f, new, (built + (bm,), am), f.mul(c, cc))
             state = new
         out = {}
         for (built, afin), c in state.items():
@@ -493,7 +485,7 @@ def _bar_right_rule(t, term, reduced):
             if not term.has_label(mids2):
                 raise CutoffError(
                     "lift image needs the missing label %r" % (mids2,))
-            _add(f, out, (afin, (facs[0], mids2, facs[-1])), c)
+            add_term(f, out, (afin, (facs[0], mids2, facs[-1])), c)
         return out
 
     return rule
@@ -541,13 +533,13 @@ def _koszul_left_rule(t, alg, bimodule, holder):
                 l, w, r = key
             else:
                 l, w = key
-            _add(f, out, (key, one_b), f.one)
+            add_term(f, out, (key, one_b), f.one)
             for dm, dc in delta_of_monomial(l).items():
                 k2 = (dm, w, r) if bimodule else (dm, w)
-                _add(f, out, (k2, zero_b), dc)
+                add_term(f, out, (k2, zero_b), dc)
             if bimodule:
                 for dm, dc in delta_of_monomial(r).items():
-                    _add(f, out, ((l, w, dm), zero_b), dc)
+                    add_term(f, out, ((l, w, dm), zero_b), dc)
             for pos in range(len(w)):
                 for k, c in dbar.get(w[pos], ()):
                     slots = list(w)
@@ -558,12 +550,12 @@ def _koszul_left_rule(t, alg, bimodule, holder):
                     w2, sgn = sw
                     val = c if sgn > 0 else f.neg(c)
                     k2 = (l, w2, r) if bimodule else (l, w2)
-                    _add(f, out, (k2, zero_b), val)
+                    add_term(f, out, (k2, zero_b), val)
             return out
         cm = holder["cm"]
         for (k1, b1), c in cm.pair_rule((m - 1,), key).items():
             for (k2, b2), c2 in cm.pair_rule((1,), k1).items():
-                _add(f, out, (k2, (b1[0] + b2[0],)), f.mul(c, c2))
+                add_term(f, out, (k2, (b1[0] + b2[0],)), f.mul(c, c2))
         return out
 
     return rule
@@ -580,7 +572,7 @@ def _koszul_right_rule(t):
         out = {}
         for (a1, c1m), c1 in t.monomial_rule(b1, a_mono).items():
             for (a3, c0m), c3 in t.monomial_rule(b0, a1).items():
-                _add(f, out, (a3, (c0m, w, c1m)), f.mul(c1, c3))
+                add_term(f, out, (a3, (c0m, w, c1m)), f.mul(c1, c3))
         return out
 
     return rule
@@ -610,7 +602,7 @@ def _skew_right_rule(t, alg):
                     k = mono.index(1)
                     if k in slots:
                         continue
-                    _add(f, new, slots + (k,), f.mul(c, ci))
+                    add_term(f, new, slots + (k,), f.mul(c, ci))
             states = new
         out = {}
         for slots, c in states.items():
@@ -618,7 +610,7 @@ def _skew_right_rule(t, alg):
             if sw is None:
                 continue
             w2, sgn = sw
-            _add(f, out, w2, c if sgn > 0 else f.neg(c))
+            add_term(f, out, w2, c if sgn > 0 else f.neg(c))
         return out
 
     def rule(key, e):
@@ -628,7 +620,7 @@ def _skew_right_rule(t, alg):
         for m0, c0 in act(inv, b0).items():
             for w2, cw in act_wedge(inv, w).items():
                 for m1, c1 in act(inv, b1).items():
-                    _add(f, out, (e, (m0, w2, m1)),
+                    add_term(f, out, (e, (m0, w2, m1)),
                          f.mul(f.mul(c0, cw), c1))
         return out
 
@@ -731,7 +723,7 @@ def _periodic_left_rules(bundle, t):
                         "subcomplex in degree %d" % n)
                 for j, c in sol.items():
                     a, b = col_ab[j]
-                    _add(f, out, ((a, lab, b), s2), c)
+                    add_term(f, out, ((a, lab, b), s2), c)
             return out
 
         return rule
@@ -883,7 +875,7 @@ def check_lift_chain_map(bundle, degree_bound):
                         img = cplx.apply_differential(
                             n, FreeElement(term, {k2: f.one}))
                         for k3, c3 in img.terms.items():
-                            _add(f, rhs, (k3, b2), f.mul(c, c3))
+                            add_term(f, rhs, (k3, b2), f.mul(c, c3))
                 else:
                     lhs = bundle.lifts[n - 1].apply(
                         {(k, mono): c for k, c in d_img.terms.items()})
@@ -893,7 +885,7 @@ def check_lift_chain_map(bundle, degree_bound):
                         img = cplx.apply_differential(
                             n, FreeElement(term, {k2: f.one}))
                         for k3, c3 in img.terms.items():
-                            _add(f, rhs, (a2, k3), f.mul(c, c3))
+                            add_term(f, rhs, (a2, k3), f.mul(c, c3))
                 report._record("square", (n, lab, mono), lhs, rhs)
     term0 = cplx.terms[0]
     for lab in term0.labels:
@@ -907,23 +899,23 @@ def check_lift_chain_map(bundle, degree_bound):
                         img = cplx.apply_augmentation(
                             FreeElement(term0, {k2: f.one}))
                         for am, ac in img.terms.items():
-                            _add(f, lhs, (am, b2), f.mul(c, ac))
+                            add_term(f, lhs, (am, b2), f.mul(c, ac))
                     rhs = {}
                     img = cplx.apply_augmentation(
                         FreeElement(term0, {genkey: f.one}))
                     for am, ac in img.terms.items():
                         for (a2, b2), c2 in t.monomial_rule(mono, am).items():
-                            _add(f, rhs, (a2, b2), f.mul(ac, c2))
+                            add_term(f, rhs, (a2, b2), f.mul(ac, c2))
                 else:
                     lhs = {}
                     for (k2, b2), c in pairs.items():
                         s = cplx.apply_augmentation(
                             FreeElement(term0, {k2: f.one}))
-                        _add(f, lhs, b2, f.mul(c, s))
+                        add_term(f, lhs, b2, f.mul(c, s))
                     rhs = {}
                     s = cplx.apply_augmentation(
                         FreeElement(term0, {genkey: f.one}))
-                    _add(f, rhs, mono, s)
+                    add_term(f, rhs, mono, s)
             else:
                 pairs = bundle.lifts[0].pair_rule(genkey, mono)
                 lhs = {}
@@ -931,13 +923,13 @@ def check_lift_chain_map(bundle, degree_bound):
                     img = cplx.apply_augmentation(
                         FreeElement(term0, {k2: f.one}))
                     for bm, bc in img.terms.items():
-                        _add(f, lhs, (a2, bm), f.mul(c, bc))
+                        add_term(f, lhs, (a2, bm), f.mul(c, bc))
                 rhs = {}
                 img = cplx.apply_augmentation(
                     FreeElement(term0, {genkey: f.one}))
                 for bm, bc in img.terms.items():
                     for (a2, b2), c2 in t.monomial_rule(bm, mono).items():
-                        _add(f, rhs, (a2, b2), f.mul(bc, c2))
+                        add_term(f, rhs, (a2, b2), f.mul(bc, c2))
             report._record("augmentation", (0, lab, mono), lhs, rhs)
     return report
 
@@ -1060,7 +1052,7 @@ def sigma_delta_chain_maps(bundle, delta_gens):
                     if sw is None:
                         continue
                     w2, sgn = sw
-                    _add(f, img, (unit, w2), c if sgn > 0 else f.neg(c))
+                    add_term(f, img, (unit, w2), c if sgn > 0 else f.neg(c))
             label_images[(n, w)] = FreeElement(term, img)
     maps = OreDerivationMaps(bundle, images, label_images)
     for n in range(1, bundle.n_max + 1):
@@ -1093,7 +1085,7 @@ def wedge_to_bar(bar_term, key):
         mids = tuple(_gen_mono(alg, i) for i in tup)
         if not bar_term.has_label(mids):
             raise CutoffError("bar truncation cannot hold %r" % (mids,))
-        _add(f, out, (l, mids, r), f.one if sgn > 0 else f.neg(f.one))
+        add_term(f, out, (l, mids, r), f.one if sgn > 0 else f.neg(f.one))
     return FreeElement(bar_term, out)
 
 
@@ -1177,11 +1169,11 @@ def crosscheck_koszul_lift(bundle, n_bound=2, degree_bound=2):
                     tup = tuple(idxs)
                     if tup != tuple(sorted(tup)) or len(set(tup)) != len(tup):
                         continue
-                    _add(f, candidate, ((l2, tup, r2), b2), c)
+                    add_term(f, candidate, ((l2, tup, r2), b2), c)
                 rebuilt = {}
                 for (k2, b2), c in candidate.items():
                     for bk, bc in embed(k2).terms.items():
-                        _add(f, rebuilt, (bk, b2), f.mul(c, bc))
+                        add_term(f, rebuilt, (bk, b2), f.mul(c, bc))
                 if rebuilt != bar_side:
                     raise RestrictionError(
                         "bar-side image of %r (moved %r) does not project "

@@ -38,7 +38,9 @@ from __future__ import annotations
 
 import random
 
-from .kernel import QQ, PrimeField, NonInvertibleError, SparseMatrix, invert_dense
+from .kernel import (
+    QQ, PrimeField, NonInvertibleError, SparseMatrix, add_term, invert_dense,
+)
 from .algebra import (
     CYCLIC_GROUP, POLYNOMIAL, TWISTED_PRODUCT,
     AlgebraSpec, AlgebraElement, SpecMismatchError,
@@ -197,11 +199,7 @@ def ore_twist(a_spec, b_spec, delta_gens, name=None):
             coeff = f.coerce(e)
             for m, c in img.terms.items():
                 m2 = tuple(u + v for u, v in zip(m, rest))
-                acc = f.add(out.get(m2, f.zero), f.mul(coeff, c))
-                if f.is_zero(acc):
-                    out.pop(m2, None)
-                else:
-                    out[m2] = acc
+                add_term(f, out, m2, f.mul(coeff, c))
         delta_cache[mono] = out
         return out
 
@@ -213,11 +211,7 @@ def ore_twist(a_spec, b_spec, delta_gens, name=None):
         if m == 1:
             out = {(a_mono, (1,)): f.one}
             for dm, dc in delta_of_monomial(a_mono).items():
-                acc = f.add(out.get((dm, b_one), f.zero), dc)
-                if f.is_zero(acc):
-                    out.pop((dm, b_one), None)
-                else:
-                    out[(dm, b_one)] = acc
+                add_term(f, out, (dm, b_one), dc)
             return out
         t = holder["twist"]
         first = t.monomial_rule((m - 1,), a_mono)
@@ -225,11 +219,7 @@ def ore_twist(a_spec, b_spec, delta_gens, name=None):
         for (am, bm), c in first.items():
             for (am2, bm2), c2 in t.monomial_rule((1,), am).items():
                 key = (am2, (bm2[0] + bm[0],))
-                acc = f.add(out.get(key, f.zero), f.mul(c, c2))
-                if f.is_zero(acc):
-                    out.pop(key, None)
-                else:
-                    out[key] = acc
+                add_term(f, out, key, f.mul(c, c2))
         return out
 
     t = TwistMap(a_spec, b_spec, ORE, rule, name=name or "ore")
@@ -326,11 +316,7 @@ def apply_twist(t, b_elem, a_elem):
         for am, ac in a_elem.terms.items():
             w = f.mul(bc, ac)
             for pair, c in t.monomial_rule(bm, am).items():
-                acc = f.add(out.get(pair, f.zero), f.mul(w, c))
-                if f.is_zero(acc):
-                    out.pop(pair, None)
-                else:
-                    out[pair] = acc
+                add_term(f, out, pair, f.mul(w, c))
     return AlgebraElement(prod, out)
 
 
@@ -343,37 +329,45 @@ def twisted_multiply(u, v):
     return u * v
 
 
-def hexagon_sides(t, b, b2, a, a2):
+def hexagon_sides(t, b, b2, a, a2, products=None):
     """Both sides of the hexagon identity on a monomial 4-tuple
-    (b, b', a, a'), each as a dict (a_mono, b_mono) -> scalar."""
+    (b, b', a, a'), each as a dict (a_mono, b_mono) -> scalar.
+
+    ``products`` memoizes the pure-tensor products (a_l (x) b_l)(a_r (x) b_r)
+    the right side is summed from, keyed on the four monomials; a check
+    passes one dict for all of its tuples (None: a fresh one)."""
     f = t.field
+    if products is None:
+        products = {}
     lhs = {}
     for bm, bc in t.b_spec.mono_mul(b, b2).items():
         for am, ac in t.a_spec.mono_mul(a, a2).items():
             w = f.mul(bc, ac)
             for pair, c in t.monomial_rule(bm, am).items():
-                acc = f.add(lhs.get(pair, f.zero), f.mul(w, c))
-                if f.is_zero(acc):
-                    lhs.pop(pair, None)
-                else:
-                    lhs[pair] = acc
+                add_term(f, lhs, pair, f.mul(w, c))
     rhs = {}
     for (a1, b1), c1 in t.monomial_rule(b2, a).items():
         for (a_l, b_l), c2 in t.monomial_rule(b, a1).items():
             for (a_r, b_r), c3 in t.monomial_rule(b1, a2).items():
                 c123 = f.mul(c1, f.mul(c2, c3))
-                for (a4, b4), c4 in t.monomial_rule(b_l, a_r).items():
-                    w = f.mul(c123, c4)
-                    for am, ac in t.a_spec.mono_mul(a_l, a4).items():
-                        for bm, bc in t.b_spec.mono_mul(b4, b_r).items():
-                            ww = f.mul(w, f.mul(ac, bc))
-                            pair = (am, bm)
-                            acc = f.add(rhs.get(pair, f.zero), ww)
-                            if f.is_zero(acc):
-                                rhs.pop(pair, None)
-                            else:
-                                rhs[pair] = acc
+                key = (a_l, b_l, a_r, b_r)
+                prod = products.get(key)
+                if prod is None:
+                    prod = products[key] = _pure_product(t, *key)
+                for pair, c in prod.items():
+                    add_term(f, rhs, pair, f.mul(c123, c))
     return lhs, rhs
+
+
+def _pure_product(t, a_l, b_l, a_r, b_r):
+    """(a_l (x) b_l)(a_r (x) b_r) = a_l tau(b_l (x) a_r) b_r in A (x)_tau B."""
+    f = t.field
+    out = {}
+    for (a4, b4), c4 in t.monomial_rule(b_l, a_r).items():
+        for am, ac in t.a_spec.mono_mul(a_l, a4).items():
+            for bm, bc in t.b_spec.mono_mul(b4, b_r).items():
+                add_term(f, out, (am, bm), f.mul(c4, f.mul(ac, bc)))
+    return out
 
 
 class HexagonReport:
@@ -411,15 +405,18 @@ def _format_pairs(t, pairs):
 def check_hexagon(t, degree_bound, sample_count=0, seed=0):
     """Verify the hexagon identity on all monomial 4-tuples whose factors
     each have degree <= degree_bound, plus seeded random 4-tuples drawn
-    from degree <= degree_bound + 1.  Violations are report entries."""
+    from degree <= degree_bound + 1.  Violations are report entries; a
+    tuple is formatted only when it is one.  The memo of pure-tensor
+    products that ``hexagon_sides`` reads lasts for this one call."""
     if degree_bound < 1:
         raise TwistError("degree_bound must be >= 1")
     report = HexagonReport(t.name, degree_bound, sample_count, seed)
     bs = basis_up_to(t.b_spec, degree_bound)
     as_ = basis_up_to(t.a_spec, degree_bound)
+    products = {}
 
     def run(b, b2, a, a2):
-        lhs, rhs = hexagon_sides(t, b, b2, a, a2)
+        lhs, rhs = hexagon_sides(t, b, b2, a, a2, products)
         report.checked += 1
         if lhs != rhs:
             report.violations.append({
@@ -535,11 +532,7 @@ class AlgebraAsBimodule:
             for am, ac in a_elem.terms.items():
                 w = f.mul(ac, c)
                 for m, mc in alg.mono_mul(am, key).items():
-                    acc = f.add(out.get(m, f.zero), f.mul(w, mc))
-                    if f.is_zero(acc):
-                        out.pop(m, None)
-                    else:
-                        out[m] = acc
+                    add_term(f, out, m, f.mul(w, mc))
         return out
 
     def act_right(self, vec, a_elem):
@@ -550,11 +543,7 @@ class AlgebraAsBimodule:
             for am, ac in a_elem.terms.items():
                 w = f.mul(c, ac)
                 for m, mc in alg.mono_mul(key, am).items():
-                    acc = f.add(out.get(m, f.zero), f.mul(w, mc))
-                    if f.is_zero(acc):
-                        out.pop(m, None)
-                    else:
-                        out[m] = acc
+                    add_term(f, out, m, f.mul(w, mc))
         return out
 
 
@@ -655,11 +644,7 @@ class CompatMap:
         out = {}
         for (x, y), c in vec_pairs.items():
             for pair, v in self.pair_rule(x, y).items():
-                acc = f.add(out.get(pair, f.zero), f.mul(c, v))
-                if f.is_zero(acc):
-                    out.pop(pair, None)
-                else:
-                    out[pair] = acc
+                add_term(f, out, pair, f.mul(c, v))
         return out
 
     def __repr__(self):
@@ -712,11 +697,12 @@ class CompatReport:
 
 
 def _record(report, equation, inputs, lhs, rhs):
+    """Count one checked tuple; ``inputs()`` formats it on a violation."""
     report.checked += 1
     if lhs != rhs:
         report.violations.append({
             "equation": equation,
-            "inputs": inputs,
+            "inputs": inputs(),
             "lhs": repr(sorted(lhs.items(), key=repr)),
             "rhs": repr(sorted(rhs.items(), key=repr)),
         })
@@ -732,25 +718,38 @@ def check_bimodule_compat(c, degree_bound):
         tau_mod(b (x) a m a') = tau(b (x) a), move across m, tau(.. (x) a'),
         with the A parts acting on the module.
     One-sided module side uses only the left action; the right-of-bimodule
-    equations are the mirror images."""
+    equations are the mirror images.
+
+    Both sides of the module-side equations read the actions l.key.r on
+    single basis keys from a memo that lasts for this one call; the input
+    tuple of an equation is formatted only when it is violated."""
     t = c.twist
     f = t.field
     mod = c.module
     report = CompatReport(c.name, c.kind, degree_bound)
     mkeys = mod.basis(degree_bound)
+    acting = t.a_spec if c.kind in (LEFT_BIMODULE, ONE_SIDED) else t.b_spec
+    acts = {}
 
-    def unit_elem(spec):
-        return AlgebraElement(spec, {spec.one_monomial(): f.one})
-
-    def mono_elem(spec, m):
-        return AlgebraElement(spec, {m: f.one})
+    def act(l, key, r):
+        """l . key . r for monomials l, r of the acting algebra (r None:
+        left action only), as a dict key -> scalar."""
+        hit = acts.get((l, key, r))
+        if hit is None:
+            hit = _mod_act_left(mod, AlgebraElement(acting, {l: f.one}),
+                                {key: f.one})
+            if r is not None:
+                hit = _mod_act_right(mod, hit,
+                                     AlgebraElement(acting, {r: f.one}))
+            acts[(l, key, r)] = hit
+        return hit
 
     if c.kind in (LEFT_BIMODULE, ONE_SIDED):
         bs = basis_up_to(t.b_spec, degree_bound)
         as_ = basis_up_to(t.a_spec, degree_bound)
         for m in mkeys:
             lhs = c.pair_rule(t.b_spec.one_monomial(), m)
-            _record(report, "unit", (mod.format_key(m),), lhs,
+            _record(report, "unit", lambda: (mod.format_key(m),), lhs,
                     {(m, t.b_spec.one_monomial()): f.one})
         # multiplication side
         for b in bs:
@@ -759,71 +758,43 @@ def check_bimodule_compat(c, degree_bound):
                     lhs = {}
                     for bm, bc in t.b_spec.mono_mul(b, b2).items():
                         for pair, v in c.pair_rule(bm, m).items():
-                            acc = f.add(lhs.get(pair, f.zero), f.mul(bc, v))
-                            if f.is_zero(acc):
-                                lhs.pop(pair, None)
-                            else:
-                                lhs[pair] = acc
+                            add_term(f, lhs, pair, f.mul(bc, v))
                     rhs = {}
                     for (m1, b1), c1 in c.pair_rule(b2, m).items():
                         for (m2, b2b), c2 in c.pair_rule(b, m1).items():
                             w = f.mul(c1, c2)
                             for bm, bc in t.b_spec.mono_mul(b2b, b1).items():
-                                pair = (m2, bm)
-                                acc = f.add(rhs.get(pair, f.zero), f.mul(w, bc))
-                                if f.is_zero(acc):
-                                    rhs.pop(pair, None)
-                                else:
-                                    rhs[pair] = acc
+                                add_term(f, rhs, (m2, bm), f.mul(w, bc))
                     _record(report, "product-side",
-                            (t.b_spec.format_monomial(b),
-                             t.b_spec.format_monomial(b2),
-                             mod.format_key(m)), lhs, rhs)
-        # module side
+                            lambda: (t.b_spec.format_monomial(b),
+                                     t.b_spec.format_monomial(b2),
+                                     mod.format_key(m)), lhs, rhs)
+        # module side; one-sided modules have no a' (a2 None)
+        rights = as_ if c.kind == LEFT_BIMODULE else [None]
         for b in bs:
             for a in as_:
                 for m in mkeys:
-                    rights = as_ if c.kind == LEFT_BIMODULE else [None]
                     for a2 in rights:
-                        vec = _mod_act_left(mod, mono_elem(t.a_spec, a), {m: f.one})
-                        if a2 is not None:
-                            vec = _mod_act_right(mod, vec, mono_elem(t.a_spec, a2))
-                        lhs = c.apply({(b, k): v for k, v in vec.items()})
+                        lhs = c.apply({(b, k): v
+                                       for k, v in act(a, m, a2).items()})
                         rhs = {}
                         for (a1, b1), c1 in t.monomial_rule(b, a).items():
                             for (m1, b2b), c2 in c.pair_rule(b1, m).items():
                                 w = f.mul(c1, c2)
-                                if a2 is None:
-                                    moved = _mod_act_left(
-                                        mod, mono_elem(t.a_spec, a1), {m1: f.one})
-                                    for k, kc in moved.items():
-                                        pair = (k, b2b)
-                                        acc = f.add(rhs.get(pair, f.zero),
-                                                    f.mul(w, kc))
-                                        if f.is_zero(acc):
-                                            rhs.pop(pair, None)
-                                        else:
-                                            rhs[pair] = acc
-                                else:
-                                    for (a3, b3), c3 in t.monomial_rule(b2b, a2).items():
-                                        w3 = f.mul(w, c3)
-                                        moved = _mod_act_left(
-                                            mod, mono_elem(t.a_spec, a1), {m1: f.one})
-                                        moved = _mod_act_right(
-                                            mod, moved, mono_elem(t.a_spec, a3))
-                                        for k, kc in moved.items():
-                                            pair = (k, b3)
-                                            acc = f.add(rhs.get(pair, f.zero),
-                                                        f.mul(w3, kc))
-                                            if f.is_zero(acc):
-                                                rhs.pop(pair, None)
-                                            else:
-                                                rhs[pair] = acc
-                        inputs = (t.b_spec.format_monomial(b),
-                                  t.a_spec.format_monomial(a),
-                                  mod.format_key(m),
-                                  "" if a2 is None else t.a_spec.format_monomial(a2))
-                        _record(report, "module-side", inputs, lhs, rhs)
+                                moves = ({(None, b2b): f.one} if a2 is None
+                                         else t.monomial_rule(b2b, a2))
+                                for (a3, b3), c3 in moves.items():
+                                    w3 = f.mul(w, c3)
+                                    for k, kc in act(a1, m1, a3).items():
+                                        add_term(f, rhs, (k, b3),
+                                                 f.mul(w3, kc))
+                        _record(report, "module-side",
+                                lambda: (t.b_spec.format_monomial(b),
+                                         t.a_spec.format_monomial(a),
+                                         mod.format_key(m),
+                                         "" if a2 is None
+                                         else t.a_spec.format_monomial(a2)),
+                                lhs, rhs)
         return report
 
     # right-of-bimodule: N over B, rule (key, a_mono) -> (a', key')
@@ -831,7 +802,7 @@ def check_bimodule_compat(c, degree_bound):
     bs = basis_up_to(t.b_spec, degree_bound)
     for m in mkeys:
         lhs = c.pair_rule(m, t.a_spec.one_monomial())
-        _record(report, "unit", (mod.format_key(m),), lhs,
+        _record(report, "unit", lambda: (mod.format_key(m),), lhs,
                 {(t.a_spec.one_monomial(), m): f.one})
     # multiplication side
     for m in mkeys:
@@ -840,55 +811,37 @@ def check_bimodule_compat(c, degree_bound):
                 lhs = {}
                 for am, ac in t.a_spec.mono_mul(a, a2).items():
                     for pair, v in c.pair_rule(m, am).items():
-                        acc = f.add(lhs.get(pair, f.zero), f.mul(ac, v))
-                        if f.is_zero(acc):
-                            lhs.pop(pair, None)
-                        else:
-                            lhs[pair] = acc
+                        add_term(f, lhs, pair, f.mul(ac, v))
                 rhs = {}
                 for (a1, m1), c1 in c.pair_rule(m, a).items():
                     for (a2b, m2), c2 in c.pair_rule(m1, a2).items():
                         w = f.mul(c1, c2)
                         for am, ac in t.a_spec.mono_mul(a1, a2b).items():
-                            pair = (am, m2)
-                            acc = f.add(rhs.get(pair, f.zero), f.mul(w, ac))
-                            if f.is_zero(acc):
-                                rhs.pop(pair, None)
-                            else:
-                                rhs[pair] = acc
+                            add_term(f, rhs, (am, m2), f.mul(w, ac))
                 _record(report, "product-side",
-                        (mod.format_key(m), t.a_spec.format_monomial(a),
-                         t.a_spec.format_monomial(a2)), lhs, rhs)
+                        lambda: (mod.format_key(m),
+                                 t.a_spec.format_monomial(a),
+                                 t.a_spec.format_monomial(a2)), lhs, rhs)
     # module side: tau_mod((b n b') (x) a)
     for b in bs:
         for m in mkeys:
             for b2 in bs:
                 for a in as_:
-                    vec = _mod_act_left(mod, mono_elem(t.b_spec, b), {m: f.one})
-                    vec = _mod_act_right(mod, vec, mono_elem(t.b_spec, b2))
-                    lhs = c.apply({(k, a): v for k, v in vec.items()})
+                    lhs = c.apply({(k, a): v
+                                   for k, v in act(b, m, b2).items()})
                     rhs = {}
                     for (a1, b1), c1 in t.monomial_rule(b2, a).items():
                         for (a2v, m2), c2 in c.pair_rule(m, a1).items():
                             w = f.mul(c1, c2)
                             for (a3, b3), c3 in t.monomial_rule(b, a2v).items():
                                 w3 = f.mul(w, c3)
-                                moved = _mod_act_left(
-                                    mod, mono_elem(t.b_spec, b3), {m2: f.one})
-                                moved = _mod_act_right(
-                                    mod, moved, mono_elem(t.b_spec, b1))
-                                for k, kc in moved.items():
-                                    pair = (a3, k)
-                                    acc = f.add(rhs.get(pair, f.zero),
-                                                f.mul(w3, kc))
-                                    if f.is_zero(acc):
-                                        rhs.pop(pair, None)
-                                    else:
-                                        rhs[pair] = acc
+                                for k, kc in act(b3, m2, b1).items():
+                                    add_term(f, rhs, (a3, k), f.mul(w3, kc))
                     _record(report, "module-side",
-                            (t.b_spec.format_monomial(b), mod.format_key(m),
-                             t.b_spec.format_monomial(b2),
-                             t.a_spec.format_monomial(a)), lhs, rhs)
+                            lambda: (t.b_spec.format_monomial(b),
+                                     mod.format_key(m),
+                                     t.b_spec.format_monomial(b2),
+                                     t.a_spec.format_monomial(a)), lhs, rhs)
     return report
 
 

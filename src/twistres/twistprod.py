@@ -47,7 +47,7 @@ from .complex import (
     FreeElement,
     FreeModuleTerm,
 )
-from .kernel import SparseMatrix, solve_dense
+from .kernel import SparseMatrix, add_term, solve_dense
 from .resolutions import (
     ONE_SIDED_KOSZUL,
     RESOLVES_ALGEBRA,
@@ -93,14 +93,6 @@ class MissingLiftError(ProductError):
 
 class PresentationError(ProductError):
     """A change of presentation has no solution in the allotted degrees."""
-
-
-def _add(field, out, key, val):
-    acc = field.add(out.get(key, field.zero), val)
-    if field.is_zero(acc):
-        out.pop(key, None)
-    else:
-        out[key] = acc
 
 
 def _require_lift(bundle, t, side, role):
@@ -250,7 +242,7 @@ class TwistedBicomplex:
                 else:
                     al, v2 = key
                     nk = ((al, b_one), (i - 1, j, v2, w))
-                _add(f, out, nk, c)
+                add_term(f, out, nk, c)
         elem = FreeElement(tgt, out)
         self._h_cache[label] = elem
         return elem
@@ -275,7 +267,7 @@ class TwistedBicomplex:
                 else:
                     bl, w2 = key
                     nk = ((a_one, bl), (i, j - 1, v, w2))
-                _add(f, out, nk, f.mul(sgn, c))
+                add_term(f, out, nk, f.mul(sgn, c))
         elem = FreeElement(tgt, out)
         self._v_cache[label] = elem
         return elem
@@ -414,7 +406,7 @@ class TotalComplex:
                                 nk = ((al3, bl2), (i, j, v2, w), (ar2, br))
                             else:
                                 nk = ((al3, bl2), (i, j, v2, w))
-                            _add(f, out, nk, f.mul(c3, ca))
+                            add_term(f, out, nk, f.mul(c3, ca))
         return FreeElement(term, out)
 
     def act_right(self, elem, u):
@@ -446,7 +438,7 @@ class TotalComplex:
                         c3 = f.mul(c2, ca)
                         for br3, cb in bspec.mono_mul(br2, bm).items():
                             nk = ((al, bl2), (i, j, v, w2), (ar2, br3))
-                            _add(f, out, nk, f.mul(c3, cb))
+                            add_term(f, out, nk, f.mul(c3, cb))
         return FreeElement(term, out)
 
     def _resolved_left(self, u, value):
@@ -715,7 +707,7 @@ def transport_complex(cplx, target, mono_map, label_map, name=None):
                           mono_map(key[2]))
                 else:
                     nk = (mono_map(key[0]), maps[n - 1][key[1]])
-                _add(f, out, nk, c)
+                add_term(f, out, nk, c)
             dn[maps[n][lab]] = FreeElement(terms[n - 1], out)
         diffs.append(dn)
     aug = None
@@ -725,7 +717,7 @@ def transport_complex(cplx, target, mono_map, label_map, name=None):
             if cplx.aug_kind == "algebra":
                 out = {}
                 for mono, c in img.terms.items():
-                    _add(f, out, mono_map(mono), c)
+                    add_term(f, out, mono_map(mono), c)
                 aug[maps[0][lab]] = AlgebraElement(target, out)
             else:
                 aug[maps[0][lab]] = img
@@ -907,7 +899,7 @@ class OreFreeForm:
         out = {}
         for key, c in elem.terms.items():
             for k2, c2 in self._from_key(n, key).items():
-                _add(f, out, k2, f.mul(c, c2))
+                add_term(f, out, k2, f.mul(c, c2))
         return FreeElement(self.terms[n], out)
 
     def _from_key(self, n, key):
@@ -931,7 +923,7 @@ class OreFreeForm:
             for (r2, v2), c2 in self.maps.delta(i, src).terms.items():
                 ckey = ((r2, (m - 1,)), (i, j, v2, w))
                 for k3, c3 in self._from_key(n, ckey).items():
-                    _add(f, result, k3, f.neg(f.mul(c2, c3)))
+                    add_term(f, result, k3, f.neg(f.mul(c2, c3)))
         self._memo[(n, key)] = result
         return result
 

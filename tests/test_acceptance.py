@@ -8,15 +8,15 @@ import sys
 import time
 from math import comb
 
-from twistres import kernel
+from twistres import kernel, twist
 from twistres.kernel import QQ, PrimeField, SparseMatrix
 from twistres.algebra import (
     cyclic_group_algebra, heisenberg_algebra, polynomial_algebra,
     solvable_2dim_algebra, weyl_algebra,
 )
 from twistres.twist import (
-    check_hexagon, flip_twist, solvable_pair_twist, triangular_action_twist,
-    weyl_twist,
+    check_bimodule_compat, check_hexagon, flip_twist, self_bimodule_compat,
+    solvable_pair_twist, triangular_action_twist, weyl_twist,
 )
 from twistres.complex import ChainComplexSpec, FreeElement, compose_check, \
     exactness_report
@@ -251,6 +251,12 @@ def test_criterion_8_mutations_break_the_checks(monkeypatch):
         two_blocks = SparseMatrix.from_rows([[1, 0], [0, 1]], QQ)
         assert two_blocks.rank() != 2
         assert not exactness_report(cplx, 4).passed
+
+        # a right action that does nothing, read through the compat
+        # check's memo of basis-level actions
+        monkeypatch.setattr(twist, "_mod_act_right", lambda mod, vec, a: vec)
+        rep = check_bimodule_compat(self_bimodule_compat(weyl_twist()), 2)
+        assert not rep.passed
 
 
 def test_criterion_9_full_preset_suite_is_deterministic():

@@ -1,6 +1,7 @@
 """Twisting maps: oracles for the rules, hexagon checks, inversion,
 twisted multiplication, and module compatibility."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,11 @@ from twistres.twist import (
 
 def flip_xy():
     return flip_twist(polynomial_algebra(("x",)), polynomial_algebra(("y",)))
+
+
+def _digest(violations):
+    """SHA-256 of a violation list's repr: pins every record exactly."""
+    return hashlib.sha256(repr(violations).encode()).hexdigest()
 
 
 # -- rule oracles -------------------------------------------------------------
@@ -105,6 +111,18 @@ def test_hexagon_catches_corrupted_sign():
     assert ("y", "y", "x", "x") in broken
     v = next(iter(rep.violations))
     assert v["lhs"] != v["rhs"]
+    # exact records at degree 3, on the grid and on grid plus samples
+    # (one pure-product memo serves both): a memo key that drops a
+    # monomial shows here
+    rep = check_hexagon(bad, 3)
+    assert (rep.checked, len(rep.violations)) == (256, 111)
+    assert rep.violations[0] == {
+        "b": "1", "b_prime": "y", "a": "x", "a_prime": "x",
+        "lhs": "-2·(x⊗1) + 1·(x^2⊗y)", "rhs": "2·(x⊗1) + 1·(x^2⊗y)"}
+    rep = check_hexagon(bad, 3, sample_count=50, seed=3)
+    assert (rep.checked, len(rep.violations)) == (306, 137)
+    assert _digest(rep.violations) == (
+        "c1557c0bbfd9d69465948227986a7032a74bb005b8f7246d0869ec6b946d562f")
 
 
 # -- twisted multiplication ---------------------------------------------------
@@ -343,4 +361,34 @@ def test_one_sided_compat_trivial_module_weyl_fails():
     c = transposition_compat(t, GroundModule(t.a_spec), ONE_SIDED)
     rep = check_bimodule_compat(c, 2)
     assert not rep.passed
-    assert any(v["equation"] == "module-side" for v in rep.violations)
+    # exact records: an action memo or an inputs formatter bound to the
+    # wrong tuple shows here
+    assert rep.checked == 19
+    assert rep.violations == [
+        {"equation": "module-side", "inputs": ("y", "x", "[k]", ""),
+         "lhs": "[]", "rhs": "[(('k', (0,)), Fraction(-1, 1))]"},
+        {"equation": "module-side", "inputs": ("y^2", "x", "[k]", ""),
+         "lhs": "[]", "rhs": "[(('k', (1,)), Fraction(-2, 1))]"},
+        {"equation": "module-side", "inputs": ("y^2", "x^2", "[k]", ""),
+         "lhs": "[]", "rhs": "[(('k', (0,)), Fraction(2, 1))]"},
+    ]
+
+
+@pytest.mark.parametrize("kind, first, digest", [
+    (LEFT_BIMODULE, ("y", "1", "1", "x"),
+     "0f3c2e86f40b897697a12b9be6c04d3bfc53c554ebd96c464ebdc0936d980bdc"),
+    (RIGHT_BIMODULE, ("1", "1", "y", "x"),
+     "dc064020fb4c45babf1120223b5ce1e9d9120e4ea1ea64eabb2a783d9ee217d4"),
+])
+def test_bimodule_transposition_weyl_violation_records(kind, first, digest):
+    # the flip is not compatible with the Weyl twist on either side; the
+    # exact records cover the two-sided action memo (a right factor in
+    # every key) on both kinds
+    t = weyl_twist()
+    algebra = t.a_spec if kind == LEFT_BIMODULE else t.b_spec
+    c = transposition_compat(t, AlgebraAsBimodule(algebra), kind)
+    rep = check_bimodule_compat(c, 2)
+    assert (rep.checked, len(rep.violations)) == (111, 48)
+    assert {v["equation"] for v in rep.violations} == {"module-side"}
+    assert rep.violations[0]["inputs"] == first
+    assert _digest(rep.violations) == digest
