@@ -17,7 +17,9 @@ the actual structure constants).  Inside the window, "cycle" and
 
 from __future__ import annotations
 
-from .kernel import SparseMatrix
+from bisect import bisect_left
+
+from .kernel import SparseMatrix, add_term
 from .algebra import basis_up_to
 
 BIMODULE = "bimodule"
@@ -74,26 +76,42 @@ class FreeModuleTerm:
 
     def basis(self, n):
         """All keys of total degree <= n: labels in declared order, then
-        (degree, left key, right key)."""
+        (degree, left key, right key).  Each degree bound is taken as a
+        prefix of one ``basis_up_to`` list (see ``graded_basis``)."""
+        return self.graded_basis(n)[0]
+
+    def graded_basis(self, n):
+        """``basis(n)`` and the total degree of each key, in one pass.
+
+        ``basis_up_to`` runs once, for the largest room any label has.  It
+        lists monomials in ``monomial_key`` order, degree first, so every
+        smaller bound is a prefix of it and list positions order keys."""
+        rooms = [n - self.internal_degree[lab] for lab in self.labels]
+        top = max(rooms, default=-1)
+        keys, degrees = [], []
+        if top < 0:
+            return keys, degrees
         a = self.algebra
-        out = []
-        for lab in self.labels:
-            room = n - self.internal_degree[lab]
+        monos = basis_up_to(a, top)
+        degs = [a.monomial_degree(m) for m in monos]
+        # monos[start[d]:start[d + 1]] are the monomials of degree d
+        start = [bisect_left(degs, d) for d in range(top + 2)]
+        for lab, room in zip(self.labels, rooms):
             if room < 0:
                 continue
-            if self.side == BIMODULE:
-                keys = []
-                for l in basis_up_to(a, room):
-                    dl = a.monomial_degree(l)
-                    for r in basis_up_to(a, room - dl):
+            inner = n - room
+            if self.side != BIMODULE:
+                for i in range(start[room + 1]):
+                    keys.append((monos[i], lab))
+                    degrees.append(inner + degs[i])
+                continue
+            for t in range(room + 1):
+                for i in range(start[t + 1]):
+                    l, dr = monos[i], t - degs[i]
+                    for r in monos[start[dr]:start[dr + 1]]:
                         keys.append((l, lab, r))
-                keys.sort(key=lambda k: (a.monomial_degree(k[0]) + a.monomial_degree(k[2]),
-                                         a.monomial_key(k[0]), a.monomial_key(k[2])))
-            else:
-                keys = [(l, lab) for l in basis_up_to(a, room)]
-                keys.sort(key=lambda k: a.monomial_key(k[0]))
-            out.extend(keys)
-        return out
+                        degrees.append(inner + t)
+        return keys, degrees
 
     def format_key(self, key):
         a = self.algebra
@@ -235,20 +253,29 @@ class ChainComplexSpec:
         return self.differentials[n][label]
 
     def apply_differential(self, n, elem):
-        """d_n applied to an element of term n."""
-        term_out = self.terms[n - 1]
-        out = term_out.zero()
-        alg = self.algebra
-        for k, c in elem.terms.items():
-            img = self.differentials[n][k[1]]
-            piece = img.scale(c)
-            lmono = alg.element({k[0]: alg.field.one})
-            piece = piece.left_mul(lmono)
-            if self.terms[n].side == BIMODULE:
-                rmono = alg.element({k[2]: alg.field.one})
-                piece = piece.right_mul(rmono)
-            out = out + piece
-        return out
+        """d_n applied to an element of term n: each key l⊗[lab]⊗r (or
+        l⊗[lab]) goes to l·d(lab)·r, summed into one dict."""
+        f = self.algebra.field
+        mul = self.algebra.mono_mul
+        diff = self.differentials[n]
+        out = {}
+        if self.terms[n].side == BIMODULE:
+            for (l, lab, r), c in elem.terms.items():
+                for (l2, lab2, r2), c2 in diff[lab].terms.items():
+                    w = f.mul(c, c2)
+                    rights = mul(r2, r)
+                    for m, cm in mul(l, l2).items():
+                        wm = f.mul(w, cm)
+                        for m2, cm2 in rights.items():
+                            add_term(f, out, (m, lab2, m2), f.mul(wm, cm2))
+        else:
+            for (l, lab), c in elem.terms.items():
+                for k2, c2 in diff[lab].terms.items():
+                    w = f.mul(c, c2)
+                    rest = k2[1:]
+                    for m, cm in mul(l, k2[0]).items():
+                        add_term(f, out, (m,) + rest, f.mul(w, cm))
+        return FreeElement(self.terms[n - 1], out)
 
     def apply_augmentation(self, elem):
         """The (-1)-degree map on an element of term 0.
@@ -329,26 +356,30 @@ class TruncatedComplex:
         self.key_degrees = []
         index = []
         for n, term in enumerate(spec.terms):
-            b = term.basis(cutoff)
+            b, degs = term.graded_basis(cutoff)
             self.bases.append(b)
-            self.key_degrees.append([term.key_degree(k) for k in b])
+            self.key_degrees.append(degs)
             index.append({k: i for i, k in enumerate(b)})
         self.matrices = [None]
         self.max_drop = 0
         for n in range(1, spec.n_max + 1):
             entries = []
             term = spec.terms[n]
-            for j, key in enumerate(self.bases[n]):
-                src_deg = term.key_degree(key)
+            tindex = index[n - 1]
+            tdegs = self.key_degrees[n - 1]
+            for j, (key, src_deg) in enumerate(zip(self.bases[n],
+                                                   self.key_degrees[n])):
                 elem = FreeElement(term, {key: f.one})
                 img = spec.apply_differential(n, elem)
                 for k, v in img.terms.items():
-                    d = spec.terms[n - 1].key_degree(k)
-                    if d > src_deg:
+                    # a key missing from the target basis lies above the
+                    # cutoff, so above src_deg
+                    i = tindex.get(k)
+                    if i is None or tdegs[i] > src_deg:
                         raise DegreeRaisingError(
                             "d_%d raises degree on %r" % (n, key))
-                    self.max_drop = max(self.max_drop, src_deg - d)
-                    entries.append((index[n - 1][k], j, v))
+                    self.max_drop = max(self.max_drop, src_deg - tdegs[i])
+                    entries.append((i, j, v))
             self.matrices.append(SparseMatrix(
                 len(self.bases[n - 1]), len(self.bases[n]), entries, f))
         self.aug_matrix = None
@@ -359,8 +390,8 @@ class TruncatedComplex:
                 tindex = {m: i for i, m in enumerate(self.target_basis)}
                 self.target_degrees = [alg.monomial_degree(m) for m in self.target_basis]
                 entries = []
-                for j, key in enumerate(self.bases[0]):
-                    src_deg = spec.terms[0].key_degree(key)
+                for j, (key, src_deg) in enumerate(zip(self.bases[0],
+                                                       self.key_degrees[0])):
                     elem = FreeElement(spec.terms[0], {key: f.one})
                     img = spec.apply_augmentation(elem)
                     for m, v in img.terms.items():
@@ -373,8 +404,8 @@ class TruncatedComplex:
                 self.target_basis = [()]
                 self.target_degrees = [0]
                 entries = []
-                for j, key in enumerate(self.bases[0]):
-                    src_deg = spec.terms[0].key_degree(key)
+                for j, (key, src_deg) in enumerate(zip(self.bases[0],
+                                                       self.key_degrees[0])):
                     elem = FreeElement(spec.terms[0], {key: f.one})
                     v = spec.apply_augmentation(elem)
                     if not f.is_zero(v):

@@ -79,13 +79,10 @@ class RationalField:
     def div(self, a, b):
         return Fraction(a) / b
 
-    @property
-    def one(self):
-        return Fraction(1)
-
-    @property
-    def zero(self):
-        return Fraction(0)
+    # shared constants: Fractions are immutable, and add_term reads zero
+    # once per accumulated term
+    one = Fraction(1)
+    zero = Fraction(0)
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -143,13 +140,8 @@ class PrimeField:
     def div(self, a, b):
         return a * pow(b, -1, self.p) % self.p
 
-    @property
-    def one(self):
-        return 1
-
-    @property
-    def zero(self):
-        return 0
+    one = 1
+    zero = 0
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

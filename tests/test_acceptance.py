@@ -8,6 +8,8 @@ import sys
 import time
 from math import comb
 
+import pytest
+
 from twistres import kernel, twist
 from twistres.kernel import QQ, PrimeField, SparseMatrix
 from twistres.algebra import (
@@ -18,8 +20,8 @@ from twistres.twist import (
     check_bimodule_compat, check_hexagon, flip_twist, self_bimodule_compat,
     solvable_pair_twist, triangular_action_twist, weyl_twist,
 )
-from twistres.complex import ChainComplexSpec, FreeElement, compose_check, \
-    exactness_report
+from twistres.complex import BIMODULE, ChainComplexSpec, DegreeRaisingError, \
+    FreeElement, FreeModuleTerm, compose_check, exactness_report
 from twistres.resolutions import (
     bar, check_lift_chain_map, check_lift_compat, crosscheck_koszul_lift,
     cyclic_periodic, lift_twist, one_sided_koszul_kx, ore_koszul,
@@ -257,6 +259,34 @@ def test_criterion_8_mutations_break_the_checks(monkeypatch):
         monkeypatch.setattr(twist, "_mod_act_right", lambda mod, vec, a: vec)
         rep = check_bimodule_compat(self_bimodule_compat(weyl_twist()), 2)
         assert not rep.passed
+
+        # the one-pass graded basis: key degrees that leave out the right
+        # monomial, then a degree-prefix cut that ends one degree early
+        # (with the rank and action defects above undone)
+        monkeypatch.undo()
+        koszul = poly_koszul(polynomial_algebra(("x", "y"))).complex
+        rep = exactness_report(koszul, 4)
+        assert rep.passed and rep.graded and rep.window == 4
+        graded_basis = FreeModuleTerm.graded_basis
+
+        def without_right(term, n):
+            keys, degrees = graded_basis(term, n)
+            if term.side == BIMODULE:
+                degrees = [d - term.algebra.monomial_degree(k[2])
+                           for k, d in zip(keys, degrees)]
+            return keys, degrees
+
+        monkeypatch.setattr(FreeModuleTerm, "graded_basis", without_right)
+        with pytest.raises(DegreeRaisingError):
+            exactness_report(koszul, 4)
+
+        def cut_early(term, n):
+            kept = [kd for kd in zip(*graded_basis(term, n)) if kd[1] < n]
+            return [k for k, _ in kept], [d for _, d in kept]
+
+        monkeypatch.setattr(FreeModuleTerm, "graded_basis", cut_early)
+        rep = exactness_report(koszul, 4)
+        assert not rep.passed and rep.aug_coker == 5
 
 
 def test_criterion_9_full_preset_suite_is_deterministic():

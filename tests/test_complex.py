@@ -1,13 +1,29 @@
 """Chain-complex machinery on small hand-built resolutions of k[x]."""
 
-import pytest
+import functools
 
-from twistres.algebra import polynomial_algebra, parse_element
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from twistres.algebra import (
+    CYCLIC_GROUP, ITERATED_ORE, POLYNOMIAL, TWISTED_PRODUCT, basis_up_to,
+    cyclic_group_algebra, heisenberg_algebra, parse_element,
+    polynomial_algebra, weyl_algebra,
+)
 from twistres.complex import (
     BIMODULE, LEFT_MODULE, ChainComplexSpec, ComplexError, DegreeRaisingError,
     FreeElement, FreeModuleTerm, compose_check, exactness_report, truncate,
 )
-from twistres.kernel import QQ
+from twistres.kernel import QQ, PrimeField
+from twistres.resolutions import (
+    bar, cyclic_periodic, ore_koszul, poly_koszul,
+    one_sided_koszul_kx as koszul_kx_resolution,
+)
+from twistres.twist import solvable_pair_twist, triangular_action_twist, \
+    weyl_twist
+from twistres.twistprod import (
+    koszul_pair_product, ore_module_resolution, triangular_skew_product,
+)
 
 
 def bimodule_koszul_kx():
@@ -131,6 +147,9 @@ def test_degree_raising_rejected():
     c = ChainComplexSpec(a, [t0, t1], [None, d1], name="raising")
     with pytest.raises(DegreeRaisingError):
         truncate(c, 3)
+    # at cutoff 1 the image x^2(x)[1](x)1 lies outside the enumerated basis
+    with pytest.raises(DegreeRaisingError):
+        truncate(c, 1)
 
 
 def test_incomplete_above_excludes_top_spot():
@@ -155,3 +174,207 @@ def test_map_labels_transport():
     g = c.terms[1].generator("e")
     moved = g.map_labels(t_new, {"e": "f"})
     assert next(iter(moved.terms))[1] == "f"
+
+
+# -- differential tests against the per-key FreeElement assembly ---------------
+
+def reference_basis(term, n):
+    """Keys of total degree <= n, enumerated one label and left monomial at
+    a time and sorted by (degree, left key, right key)."""
+    a = term.algebra
+    out = []
+    for lab in term.labels:
+        room = n - term.internal_degree[lab]
+        if room < 0:
+            continue
+        if term.side == BIMODULE:
+            keys = [(l, lab, r) for l in basis_up_to(a, room)
+                    for r in basis_up_to(a, room - a.monomial_degree(l))]
+            keys.sort(key=lambda k: (a.monomial_degree(k[0]) + a.monomial_degree(k[2]),
+                                     a.monomial_key(k[0]), a.monomial_key(k[2])))
+        else:
+            keys = [(l, lab) for l in basis_up_to(a, room)]
+            keys.sort(key=lambda k: a.monomial_key(k[0]))
+        out.extend(keys)
+    return out
+
+
+def reference_apply_differential(c, n, elem):
+    """d_n through scale, left_mul, right_mul and __add__, one key at a time."""
+    alg = c.algebra
+    out = c.terms[n - 1].zero()
+    for k, coeff in elem.terms.items():
+        piece = c.differentials[n][k[1]].scale(coeff)
+        piece = piece.left_mul(alg.element({k[0]: alg.field.one}))
+        if c.terms[n].side == BIMODULE:
+            piece = piece.right_mul(alg.element({k[2]: alg.field.one}))
+        out = out + piece
+    return out
+
+
+def reference_truncation(c, cutoff):
+    """Bases, key degrees, max drop, matrix entries (one column per key)
+    and augmentation entries."""
+    f = c.algebra.field
+    bases = [reference_basis(t, cutoff) for t in c.terms]
+    degrees = [[t.key_degree(k) for k in b] for t, b in zip(c.terms, bases)]
+    max_drop = 0
+    matrices = [None]
+    for n in range(1, c.n_max + 1):
+        index = {k: i for i, k in enumerate(bases[n - 1])}
+        entries = {}
+        for j, key in enumerate(bases[n]):
+            src = c.terms[n].key_degree(key)
+            img = reference_apply_differential(
+                c, n, FreeElement(c.terms[n], {key: f.one}))
+            for k, v in img.terms.items():
+                max_drop = max(max_drop, src - c.terms[n - 1].key_degree(k))
+                entries[(index[k], j)] = v
+        matrices.append((len(bases[n - 1]), len(bases[n]), entries))
+    aug = {}
+    alg = c.algebra
+    target = {m: i for i, m in enumerate(basis_up_to(alg, cutoff))}
+    for j, key in enumerate(bases[0] if c.augmentation is not None else ()):
+        img = c.apply_augmentation(FreeElement(c.terms[0], {key: f.one}))
+        if c.aug_kind == "algebra":
+            for m, v in img.terms.items():
+                max_drop = max(max_drop, degrees[0][j] - alg.monomial_degree(m))
+                aug[(target[m], j)] = v
+        elif not f.is_zero(img):
+            # the ground field: one target row, in degree 0
+            max_drop = max(max_drop, degrees[0][j])
+            aug[(0, j)] = img
+    return bases, degrees, max_drop, matrices, aug
+
+
+def _kxy(field=QQ):
+    return polynomial_algebra(("x", "y"), field, name="k[x,y]")
+
+
+def _ore_module_product(t):
+    return ore_module_resolution(koszul_kx_resolution(t.a_spec), t).complex
+
+
+COMPLEX_CASES = {
+    "poly-bimodule-Q": lambda: poly_koszul(_kxy()).complex,
+    "poly-bimodule-F5": lambda: poly_koszul(_kxy(PrimeField(5))).complex,
+    "poly-one-sided-F5": lambda: poly_koszul(_kxy(PrimeField(5)),
+                                             bimodule=False).complex,
+    "ore-bimodule-Q": lambda: ore_koszul(weyl_algebra()).complex,
+    "ore-one-sided-Q": lambda: ore_koszul(heisenberg_algebra(),
+                                          bimodule=False).complex,
+    "cyclic-bimodule-F3": lambda: cyclic_periodic(3, 5).complex,
+    "cyclic-bar-F3": lambda: bar(cyclic_group_algebra(3, PrimeField(3)), 3,
+                                 reduced=True).complex,
+    "product-bimodule-Q": lambda: koszul_pair_product(weyl_twist()).complex,
+    "product-bimodule-F2": lambda: triangular_skew_product(2).complex,
+    "product-one-sided-Q": lambda: _ore_module_product(solvable_pair_twist()),
+    "kx-bimodule-Q": bimodule_koszul_kx,
+    "kx-one-sided-Q": one_sided_koszul_kx,
+}
+
+
+@functools.lru_cache(maxsize=None)
+def complex_case(name):
+    return COMPLEX_CASES[name]()
+
+
+def test_complex_cases_cover_sides_fields_and_variants():
+    seen = set()
+    for name in COMPLEX_CASES:
+        c = complex_case(name)
+        seen.add((c.algebra.variant, c.terms[0].side,
+                  c.algebra.field.characteristic == 0))
+    for variant in (POLYNOMIAL, ITERATED_ORE, CYCLIC_GROUP, TWISTED_PRODUCT):
+        assert any(v == variant and side == BIMODULE for v, side, _ in seen)
+    for variant in (POLYNOMIAL, ITERATED_ORE, TWISTED_PRODUCT):
+        assert any(v == variant and side == LEFT_MODULE for v, side, _ in seen)
+    assert {q for _, _, q in seen} == {True, False}
+
+
+@st.composite
+def free_elements(draw, term, cutoff=3):
+    """Sums over a few low basis keys; keys repeat, so coefficients may
+    add up or cancel."""
+    keys = term.basis(cutoff)
+    f = term.algebra.field
+    if f.characteristic == 0:
+        coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    else:
+        coeffs = st.integers(-3, 3)
+    elem = term.zero()
+    if not keys:
+        return elem
+    picks = draw(st.lists(st.tuples(st.integers(0, min(len(keys), 8) - 1),
+                                    coeffs), max_size=6))
+    for i, v in picks:
+        elem = elem + FreeElement(term, {keys[i]: f.coerce(v)})
+    return elem
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_apply_differential_matches_reference(data):
+    c = complex_case(data.draw(st.sampled_from(sorted(COMPLEX_CASES))))
+    n = data.draw(st.integers(1, c.n_max))
+    elem = data.draw(free_elements(c.terms[n]))
+    got = c.apply_differential(n, elem)
+    assert got == reference_apply_differential(c, n, elem)
+    if n < c.n_max:
+        # d_n kills a boundary, so its image cancels term by term
+        z = data.draw(free_elements(c.terms[n + 1]))
+        mixed = elem + reference_apply_differential(c, n + 1, z)
+        assert c.apply_differential(n, mixed) == got
+        assert reference_apply_differential(c, n, mixed) == got
+
+
+@pytest.mark.parametrize("name", sorted(COMPLEX_CASES))
+def test_truncation_matches_reference(name):
+    c = complex_case(name)
+    for cutoff in range(6):
+        tc = truncate(c, cutoff)
+        bases, degrees, max_drop, matrices, aug = reference_truncation(c, cutoff)
+        assert tc.bases == bases
+        assert tc.key_degrees == degrees
+        assert tc.max_drop == max_drop
+        for n in range(1, c.n_max + 1):
+            m = tc.matrices[n]
+            assert (m.nrows, m.ncols, m.entries) == matrices[n]
+        if c.augmentation is not None:
+            assert tc.aug_matrix.entries == aug
+
+
+@pytest.mark.parametrize("name", sorted(COMPLEX_CASES))
+def test_basis_keeps_documented_order(name):
+    c = complex_case(name)
+    for term in c.terms:
+        a = term.algebra
+        keys = term.basis(5)
+        assert len(set(keys)) == len(keys)
+        if term.side == BIMODULE:
+            sort_key = [(term.labels.index(lab),
+                         a.monomial_degree(l) + a.monomial_degree(r),
+                         a.monomial_key(l), a.monomial_key(r))
+                        for l, lab, r in keys]
+        else:
+            sort_key = [(term.labels.index(lab), a.monomial_key(l))
+                        for l, lab in keys]
+        assert sort_key == sorted(sort_key)
+
+
+@pytest.mark.parametrize("spec", [
+    polynomial_algebra(("x", "y", "z")), weyl_algebra(),
+    cyclic_group_algebra(4), triangular_action_twist(3).a_spec,
+    koszul_pair_product(weyl_twist()).complex.algebra,
+    triangular_skew_product(2).complex.algebra,
+], ids=["polynomial", "iterated-ore", "cyclic-group", "cyclic-group-F3",
+        "twisted-product", "twisted-product-cyclic"])
+def test_basis_up_to_is_ordered_by_monomial_key(spec):
+    """graded_basis cuts each degree bound as a prefix of basis_up_to and
+    orders keys by position in it; both rest on this order."""
+    full = basis_up_to(spec, 5)
+    keys = [spec.monomial_key(m) for m in full]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    assert [k[0] for k in keys] == [spec.monomial_degree(m) for m in full]
+    for d in range(5):
+        assert basis_up_to(spec, d) == full[:len(basis_up_to(spec, d))]
