@@ -11,7 +11,7 @@ unipotent, not semisimple, so nothing splits -- yet the total complex is
 still exact."""
 
 from twistres.twist import check_hexagon, triangular_action_twist
-from twistres.complex import compose_check, exactness_report
+from twistres.complex import compose_check, truncate
 from twistres.resolutions import check_lift_chain_map, check_lift_compat
 from twistres.twistprod import kunneth_degree0_check, triangular_skew_product
 
@@ -36,7 +36,8 @@ def main():
 
     print("\n== stage 0 recovers the skew group algebra, degree by "
           "degree ==")
-    kun = kunneth_degree0_check(tc, 4)
+    tr = truncate(tc.complex, 4)
+    kun = kunneth_degree0_check(tc, tr)
     print(kun)
     for d in sorted(kun.rows):
         got, want = kun.rows[d]
@@ -44,7 +45,7 @@ def main():
               "in the algebra" % (d, got, want))
 
     print("\n== windowed exactness ==")
-    print(exactness_report(tc.complex, 4))
+    print(tr.exactness())
 
 
 if __name__ == "__main__":

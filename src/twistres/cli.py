@@ -86,7 +86,7 @@ from .twist import (
     TwistError, check_hexagon, custom_twist, flip_twist, ore_twist,
     skew_group_twist,
 )
-from .complex import compose_check, exactness_report
+from .complex import compose_check, exactness_report, truncate
 from .resolutions import (
     ResolutionError, bar, check_lift_chain_map, check_lift_compat,
     cyclic_periodic, lift_twist, one_sided_koszul_kx, ore_koszul,
@@ -778,8 +778,12 @@ def _run_twisted_product(config, report, health, task, totals):
                     rec.check(compat)
         if getattr(tc, "ore_form", None) is not None:
             rec.check(tc.ore_form.roundtrip_report(2))
-        rec.check(kunneth_degree0_check(tc, min(cutoff, 4)))
-        rec.check(exactness_report(tc.complex, cutoff))
+        # one truncation serves both checks when the cutoff is at most 4
+        tr = truncate(tc.complex, min(cutoff, 4))
+        rec.check(kunneth_degree0_check(tc, tr))
+        if cutoff > 4:
+            tr = truncate(tc.complex, cutoff)
+        rec.check(tr.exactness())
 
     rec = _execute(report, health, "twisted-product", name, deps, body)
     health["product:%s" % name] = rec.ok

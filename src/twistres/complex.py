@@ -13,6 +13,9 @@ dimensions inside the faithful window: degree <= N - s, where s is the
 maximal filtration-degree drop any differential exhibits (computed from
 the actual structure constants).  Inside the window, "cycle" and
 "boundary" counts match the infinite complex, so zero means exact.
+Every count comes from ``TruncatedComplex.rank_on``: a graded truncation
+is ranked block by block, one rank per degree block of each map, and
+every windowed or per-degree count is a sum of those block ranks.
 """
 
 from __future__ import annotations
@@ -413,6 +416,56 @@ class TruncatedComplex:
                         entries.append((0, j, v))
             self.aug_matrix = SparseMatrix(
                 len(self.target_basis), len(self.bases[0]), entries, f)
+        # no map raises degree, so a zero drop means every entry of every
+        # map preserves degree
+        self.graded = self.max_drop == 0
+        self._ranks = {}  # rank_on memo: n -> block ranks, or a restriction
+
+    # -- ranks ----------------------------------------------------------------
+
+    def rank_on(self, n, row_ok, col_ok):
+        """Rank of d_n (n = 0: the augmentation; 0 where there is no map)
+        on the rows and columns whose degrees pass row_ok and col_ok.
+        Graded truncations answer from per-degree block ranks; filtered
+        ones rank each restriction once."""
+        if n > self.spec.n_max or (n == 0 and self.aug_matrix is None):
+            return 0
+        if self.graded:
+            if n not in self._ranks:
+                self._ranks[n] = self._block_ranks(n)
+            return sum(r for d, r in self._ranks[n].items()
+                       if row_ok(d) and col_ok(d))
+        m, row_degs, col_degs = self._map(n)
+        key = (n, frozenset(filter(row_ok, set(row_degs))),
+               frozenset(filter(col_ok, set(col_degs))))
+        if key not in self._ranks:
+            self._ranks[key] = m.restrict(
+                rows=[i for i, d in enumerate(row_degs) if d in key[1]],
+                cols=[j for j, d in enumerate(col_degs) if d in key[2]]).rank()
+        return self._ranks[key]
+
+    def _map(self, n):
+        """d_n with the degrees of its rows and of its columns."""
+        if n == 0:
+            return self.aug_matrix, self.target_degrees, self.key_degrees[0]
+        return self.matrices[n], self.key_degrees[n - 1], self.key_degrees[n]
+
+    def _block_ranks(self, n):
+        """{degree d: rank of the degree-d block of d_n}, split in one pass
+        over the entries of a degree-preserving d_n."""
+        m, row_degs, col_degs = self._map(n)
+        row_at, rows_in = _positions(row_degs)
+        col_at, cols_in = _positions(col_degs)
+        blocks = {}
+        for (i, j), v in m.entries.items():
+            d = row_degs[i]
+            if col_degs[j] != d:
+                raise ComplexError("d_%d is not degree-preserving at (%d, %d)"
+                                   % (n, i, j))
+            blocks.setdefault(d, []).append((row_at[i], col_at[j], v))
+        f = self.field
+        return {d: SparseMatrix(rows_in[d], cols_in[d], ents, f).rank()
+                for d, ents in blocks.items()}
 
     # -- windowed homology ----------------------------------------------------
 
@@ -420,32 +473,16 @@ class TruncatedComplex:
     def window(self):
         return self.cutoff - self.max_drop
 
-    def _outgoing(self, n):
-        if n == 0:
-            if self.aug_matrix is not None:
-                return self.aug_matrix
-            return SparseMatrix.zero(0, len(self.bases[0]), self.field)
-        return self.matrices[n]
-
-    def _incoming(self, n):
-        if n + 1 <= self.spec.n_max:
-            return self.matrices[n + 1]
-        return SparseMatrix.zero(len(self.bases[n]), 0, self.field)
-
     def boundary_dim_in_window(self, n, window=None):
         """dim( im(d_{n+1}) intersected with the degree<=window part )."""
         d = self.window if window is None else window
-        inc = self._incoming(n)
-        r1 = inc.rank()
-        high = [i for i, dg in enumerate(self.key_degrees[n]) if dg > d]
-        r2 = inc.restrict(rows=high).rank()
-        return r1 - r2
+        return (self.rank_on(n + 1, _every, _every)
+                - self.rank_on(n + 1, lambda e: e > d, _every))
 
     def cycle_dim_in_window(self, n, window=None):
         d = self.window if window is None else window
-        out = self._outgoing(n)
-        cols = [j for j, dg in enumerate(self.key_degrees[n]) if dg <= d]
-        return out.restrict(cols=cols).kernel_dim()
+        free = sum(1 for dg in self.key_degrees[n] if dg <= d)
+        return free - self.rank_on(n, _every, lambda e: e <= d)
 
     def windowed_homology(self, n):
         return self.cycle_dim_in_window(n) - self.boundary_dim_in_window(n)
@@ -462,11 +499,9 @@ class TruncatedComplex:
         if self.aug_matrix is None:
             return None
         d = self.window
-        r1 = self.aug_matrix.rank()
-        high = [i for i, dg in enumerate(self.target_degrees) if dg > d]
-        r2 = self.aug_matrix.restrict(rows=high).rank()
-        free = sum(1 for dg in self.target_degrees if dg <= d)
-        return free - (r1 - r2)
+        image = (self.rank_on(0, _every, _every)
+                 - self.rank_on(0, lambda e: e > d, _every))
+        return self.target_dim_in_window() - image
 
     def target_dim_in_window(self):
         if self.target_basis is None:
@@ -476,36 +511,50 @@ class TruncatedComplex:
 
     # -- graded fast path -----------------------------------------------------
 
-    def is_graded(self):
-        """True when every differential (and the augmentation) preserves
-        total degree exactly."""
-        if self.max_drop:
-            return False
-        for n in range(1, self.spec.n_max + 1):
-            degs_out = self.key_degrees[n - 1]
-            degs_in = self.key_degrees[n]
-            for (i, j) in self.matrices[n].entries:
-                if degs_out[i] != degs_in[j]:
-                    return False
-        if self.aug_matrix is not None:
-            for (i, j) in self.aug_matrix.entries:
-                if self.target_degrees[i] != self.key_degrees[0][j]:
-                    return False
-        return True
-
     def graded_homology(self, n, d):
         """Exact homology in internal degree d at spot n (graded complexes)."""
-        out = self._outgoing(n)
-        inc = self._incoming(n)
-        cols = [j for j, dg in enumerate(self.key_degrees[n]) if dg == d]
-        ker = out.restrict(cols=cols).kernel_dim()
-        if n + 1 <= self.spec.n_max:
-            inc_cols = [j for j, dg in enumerate(self.key_degrees[n + 1]) if dg == d]
-            rows = [i for i, dg in enumerate(self.key_degrees[n]) if dg == d]
-            bnd = inc.restrict(rows=rows, cols=inc_cols).rank()
-        else:
-            bnd = 0
-        return ker - bnd
+        at_d = d.__eq__
+        return (self.key_degrees[n].count(d) - self.rank_on(n, _every, at_d)
+                - self.rank_on(n + 1, at_d, at_d))
+
+    # -- report ---------------------------------------------------------------
+
+    def exactness(self):
+        """Windowed homology dimensions of this truncated augmented complex,
+        plus per-degree ones when it is graded."""
+        c = self.spec
+        rep = ExactnessReport(c.name, self.cutoff)
+        rep.window = self.window
+        rep.max_drop = self.max_drop
+        rep.graded = self.graded
+        top = c.n_max if c.complete_above else c.n_max - 1
+        rep.top_spot_reported = top
+        for n in range(1, top + 1):
+            rep.homology[n] = self.windowed_homology(n)
+        if c.augmentation is not None:
+            rep.h0_relative = self.windowed_homology(0)
+            rep.aug_coker = self.augmentation_cokernel()
+        if rep.graded:
+            for n in range(1, top + 1):
+                for d in range(self.cutoff + 1):
+                    h = self.graded_homology(n, d)
+                    if h:
+                        rep.per_degree[(n, d)] = h
+        return rep
+
+
+def _every(degree):
+    return True
+
+
+def _positions(degrees):
+    """Each index's position among the indices of its degree, and the
+    number of indices of each degree."""
+    count, at = {}, []
+    for d in degrees:
+        at.append(count.get(d, 0))
+        count[d] = at[-1] + 1
+    return at, count
 
 
 def truncate(c, n):
@@ -546,22 +595,4 @@ class ExactnessReport:
 
 def exactness_report(c, n_cutoff):
     """Windowed homology dimensions of the truncated augmented complex."""
-    tc = truncate(c, n_cutoff)
-    rep = ExactnessReport(c.name, n_cutoff)
-    rep.window = tc.window
-    rep.max_drop = tc.max_drop
-    rep.graded = tc.is_graded()
-    top = c.n_max if c.complete_above else c.n_max - 1
-    rep.top_spot_reported = top
-    for n in range(1, top + 1):
-        rep.homology[n] = tc.windowed_homology(n)
-    if c.augmentation is not None:
-        rep.h0_relative = tc.windowed_homology(0)
-        rep.aug_coker = tc.augmentation_cokernel()
-    if rep.graded:
-        for n in range(1, top + 1):
-            for d in range(n_cutoff + 1):
-                h = tc.graded_homology(n, d)
-                if h:
-                    rep.per_degree[(n, d)] = h
-    return rep
+    return truncate(c, n_cutoff).exactness()

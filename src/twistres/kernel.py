@@ -168,6 +168,8 @@ class SparseMatrix:
     vector of the source.
     """
 
+    _reduced = None  # Gauss-Jordan transform, set by the first solve
+
     def __init__(self, nrows, ncols, entries, field):
         self.nrows = nrows
         self.ncols = ncols
@@ -427,23 +429,23 @@ def homology_dim(d_in, d_out):
     return d_out.kernel_dim() - d_in.rank()
 
 
-def _gauss_jordan(m, extra):
-    """Reduced row echelon form of m with extra columns appended.
-
-    extra: one dict row -> value per extra column.  Returns (rows, pivots):
-    the reduced rows as dense lists and, for each pivot row in order, the
-    column of m it pivots on.  Pivots are only taken in m's own columns;
-    the extra columns ride along.
+def _gauss_jordan(m):
+    """Gauss-Jordan on [m | I], once per matrix: (t, pivots), where t is
+    the transform that brings m to reduced row echelon form, as columns
+    (dicts row -> nonzero value), and pivots[i] is the column of m that
+    row i pivots on.  Pivots are only taken in m's own columns, so t . rhs
+    is what eliminating [m | rhs] would leave in its last column.
     """
+    if m._reduced is not None:
+        return m._reduced
     f = m.field
     nc = m.ncols
-    width = nc + len(extra)
+    width = nc + m.nrows
     rows = [[f.zero] * width for _ in range(m.nrows)]
     for (i, j), v in m.entries.items():
         rows[i][j] = v
-    for k, col in enumerate(extra, nc):
-        for i, v in col.items():
-            rows[i][k] = v
+    for i, row in enumerate(rows):
+        row[nc + i] = f.one
     pivots = []
     for c in range(nc):
         r = len(pivots)
@@ -464,7 +466,13 @@ def _gauss_jordan(m, extra):
                 for k in support:
                     row[k] = f.sub(row[k], f.mul(fac, prow[k]))
         pivots.append(c)
-    return rows, pivots
+    t = [{} for _ in rows]
+    for i, row in enumerate(rows):
+        for k, col in enumerate(t, nc):
+            if not f.is_zero(row[k]):
+                col[i] = row[k]
+    m._reduced = (t, pivots)
+    return m._reduced
 
 
 def solve_dense(m, rhs):
@@ -472,15 +480,18 @@ def solve_dense(m, rhs):
 
     rhs is a dict row -> value; the result is a dict col -> value with zero
     entries omitted (free variables, if any, are set to zero).  Returns None
-    if the system is inconsistent.
+    if the system is inconsistent.  m is eliminated on its first solve only.
     """
     f = m.field
-    rows, pivots = _gauss_jordan(
-        m, [{i: f.coerce(v) for i, v in rhs.items()}])
-    if any(not f.is_zero(row[-1]) for row in rows[len(pivots):]):
+    t, pivots = _gauss_jordan(m)
+    reduced = {}
+    for k, v in rhs.items():
+        v = f.coerce(v)
+        for i, w in t[k].items():
+            add_term(f, reduced, i, f.mul(w, v))
+    if any(i >= len(pivots) for i in reduced):
         return None
-    return {c: rows[i][-1] for i, c in enumerate(pivots)
-            if not f.is_zero(rows[i][-1])}
+    return {c: reduced[i] for i, c in enumerate(pivots) if i in reduced}
 
 
 def invert_dense(m):
@@ -488,11 +499,8 @@ def invert_dense(m):
     (dicts row -> value).  Raises NonInvertibleError if singular."""
     if m.nrows != m.ncols:
         raise NonInvertibleError("not square")
-    f = m.field
-    n = m.nrows
-    rows, pivots = _gauss_jordan(m, [{k: f.one} for k in range(n)])
-    if len(pivots) < n:
-        missing = next(c for c in range(n) if c not in pivots)
+    t, pivots = _gauss_jordan(m)
+    if len(pivots) < m.nrows:
+        missing = next(c for c in range(m.nrows) if c not in pivots)
         raise NonInvertibleError("singular at column %d" % missing)
-    return [{i: rows[i][n + j] for i in range(n)
-             if not f.is_zero(rows[i][n + j])} for j in range(n)]
+    return [dict(col) for col in t]

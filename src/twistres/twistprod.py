@@ -788,26 +788,23 @@ def complexes_match(c1, c2, check_augmentation=True):
     return rep
 
 
-def kunneth_degree0_check(tc, n_cutoff):
+def kunneth_degree0_check(tc, tr):
     """Check that the total complex has the right degree-0 homology.
 
-    Truncate at ``n_cutoff`` and compare, cumulatively for every internal
-    degree d inside the faithful window, the dimension of stage 0 modulo
-    boundaries against the resolved object: the product algebra's
-    monomials of degree <= d for two-sided totals, the one-dimensional
-    ground field for one-sided ones.  Cumulative counts keep the
-    comparison meaningful for merely filtered differentials."""
-    from .complex import truncate
-
-    tr = truncate(tc.complex, n_cutoff)
+    On ``tr``, a truncation of ``tc.complex``, compare, cumulatively for
+    every internal degree d inside the faithful window, the dimension of
+    stage 0 modulo boundaries against the resolved object: the product
+    algebra's monomials of degree <= d for two-sided totals, the
+    one-dimensional ground field for one-sided ones.  Cumulative counts
+    keep the comparison meaningful for merely filtered differentials."""
     window = tr.window
-    rep = KunnethReport(tc.complex.name, n_cutoff, window)
+    rep = KunnethReport(tc.complex.name, tr.cutoff, window)
     term0 = tc.complex.terms[0]
     alg = tc.complex.algebra
     degrees = sorted({term0.internal_degree[lab] for lab in term0.labels})
     base = degrees[0] if degrees else 0
     for d in range(base, window + 1):
-        free = sum(1 for key in term0.basis(d))
+        free = sum(1 for e in tr.key_degrees[0] if e <= d)
         bdim = tr.boundary_dim_in_window(0, window=d)
         if tc.complex.aug_kind == "algebra":
             want = len(basis_up_to(alg, d))

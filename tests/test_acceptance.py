@@ -20,16 +20,17 @@ from twistres.twist import (
     check_bimodule_compat, check_hexagon, flip_twist, self_bimodule_compat,
     solvable_pair_twist, triangular_action_twist, weyl_twist,
 )
-from twistres.complex import BIMODULE, ChainComplexSpec, DegreeRaisingError, \
-    FreeElement, FreeModuleTerm, compose_check, exactness_report
+from twistres.complex import BIMODULE, ChainComplexSpec, ComplexError, \
+    DegreeRaisingError, FreeElement, FreeModuleTerm, TruncatedComplex, \
+    compose_check, exactness_report, truncate
 from twistres.resolutions import (
     bar, check_lift_chain_map, check_lift_compat, crosscheck_koszul_lift,
     cyclic_periodic, lift_twist, one_sided_koszul_kx, ore_koszul,
     poly_koszul,
 )
 from twistres.twistprod import (
-    complexes_match, koszul_pair_product, ore_module_resolution,
-    transport_complex, triangular_skew_product,
+    complexes_match, koszul_pair_product, kunneth_degree0_check,
+    ore_module_resolution, transport_complex, triangular_skew_product,
 )
 from twistres.algebra import iterated_ore_algebra
 from twistres.homology import (
@@ -287,6 +288,35 @@ def test_criterion_8_mutations_break_the_checks(monkeypatch):
         monkeypatch.setattr(FreeModuleTerm, "graded_basis", cut_early)
         rep = exactness_report(koszul, 4)
         assert not rep.passed and rep.aug_coker == 5
+
+        # rank_on's per-degree blocks: the graded flag forced on for a
+        # filtered truncation (the block split must refuse it), then the
+        # top-degree block rank dropped
+        monkeypatch.undo()
+        init = TruncatedComplex.__init__
+
+        def forced_graded(tc, spec, cutoff):
+            init(tc, spec, cutoff)
+            tc.graded = True
+
+        monkeypatch.setattr(TruncatedComplex, "__init__", forced_graded)
+        with pytest.raises(ComplexError):
+            exactness_report(ore_koszul(weyl_algebra()).complex, 4)
+        monkeypatch.undo()
+        block_ranks = TruncatedComplex._block_ranks
+
+        def without_top(tc, n):
+            ranks = block_ranks(tc, n)
+            ranks.pop(tc.cutoff, None)
+            return ranks
+
+        monkeypatch.setattr(TruncatedComplex, "_block_ranks", without_top)
+        rep = exactness_report(koszul, 4)
+        assert not rep.passed
+        assert rep.homology == {1: 40, 2: 10} and rep.aug_coker == 5
+        skew = triangular_skew_product(3, periodic_degree=4)
+        rep = kunneth_degree0_check(skew, truncate(skew.complex, 3))
+        assert not rep.passed and rep.rows[3] == (198, 30)
 
 
 def test_criterion_9_full_preset_suite_is_deterministic():

@@ -128,6 +128,19 @@ def test_run_weyl_problem_file_passes():
     assert all(row["stable"] for row in hh.dims)
 
 
+@pytest.mark.parametrize("cutoff", [3, 4, 6])
+def test_twisted_product_checks_keep_their_cutoffs(cutoff):
+    """Künneth stage 0 runs at min(cutoff, 4) and exactness at the task's
+    cutoff, whether or not the two share one truncation."""
+    text = WEYL_TEXT.replace("{task: twisted-product, algebra: W, cutoff: 4}",
+                             "{task: twisted-product, algebra: W, cutoff: %d}"
+                             % cutoff)
+    product = run(parse_config(text)).records[2]
+    assert product.status == "pass"
+    assert "KunnethReport W cutoff=%d " % min(cutoff, 4) in product.detail
+    assert "exactness(W, N=%d, " % cutoff in product.detail
+
+
 def test_failing_twist_short_circuits_the_product():
     config = parse_config("""\
 field: 0

@@ -14,7 +14,8 @@ from twistres.complex import (
     BIMODULE, LEFT_MODULE, ChainComplexSpec, ComplexError, DegreeRaisingError,
     FreeElement, FreeModuleTerm, compose_check, exactness_report, truncate,
 )
-from twistres.kernel import QQ, PrimeField
+from twistres.cli import _PRESETS, _build_total, config_from_data
+from twistres.kernel import QQ, PrimeField, SparseMatrix
 from twistres.resolutions import (
     bar, cyclic_periodic, ore_koszul, poly_koszul,
     one_sided_koszul_kx as koszul_kx_resolution,
@@ -22,8 +23,11 @@ from twistres.resolutions import (
 from twistres.twist import solvable_pair_twist, triangular_action_twist, \
     weyl_twist
 from twistres.twistprod import (
-    koszul_pair_product, ore_module_resolution, triangular_skew_product,
+    koszul_pair_product, kunneth_degree0_check, ore_module_resolution,
+    triangular_skew_product,
 )
+
+from test_acceptance import _suite_products, _suite_resolutions
 
 
 def bimodule_koszul_kx():
@@ -104,7 +108,7 @@ def test_truncate_matrix_shapes_and_grading():
     tc = truncate(bimodule_koszul_kx(), 3)
     assert tc.matrices[1].nrows == len(tc.bases[0])
     assert tc.matrices[1].ncols == len(tc.bases[1])
-    assert tc.max_drop == 0 and tc.is_graded()
+    assert tc.max_drop == 0 and tc.graded
 
 
 def test_exactness_bimodule_koszul():
@@ -378,3 +382,117 @@ def test_basis_up_to_is_ordered_by_monomial_key(spec):
     assert [k[0] for k in keys] == [spec.monomial_degree(m) for m in full]
     for d in range(5):
         assert basis_up_to(spec, d) == full[:len(basis_up_to(spec, d))]
+
+
+# ---------------------------------------------------------------------------
+# rank_on against the per-query restrictions it replaced
+
+
+def _ref_outgoing(tc, n):
+    if n == 0:
+        if tc.aug_matrix is not None:
+            return tc.aug_matrix
+        return SparseMatrix.zero(0, len(tc.bases[0]), tc.field)
+    return tc.matrices[n]
+
+
+def _ref_incoming(tc, n):
+    if n + 1 <= tc.spec.n_max:
+        return tc.matrices[n + 1]
+    return SparseMatrix.zero(len(tc.bases[n]), 0, tc.field)
+
+
+def ref_boundary_dims(tc, n, windows):
+    """{w: boundary dim in window w} at spot n; the full rank r1 does not
+    depend on the window, so it is ranked once here."""
+    inc = _ref_incoming(tc, n)
+    r1 = inc.rank()
+    out = {}
+    for d in windows:
+        high = [i for i, dg in enumerate(tc.key_degrees[n]) if dg > d]
+        r2 = inc.restrict(rows=high).rank()
+        out[d] = r1 - r2
+    return out
+
+
+def ref_cycle_dim(tc, n, d):
+    out = _ref_outgoing(tc, n)
+    cols = [j for j, dg in enumerate(tc.key_degrees[n]) if dg <= d]
+    return out.restrict(cols=cols).kernel_dim()
+
+
+def ref_augmentation_cokernel(tc):
+    if tc.aug_matrix is None:
+        return None
+    d = tc.window
+    r1 = tc.aug_matrix.rank()
+    high = [i for i, dg in enumerate(tc.target_degrees) if dg > d]
+    r2 = tc.aug_matrix.restrict(rows=high).rank()
+    free = sum(1 for dg in tc.target_degrees if dg <= d)
+    return free - (r1 - r2)
+
+
+def ref_graded_homology(tc, n, d):
+    out = _ref_outgoing(tc, n)
+    inc = _ref_incoming(tc, n)
+    cols = [j for j, dg in enumerate(tc.key_degrees[n]) if dg == d]
+    ker = out.restrict(cols=cols).kernel_dim()
+    if n + 1 <= tc.spec.n_max:
+        inc_cols = [j for j, dg in enumerate(tc.key_degrees[n + 1]) if dg == d]
+        rows = [i for i, dg in enumerate(tc.key_degrees[n]) if dg == d]
+        bnd = inc.restrict(rows=rows, cols=inc_cols).rank()
+    else:
+        bnd = 0
+    return ker - bnd
+
+
+def _skew_p3():
+    config = config_from_data(_PRESETS["skew-p3"]())
+    return _build_total(config.products["P"], {"n_max": 4}, config)
+
+
+RANK_CASES = dict(
+    [("resolution-%d" % i, (lambda i=i: _suite_resolutions()[i]))
+     for i in range(13)]
+    + [("product-%d" % i, (lambda i=i: _suite_products()[i]))
+       for i in range(6)]
+    + [("skew-p3", _skew_p3)])
+
+
+@pytest.mark.parametrize("name", sorted(RANK_CASES))
+def test_rank_on_matches_restrict_reference(name):
+    built = RANK_CASES[name]()
+    c = getattr(built, "complex", built)
+    for cutoff in range(6):
+        tc = truncate(c, cutoff)
+        # the windows in play: every w in 0..N and the faithful one
+        windows = sorted(set(range(cutoff + 1)) | {tc.window})
+        bnd = {(n, w): dim for n in range(c.n_max + 1)
+               for w, dim in ref_boundary_dims(tc, n, windows).items()}
+        for n in range(c.n_max + 1):
+            for w in windows:
+                assert tc.boundary_dim_in_window(n, w) == bnd[n, w], \
+                    (cutoff, n, w)
+                assert tc.cycle_dim_in_window(n, w) == \
+                    ref_cycle_dim(tc, n, w), (cutoff, n, w)
+            assert tc.windowed_homology(n) == (
+                ref_cycle_dim(tc, n, tc.window) - bnd[n, tc.window])
+            per_degree = [tc.graded_homology(n, d) for d in range(cutoff + 1)]
+            assert per_degree == [ref_graded_homology(tc, n, d)
+                                  for d in range(cutoff + 1)], (cutoff, n)
+            if tc.graded:
+                assert tc.windowed_homology(n) == sum(per_degree)
+        assert tc.augmentation_cokernel() == ref_augmentation_cokernel(tc)
+        assert tc.coabsolute_h0() == (
+            len(c.terms[0].basis(tc.window)) - bnd[0, tc.window])
+        if c is not built:
+            # the Künneth rows as the check computed them before it took
+            # a truncation: basis counts and the reference boundaries
+            alg = c.algebra
+            base = min((c.terms[0].internal_degree[lab]
+                        for lab in c.terms[0].labels), default=0)
+            want = {d: (len(c.terms[0].basis(d)) - bnd[0, d],
+                        len(basis_up_to(alg, d))
+                        if c.aug_kind == "algebra" else 1)
+                    for d in range(base, tc.window + 1)}
+            assert kunneth_degree0_check(built, tc).rows == want, cutoff

@@ -269,6 +269,90 @@ def test_solve_dense_mod_p():
     assert sol == {0: 1, 1: 1}
 
 
+def reference_solve(m, rhs):
+    """Gauss-Jordan on [m | rhs] for this one right-hand side, as
+    solve_dense did before it kept m's transform."""
+    f = m.field
+    nc = m.ncols
+    rows = [[f.zero] * (nc + 1) for _ in range(m.nrows)]
+    for (i, j), v in m.entries.items():
+        rows[i][j] = v
+    for i, v in rhs.items():
+        rows[i][nc] = f.coerce(v)
+    pivots = []
+    for c in range(nc):
+        r = len(pivots)
+        for piv in range(r, len(rows)):
+            if not f.is_zero(rows[piv][c]):
+                break
+        else:
+            continue
+        prow = rows[piv]
+        rows[r], rows[piv] = prow, rows[r]
+        inv = f.inv(prow[c])
+        support = [k for k in range(c, nc + 1) if not f.is_zero(prow[k])]
+        for k in support:
+            prow[k] = f.mul(inv, prow[k])
+        for row in rows:
+            fac = row[c]
+            if row is not prow and not f.is_zero(fac):
+                for k in support:
+                    row[k] = f.sub(row[k], f.mul(fac, prow[k]))
+        pivots.append(c)
+    if any(not f.is_zero(row[-1]) for row in rows[len(pivots):]):
+        return None
+    return {c: rows[i][-1] for i, c in enumerate(pivots)
+            if not f.is_zero(rows[i][-1])}
+
+
+def _apply(m, x):
+    """m . x for a sparse vector x (dict col -> value)."""
+    f = m.field
+    out = {}
+    for (i, j), v in m.entries.items():
+        out[i] = f.add(out.get(i, f.zero), f.mul(v, x.get(j, f.zero)))
+    return out
+
+
+@st.composite
+def linear_systems(draw):
+    """(m, [rhs, ...]) over Q or F_p: m may be rank-deficient (a repeated
+    or combined row); right-hand sides are images m . x (consistent),
+    arbitrary vectors (often inconsistent), empty, and repeats."""
+    field = draw(st.sampled_from([QQ, GF2, GF3, PrimeField(7)]))
+    entries = fraction_entries if field is QQ else int_entries
+    rows = draw(int_matrices(max_dim=6, entries=entries))
+    if len(rows) > 1 and draw(st.booleans()):
+        rows.append([u + 2 * v for u, v in zip(rows[0], rows[1])])
+    m = M(rows, field)
+    f = m.field
+    rhss = [{}]
+    for _ in range(draw(st.integers(1, 5))):
+        if draw(st.booleans()):
+            x = draw(st.lists(entries, min_size=m.ncols, max_size=m.ncols))
+            rhss.append(_apply(m, {j: f.coerce(v) for j, v in enumerate(x)}))
+        else:
+            rhss.append(draw(st.dictionaries(
+                st.integers(0, m.nrows - 1), entries, max_size=m.nrows)))
+    rhss += draw(st.lists(st.sampled_from(rhss), max_size=3))
+    return m, draw(st.permutations(rhss))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(linear_systems())
+def test_solve_dense_matches_per_call_elimination(case):
+    m, rhss = case
+    f = m.field
+    for rhs in rhss:
+        sol = solve_dense(m, rhs)
+        assert sol == reference_solve(m, rhs)
+        if sol is not None:
+            image = _apply(m, sol)
+            assert all(f.is_zero(f.sub(image.get(i, f.zero),
+                                       f.coerce(rhs.get(i, 0))))
+                       for i in range(m.nrows))
+
+
 # ---------------------------------------------------------------- inversion
 
 def test_invert_dense_roundtrip():
