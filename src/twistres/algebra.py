@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .kernel import QQ, field_of_characteristic
+from .kernel import QQ, add_term, field_of_characteristic
 
 
 class AlgebraError(Exception):
@@ -249,29 +249,14 @@ class AlgebraSpec:
                     k = pos
                     break
             if k is None:
-                mono = self._exp(w)
-                acc = f.add(done.get(mono, f.zero), c)
-                if f.is_zero(acc):
-                    done.pop(mono, None)
-                else:
-                    done[mono] = acc
+                add_term(f, done, self._exp(w), c)
                 continue
             j, i = w[k], w[k + 1]
-            swapped = w[:k] + (i, j) + w[k + 2:]
-            acc = f.add(pending.get(swapped, f.zero), c)
-            if f.is_zero(acc):
-                pending.pop(swapped, None)
-            else:
-                pending[swapped] = acc
+            add_term(f, pending, w[:k] + (i, j) + w[k + 2:], c)
             for dm, dc in self.delta.get((j, i), {}).items():
                 frag = self._word(dm)
-                w2 = w[:k] + frag + w[k + 2:]
-                c2 = f.mul(c, f.coerce(dc))
-                acc = f.add(pending.get(w2, f.zero), c2)
-                if f.is_zero(acc):
-                    pending.pop(w2, None)
-                else:
-                    pending[w2] = acc
+                add_term(f, pending, w[:k] + frag + w[k + 2:],
+                         f.mul(c, f.coerce(dc)))
         self._word_cache[word] = done
         return done
 
@@ -283,13 +268,7 @@ class AlgebraSpec:
         for (am, bm), c in crossed.items():
             for aa, ac in self.left.mono_mul(a1, am).items():
                 for bb, bc in self.right.mono_mul(bm, b2).items():
-                    w = f.mul(c, f.mul(ac, bc))
-                    key = (aa, bb)
-                    acc = f.add(out.get(key, f.zero), w)
-                    if f.is_zero(acc):
-                        out.pop(key, None)
-                    else:
-                        out[key] = acc
+                    add_term(f, out, (aa, bb), f.mul(c, f.mul(ac, bc)))
         return out
 
     # -- delta as a derivation -------------------------------------------------
@@ -349,11 +328,7 @@ class AlgebraElement:
         f = self.spec.field
         out = dict(self.terms)
         for m, c in other.terms.items():
-            acc = f.add(out.get(m, f.zero), c)
-            if f.is_zero(acc):
-                out.pop(m, None)
-            else:
-                out[m] = acc
+            add_term(f, out, m, c)
         return AlgebraElement(self.spec, out)
 
     def __neg__(self):
@@ -373,11 +348,7 @@ class AlgebraElement:
             for m2, c2 in other.terms.items():
                 c = f.mul(c1, c2)
                 for m, cm in self.spec.mono_mul(m1, m2).items():
-                    acc = f.add(out.get(m, f.zero), f.mul(c, cm))
-                    if f.is_zero(acc):
-                        out.pop(m, None)
-                    else:
-                        out[m] = acc
+                    add_term(f, out, m, f.mul(c, cm))
         return AlgebraElement(self.spec, out)
 
     def __rmul__(self, scalar):

@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from .kernel import SparseMatrix, add_term
-from .algebra import basis_up_to
+from .kernel import SparseMatrix, add_term, record_value
+from .algebra import AlgebraElement, basis_up_to
 
 BIMODULE = "bimodule"
 LEFT_MODULE = "left-module"
@@ -146,11 +146,7 @@ class FreeElement:
         f = self.term.algebra.field
         out = dict(self.terms)
         for k, c in other.terms.items():
-            acc = f.add(out.get(k, f.zero), c)
-            if f.is_zero(acc):
-                out.pop(k, None)
-            else:
-                out[k] = acc
+            add_term(f, out, k, c)
         return FreeElement(self.term, out)
 
     def __neg__(self):
@@ -178,12 +174,7 @@ class FreeElement:
             for am, ac in a_elem.terms.items():
                 w = f.mul(ac, c)
                 for m, mc in alg.mono_mul(am, l).items():
-                    key = (m,) + rest
-                    acc = f.add(out.get(key, f.zero), f.mul(w, mc))
-                    if f.is_zero(acc):
-                        out.pop(key, None)
-                    else:
-                        out[key] = acc
+                    add_term(f, out, (m,) + rest, f.mul(w, mc))
         return FreeElement(self.term, out)
 
     def right_mul(self, a_elem):
@@ -197,12 +188,7 @@ class FreeElement:
             for am, ac in a_elem.terms.items():
                 w = f.mul(c, ac)
                 for m, mc in alg.mono_mul(r, am).items():
-                    key = (l, lab, m)
-                    acc = f.add(out.get(key, f.zero), f.mul(w, mc))
-                    if f.is_zero(acc):
-                        out.pop(key, None)
-                    else:
-                        out[key] = acc
+                    add_term(f, out, (l, lab, m), f.mul(w, mc))
         return FreeElement(self.term, out)
 
     def map_labels(self, target_term, label_map):
@@ -285,20 +271,25 @@ class ChainComplexSpec:
 
         Returns an AlgebraElement (aug_kind 'algebra') or a scalar
         (aug_kind 'ground', where epsilon kills positive-degree left
-        coefficients)."""
+        coefficients).  A key l⊗[lab]⊗r (or l⊗[lab]) goes to l·ε(lab)·r,
+        read from the cached monomial products and summed into one dict."""
         alg = self.algebra
         f = alg.field
         if self.aug_kind == "algebra":
-            out = alg.zero()
+            mul = alg.mono_mul
+            bimodule = self.terms[0].side == BIMODULE
+            out = {}
             for k, c in elem.terms.items():
-                img = self.augmentation[k[1]].scale(c)
-                l = alg.element({k[0]: f.one})
-                if self.terms[0].side == BIMODULE:
-                    r = alg.element({k[2]: f.one})
-                    out = out + l * img * r
-                else:
-                    out = out + l * img
-            return out
+                for m1, c1 in self.augmentation[k[1]].terms.items():
+                    w = f.mul(c, c1)
+                    for m, cm in mul(k[0], m1).items():
+                        if not bimodule:
+                            add_term(f, out, m, f.mul(w, cm))
+                            continue
+                        wm = f.mul(w, cm)
+                        for m2, cm2 in mul(m, k[2]).items():
+                            add_term(f, out, m2, f.mul(wm, cm2))
+            return AlgebraElement(alg, out)
         total = f.zero
         for k, c in elem.terms.items():
             # degree-0 monomials (the unit, group elements) augment to 1
@@ -340,8 +331,9 @@ def compose_check(c):
             img = c.differentials[1][label]
             res = c.apply_augmentation(img)
             report.checked += 1
-            bad = bool(res) if c.aug_kind == "algebra" else not c.algebra.field.is_zero(res)
-            if bad:
+            if c.aug_kind == "ground":
+                res = record_value(c.algebra.field, res)
+            if res:
                 report.failures.append((1, label, "augmentation: %r" % (res,)))
     return report
 
@@ -462,9 +454,9 @@ class TruncatedComplex:
             if col_degs[j] != d:
                 raise ComplexError("d_%d is not degree-preserving at (%d, %d)"
                                    % (n, i, j))
-            blocks.setdefault(d, []).append((row_at[i], col_at[j], v))
+            blocks.setdefault(d, {})[(row_at[i], col_at[j])] = v
         f = self.field
-        return {d: SparseMatrix(rows_in[d], cols_in[d], ents, f).rank()
+        return {d: SparseMatrix._adopt(rows_in[d], cols_in[d], ents, f).rank()
                 for d, ents in blocks.items()}
 
     # -- windowed homology ----------------------------------------------------

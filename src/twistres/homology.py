@@ -32,7 +32,7 @@ from .algebra import (
     basis_up_to,
 )
 from .complex import BIMODULE, ChainComplexSpec
-from .kernel import SparseMatrix, homology_dim, kernel_dim, rank
+from .kernel import SparseMatrix, add_term, homology_dim, kernel_dim, rank
 from .twist import FLIP, SKEW_GROUP, ORE
 
 __all__ = [
@@ -236,22 +236,17 @@ class CochainTruncation:
                     scale = _counit(self.alg, l) * _counit(self.alg, r)
                     if not scale:
                         continue
-                    ri = row_index[(mu,)]
-                    ci = col_index[(lab,)]
-                    acc = f.add(entries.get((ri, ci), f.zero), c)
-                    entries[(ri, ci)] = acc
+                    add_term(f, entries,
+                             (row_index[(mu,)], col_index[(lab,)]), c)
                     continue
                 for col in self._mono_cols(lab, cutoff):
                     m = col[1]
                     ci = col_index[col]
                     for m1, c1 in self.alg.mono_mul(l, m).items():
                         for m2, c2 in self.alg.mono_mul(m1, r).items():
-                            ri = row_index[(mu, m2)]
-                            val = f.mul(c, f.mul(c1, c2))
-                            acc = f.add(entries.get((ri, ci), f.zero), val)
-                            entries[(ri, ci)] = acc
-        triples = [(i, j, v) for (i, j), v in entries.items()
-                   if not f.is_zero(v)]
+                            add_term(f, entries, (row_index[(mu, m2)], ci),
+                                     f.mul(c, f.mul(c1, c2)))
+        triples = [(i, j, v) for (i, j), v in entries.items()]
         mat = SparseMatrix(len(rows), len(cols), triples, f)
         self._mats[key] = (mat, cols, rows)
         return self._mats[key]
@@ -277,11 +272,7 @@ class CochainTruncation:
             acc = {}
             for mid, v1 in column:
                 for i, v2 in m2_by_col.get(mid, ()):
-                    s = f.add(acc.get(i, f.zero), f.mul(v2, v1))
-                    if f.is_zero(s):
-                        acc.pop(i, None)
-                    else:
-                        acc[i] = s
+                    add_term(f, acc, i, f.mul(v2, v1))
             if acc:
                 return False
         return True
@@ -424,11 +415,8 @@ def _reduced_matrices(cplx):
             for (l, lab2), c in img.terms.items():
                 if not _counit(alg, l):
                     continue
-                key = (tgt[lab2], src[lab])
-                acc = f.add(entries.get(key, f.zero), c)
-                entries[key] = acc
-        triples = [(i, j, v) for (i, j), v in entries.items()
-                   if not f.is_zero(v)]
+                add_term(f, entries, (tgt[lab2], src[lab]), c)
+        triples = [(i, j, v) for (i, j), v in entries.items()]
         mats.append(SparseMatrix(sizes[n - 1], sizes[n], triples, f))
     return sizes, mats
 

@@ -2,8 +2,9 @@
 
 Everything downstream reduces to ranks and kernel dimensions of sparse
 matrices over an exact field: either the rationals (elements are
-``fractions.Fraction``) or a prime field F_p with p < 2^31 (elements are
-ints in [0, p)).  No floating point appears anywhere.
+``int`` when integral, else ``fractions.Fraction``) or a prime field F_p
+with p < 2^31 (elements are ints in [0, p)).  No floating point appears
+anywhere.
 
 Over the rationals, elimination is fraction-free: rows are cleared to
 integers and kept gcd-reduced, so entries stay integral and exact while
@@ -47,26 +48,37 @@ def _is_prime(p):
 
 
 class RationalField:
-    """The field Q; elements are Fraction (ints are accepted and coerced)."""
+    """The field Q; elements are int when integral, else Fraction.
+
+    Most coefficients are integers, and int arithmetic is far cheaper than
+    Fraction arithmetic, so every operation hands back an integral result
+    as an int; equality and hashing agree between the two forms."""
 
     characteristic = 0
+    one = 1
+    zero = 0
 
     def coerce(self, v):
-        if isinstance(v, Fraction):
+        if v.__class__ is int:
             return v
-        return Fraction(v)
+        if not isinstance(v, Fraction):
+            v = Fraction(v)
+        return v.numerator if v.denominator == 1 else v
 
     def is_zero(self, v):
         return v == 0
 
     def add(self, a, b):
-        return a + b
+        return _integral(a + b)
 
     def sub(self, a, b):
-        return a - b
+        return _integral(a - b)
 
     def mul(self, a, b):
-        return a * b
+        r = a * b
+        if r.__class__ is int:
+            return r
+        return r.numerator if r.denominator == 1 else r
 
     def neg(self, a):
         return -a
@@ -74,15 +86,7 @@ class RationalField:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        return 1 / Fraction(a)
-
-    def div(self, a, b):
-        return Fraction(a) / b
-
-    # shared constants: Fractions are immutable, and add_term reads zero
-    # once per accumulated term
-    one = Fraction(1)
-    zero = Fraction(0)
+        return _integral(1 / Fraction(a))
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -94,13 +98,41 @@ class RationalField:
         return "QQ"
 
 
+def _integral(r):
+    """A rational as an int when it is integral."""
+    if r.__class__ is Fraction and r.denominator == 1:
+        return r.numerator
+    return r
+
+
 def add_term(field, out, key, value):
-    """out[key] += value in a sparse dict key -> scalar, dropping zeros."""
-    acc = field.add(out.get(key, field.zero), value)
-    if field.is_zero(acc):
-        out.pop(key, None)
-    else:
+    """out[key] += value in a sparse dict key -> scalar, dropping zeros.
+
+    The one accumulate of the package, specialised by field: residues are
+    reduced mod p, and over Q an integral Fraction sum becomes an int."""
+    p = field.characteristic
+    acc = out.get(key, 0) + value
+    if p:
+        acc %= p
+    elif acc.__class__ is Fraction and acc.denominator == 1:
+        acc = acc.numerator
+    if acc:
         out[key] = acc
+    else:
+        out.pop(key, None)
+
+
+def record_value(field, v):
+    """A scalar as check records show it: Q elements as Fraction, so a
+    record reads the same whether the value is held as int or Fraction."""
+    return Fraction(v) if field.characteristic == 0 else v
+
+
+def terms_repr(field, terms):
+    """A sparse dict key -> scalar as check records show it: its items
+    sorted by repr, values through record_value."""
+    return repr(sorted(((k, record_value(field, v)) for k, v in terms.items()),
+                       key=repr))
 
 
 class PrimeField:
@@ -136,9 +168,6 @@ class PrimeField:
 
     def inv(self, a):
         return pow(a, -1, self.p)
-
-    def div(self, a, b):
-        return a * pow(b, -1, self.p) % self.p
 
     one = 1
     zero = 0
@@ -188,6 +217,18 @@ class SparseMatrix:
     # -- construction helpers ------------------------------------------------
 
     @classmethod
+    def _adopt(cls, nrows, ncols, entries, field):
+        """A matrix that takes over a dict (row, col) -> value whose values
+        come from an existing SparseMatrix (or field arithmetic on them):
+        in range, coerced and nonzero, so no check is repeated."""
+        m = cls.__new__(cls)
+        m.nrows = nrows
+        m.ncols = ncols
+        m.field = field
+        m.entries = entries
+        return m
+
+    @classmethod
     def from_rows(cls, rows, field, ncols=None):
         """rows: list of lists (dense) of field-coercible values."""
         if ncols is None:
@@ -209,9 +250,9 @@ class SparseMatrix:
     # -- basic operations ----------------------------------------------------
 
     def transpose(self):
-        return SparseMatrix(
+        return SparseMatrix._adopt(
             self.ncols, self.nrows,
-            [(j, i, v) for (i, j), v in self.entries.items()], self.field)
+            {(j, i): v for (i, j), v in self.entries.items()}, self.field)
 
     def compose(self, other):
         """self . other (apply other first); shapes must chain."""
@@ -225,14 +266,8 @@ class SparseMatrix:
         acc = {}
         for (i, k), u in self.entries.items():
             for j, v in by_col.get(k, ()):
-                key = (i, j)
-                w = f.add(acc.get(key, f.zero), f.mul(u, v))
-                if f.is_zero(w):
-                    acc.pop(key, None)
-                else:
-                    acc[key] = w
-        return SparseMatrix(self.nrows, other.ncols,
-                            [(i, j, v) for (i, j), v in acc.items()], f)
+                add_term(f, acc, (i, j), f.mul(u, v))
+        return SparseMatrix._adopt(self.nrows, other.ncols, acc, f)
 
     def is_zero(self):
         return not self.entries
@@ -243,9 +278,11 @@ class SparseMatrix:
         cols = range(self.ncols) if cols is None else cols
         rindex = {r: i for i, r in enumerate(rows)}
         cindex = {c: j for j, c in enumerate(cols)}
-        ent = [(rindex[i], cindex[j], v) for (i, j), v in self.entries.items()
-               if i in rindex and j in cindex]
-        return SparseMatrix(len(rindex), len(cindex), ent, self.field)
+        if len(rindex) < len(rows) or len(cindex) < len(cols):
+            raise KernelError("restrict to a repeated row or column")
+        ent = {(rindex[i], cindex[j]): v for (i, j), v in self.entries.items()
+               if i in rindex and j in cindex}
+        return SparseMatrix._adopt(len(rindex), len(cindex), ent, self.field)
 
     def __eq__(self, other):
         return (isinstance(other, SparseMatrix) and self.nrows == other.nrows
@@ -270,9 +307,11 @@ class SparseMatrix:
             if self.field.characteristic == 0:
                 lcm = 1
                 for v in row.values():
-                    d = Fraction(v).denominator
-                    lcm = lcm * d // gcd(lcm, d)
-                ints = {j: int(v * lcm) for j, v in row.items()}
+                    if v.__class__ is not int:
+                        d = v.denominator
+                        lcm = lcm * d // gcd(lcm, d)
+                ints = row if lcm == 1 else {j: int(v * lcm)
+                                             for j, v in row.items()}
                 g = 0
                 for v in ints.values():
                     g = gcd(g, v)

@@ -26,7 +26,7 @@ across, project back) and compares.
 
 from itertools import combinations, permutations
 
-from .kernel import SparseMatrix, add_term, solve_dense
+from .kernel import SparseMatrix, add_term, solve_dense, terms_repr
 from .algebra import (
     POLYNOMIAL, ITERATED_ORE, CYCLIC_GROUP,
     AlgebraElement, basis_up_to, cyclic_group_algebra, parse_element,
@@ -818,10 +818,11 @@ def lift_twist(bundle, t, side="left"):
 
 
 class LiftReport:
-    def __init__(self, name, side, degree_bound):
+    def __init__(self, name, side, degree_bound, field):
         self.name = name
         self.side = side
         self.degree_bound = degree_bound
+        self.field = field
         self.checked = 0
         self.violations = []
 
@@ -835,8 +836,8 @@ class LiftReport:
             self.violations.append({
                 "equation": equation,
                 "where": where,
-                "lhs": repr(sorted(lhs.items(), key=repr)),
-                "rhs": repr(sorted(rhs.items(), key=repr)),
+                "lhs": terms_repr(self.field, lhs),
+                "rhs": terms_repr(self.field, rhs),
             })
 
     def __repr__(self):
@@ -857,7 +858,7 @@ def check_lift_chain_map(bundle, degree_bound):
     f = t.field
     cplx = bundle.complex
     side = bundle.lift_side
-    report = LiftReport(cplx.name, side, degree_bound)
+    report = LiftReport(cplx.name, side, degree_bound, f)
     movers = basis_up_to(t.b_spec if side == "left" else t.a_spec,
                          degree_bound)
     for n in range(1, bundle.n_max + 1):
@@ -1090,10 +1091,11 @@ def wedge_to_bar(bar_term, key):
 
 
 class CrosscheckReport:
-    def __init__(self, name, n_bound, degree_bound):
+    def __init__(self, name, n_bound, degree_bound, field):
         self.name = name
         self.n_bound = n_bound
         self.degree_bound = degree_bound
+        self.field = field
         self.checked = 0
         self.violations = []
 
@@ -1107,8 +1109,8 @@ class CrosscheckReport:
             self.violations.append({
                 "equation": equation,
                 "where": where,
-                "lhs": repr(sorted(lhs.items(), key=repr)),
-                "rhs": repr(sorted(rhs.items(), key=repr)),
+                "lhs": terms_repr(self.field, lhs),
+                "rhs": terms_repr(self.field, rhs),
             })
 
     def __repr__(self):
@@ -1134,7 +1136,8 @@ def crosscheck_koszul_lift(bundle, n_bound=2, degree_bound=2):
     n_bound = min(n_bound, bundle.n_max)
     barb = bar(alg, n_bound, middle_cutoff=n_bound + degree_bound,
                reduced=True)
-    report = CrosscheckReport(bundle.complex.name, n_bound, degree_bound)
+    report = CrosscheckReport(bundle.complex.name, n_bound, degree_bound,
+                              f)
     for n in range(n_bound + 1):
         kterm = bundle.complex.terms[n]
         bterm = barb.complex.terms[n]

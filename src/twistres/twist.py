@@ -40,6 +40,7 @@ import random
 
 from .kernel import (
     QQ, PrimeField, NonInvertibleError, SparseMatrix, add_term, invert_dense,
+    terms_repr,
 )
 from .algebra import (
     CYCLIC_GROUP, POLYNOMIAL, TWISTED_PRODUCT,
@@ -679,10 +680,11 @@ def transposition_compat(t, module, kind=ONE_SIDED):
 
 
 class CompatReport:
-    def __init__(self, name, kind, degree_bound):
+    def __init__(self, name, kind, degree_bound, field):
         self.name = name
         self.kind = kind
         self.degree_bound = degree_bound
+        self.field = field
         self.checked = 0
         self.violations = []
 
@@ -703,8 +705,8 @@ def _record(report, equation, inputs, lhs, rhs):
         report.violations.append({
             "equation": equation,
             "inputs": inputs(),
-            "lhs": repr(sorted(lhs.items(), key=repr)),
-            "rhs": repr(sorted(rhs.items(), key=repr)),
+            "lhs": terms_repr(report.field, lhs),
+            "rhs": terms_repr(report.field, rhs),
         })
 
 
@@ -726,7 +728,7 @@ def check_bimodule_compat(c, degree_bound):
     t = c.twist
     f = t.field
     mod = c.module
-    report = CompatReport(c.name, c.kind, degree_bound)
+    report = CompatReport(c.name, c.kind, degree_bound, f)
     mkeys = mod.basis(degree_bound)
     acting = t.a_spec if c.kind in (LEFT_BIMODULE, ONE_SIDED) else t.b_spec
     acts = {}

@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -17,8 +18,9 @@ from twistres.algebra import (
     solvable_2dim_algebra, weyl_algebra,
 )
 from twistres.twist import (
-    check_bimodule_compat, check_hexagon, flip_twist, self_bimodule_compat,
-    solvable_pair_twist, triangular_action_twist, weyl_twist,
+    check_bimodule_compat, check_hexagon, flip_twist, ore_twist,
+    self_bimodule_compat, solvable_pair_twist, triangular_action_twist,
+    weyl_twist,
 )
 from twistres.complex import BIMODULE, ChainComplexSpec, ComplexError, \
     DegreeRaisingError, FreeElement, FreeModuleTerm, TruncatedComplex, \
@@ -317,6 +319,26 @@ def test_criterion_8_mutations_break_the_checks(monkeypatch):
         skew = triangular_skew_product(3, periodic_degree=4)
         rep = kunneth_degree0_check(skew, truncate(skew.complex, 3))
         assert not rep.passed and rep.rows[3] == (198, 30)
+
+        # Q products that keep only the numerator of a non-integral result:
+        # the derivation delta(y) = y/2 then gives delta(y^2) = y^2 but
+        # delta(y) = y, so the Ore twist it defines breaks the hexagon
+        monkeypatch.undo()
+
+        def half_solvable_twist():
+            ay = polynomial_algebra(("y",), name="k[y]")
+            bx = polynomial_algebra(("x",), name="k[x]")
+            return ore_twist(ay, bx, {"y": ay.element({(1,): Fraction(1, 2)})})
+
+        assert check_hexagon(half_solvable_twist(), 2).passed
+        mul = kernel.RationalField.mul
+
+        def numerator_only(field, a, b):
+            r = mul(field, a, b)
+            return r.numerator if isinstance(r, Fraction) else r
+
+        monkeypatch.setattr(kernel.RationalField, "mul", numerator_only)
+        assert not check_hexagon(half_solvable_twist(), 2).passed
 
 
 def test_criterion_9_full_preset_suite_is_deterministic():

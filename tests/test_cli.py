@@ -1,6 +1,7 @@
 """Problem-file driver: parsing and validation, task execution with
 short-circuiting, report rendering, determinism, and preset pipelines."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -310,3 +311,19 @@ def test_subprocess_runs_are_byte_identical():
     second = subprocess.run(cmd, capture_output=True, check=True)
     assert first.stdout == second.stdout
     assert json.loads(first.stdout)["exit_code"] == 0
+
+
+# the eight presets in the order of the criterion-9 command; the same seed
+# must give the same report bytes, whatever the arithmetic behind them
+EIGHT_PRESETS = ("weyl", "weyl-2", "skew-p2", "skew-p3", "ue-solvable-2dim",
+                 "heisenberg", "cyclic-p", "lie-sl2-excluded")
+
+
+def test_eight_preset_report_bytes_are_pinned(capsys):
+    argv = ["--seed", "11", "--format", "json"]
+    for name in EIGHT_PRESETS:
+        argv += ["--task", "preset:%s" % name]
+    assert main(argv) == 1  # lie-sl2-excluded fails by design
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8"))
+    assert digest.hexdigest() == (
+        "f5741135f3e4b386bf12001848d54d651741a29530ff652d583cde165088ec68")

@@ -104,6 +104,20 @@ def test_compose_check_catches_bad_augmentation():
     assert not rep.passed
 
 
+@pytest.mark.parametrize("field, shown", [(QQ, "Fraction(3, 1)"),
+                                          (PrimeField(5), "3")])
+def test_ground_augmentation_failure_record(field, shown):
+    # the record shows a Q value as a Fraction whether it is held as an
+    # int or a Fraction, so report bytes do not depend on the storage
+    c = poly_koszul(polynomial_algebra(("x",), field=field),
+                    bimodule=False).complex
+    lab = c.terms[1].labels[0]
+    unit = c.terms[0].generator(c.terms[0].labels[0])
+    c.differentials[1][lab] = c.differentials[1][lab] + unit.scale(3)
+    rep = compose_check(c)
+    assert rep.failures == [(1, lab, "augmentation: %s" % shown)]
+
+
 def test_truncate_matrix_shapes_and_grading():
     tc = truncate(bimodule_koszul_kx(), 3)
     assert tc.matrices[1].nrows == len(tc.bases[0])
@@ -216,6 +230,24 @@ def reference_apply_differential(c, n, elem):
     return out
 
 
+def reference_apply_augmentation(c, elem):
+    """The augmentation through scale, element products and __add__, one
+    key at a time (aug_kind "algebra"); the ground case is a scalar sum."""
+    alg = c.algebra
+    f = alg.field
+    if c.aug_kind == "algebra":
+        out = alg.zero()
+        for k, coeff in elem.terms.items():
+            img = c.augmentation[k[1]].scale(coeff)
+            l = alg.element({k[0]: f.one})
+            if c.terms[0].side == BIMODULE:
+                out = out + l * img * alg.element({k[2]: f.one})
+            else:
+                out = out + l * img
+        return out
+    return c.apply_augmentation(elem)
+
+
 def reference_truncation(c, cutoff):
     """Bases, key degrees, max drop, matrix entries (one column per key)
     and augmentation entries."""
@@ -239,7 +271,8 @@ def reference_truncation(c, cutoff):
     alg = c.algebra
     target = {m: i for i, m in enumerate(basis_up_to(alg, cutoff))}
     for j, key in enumerate(bases[0] if c.augmentation is not None else ()):
-        img = c.apply_augmentation(FreeElement(c.terms[0], {key: f.one}))
+        img = reference_apply_augmentation(
+            c, FreeElement(c.terms[0], {key: f.one}))
         if c.aug_kind == "algebra":
             for m, v in img.terms.items():
                 max_drop = max(max_drop, degrees[0][j] - alg.monomial_degree(m))
@@ -330,6 +363,16 @@ def test_apply_differential_matches_reference(data):
         mixed = elem + reference_apply_differential(c, n + 1, z)
         assert c.apply_differential(n, mixed) == got
         assert reference_apply_differential(c, n, mixed) == got
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_apply_augmentation_matches_reference(data):
+    names = sorted(name for name in COMPLEX_CASES
+                   if complex_case(name).augmentation is not None)
+    c = complex_case(data.draw(st.sampled_from(names)))
+    elem = data.draw(free_elements(c.terms[0]))
+    assert c.apply_augmentation(elem) == reference_apply_augmentation(c, elem)
 
 
 @pytest.mark.parametrize("name", sorted(COMPLEX_CASES))

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twistres.kernel import (
-    QQ, PrimeField, SparseMatrix, CompositionNonzeroError, NonInvertibleError,
-    _components, homology_dim, invert_dense, solve_dense,
+    QQ, KernelError, PrimeField, SparseMatrix, CompositionNonzeroError,
+    NonInvertibleError, _components, add_term, homology_dim, invert_dense, solve_dense,
 )
 
 GF2 = PrimeField(2)
@@ -376,3 +376,97 @@ def test_invert_dense_mod_p_and_non_square():
     assert a.compose(inv) == SparseMatrix.identity(3, GF3)
     with pytest.raises(NonInvertibleError):
         invert_dense(M([[1, 2]]))
+
+
+def test_restrict_keeps_entries_and_refuses_repeated_indices():
+    m = M([[1, 2, 0], [0, Fraction(1, 2), 3]])
+    sub = m.restrict(rows=[1], cols=[2, 1])
+    assert sub == SparseMatrix(1, 2, [(0, 0, 3), (0, 1, Fraction(1, 2))], QQ)
+    assert m.transpose().transpose() == m
+    with pytest.raises(KernelError):
+        m.restrict(rows=[0, 0])
+    with pytest.raises(KernelError):
+        m.restrict(cols=[2, 0, 2])
+
+
+# ------------------------------------------- Q elements: int when integral
+
+# ints, integral Fractions (which coerce must turn into ints) and proper
+# fractions with small denominators, so sums and products often cancel to
+# integers or to zero
+rationals = st.one_of(
+    st.integers(-6, 6),
+    st.integers(-6, 6).map(Fraction),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+)
+
+
+def assert_q_value(got, expected):
+    """got equals the Fraction result, and is an int exactly when integral."""
+    assert got == expected
+    if expected.denominator == 1:
+        assert type(got) is int
+    else:
+        assert type(got) is Fraction
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(a=rationals, b=rationals)
+def test_rational_field_matches_fraction_arithmetic(a, b):
+    fa, fb = Fraction(a), Fraction(b)
+    x, y = QQ.coerce(a), QQ.coerce(b)
+    assert_q_value(x, fa)
+    # raw operands (integral Fractions included) and coerced ones alike
+    for u, v in ((a, b), (x, y)):
+        assert_q_value(QQ.add(u, v), fa + fb)
+        assert_q_value(QQ.sub(u, v), fa - fb)
+        assert_q_value(QQ.mul(u, v), fa * fb)
+    assert_q_value(QQ.neg(x), -fa)
+    assert_q_value(QQ.add(x, QQ.neg(x)), Fraction(0))
+    assert_q_value(QQ.sub(x, x), Fraction(0))
+    if fa:
+        assert_q_value(QQ.inv(a), 1 / fa)
+        assert_q_value(QQ.mul(x, QQ.inv(x)), Fraction(1))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            QQ.inv(a)
+
+
+def _reference_accumulate(terms, reduce):
+    """key -> running sum, dropping a key whose sum is zero (so a key that
+    comes back is appended at the end), in plain arithmetic."""
+    ref = {}
+    for k, v in terms:
+        acc = reduce(ref.get(k, 0) + v)
+        if acc:
+            ref[k] = acc
+        else:
+            ref.pop(k, None)
+    return ref
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(terms=st.lists(st.tuples(st.integers(0, 3), rationals), max_size=14))
+def test_add_term_over_q_matches_fraction_sums(terms):
+    out = {}
+    for k, v in terms:
+        add_term(QQ, out, k, QQ.coerce(v))
+    ref = _reference_accumulate(((k, Fraction(v)) for k, v in terms),
+                                lambda acc: acc)
+    assert list(out) == list(ref) and out == ref
+    for k, v in out.items():
+        assert_q_value(v, ref[k])
+
+
+@pytest.mark.parametrize("p", [2, 3, 2**31 - 1])
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(terms=st.lists(st.tuples(st.integers(0, 3),
+                                st.integers(-2**40, 2**40)), max_size=14))
+def test_add_term_over_prime_fields(p, terms):
+    f = PrimeField(p)
+    out = {}
+    for k, v in terms:
+        add_term(f, out, k, f.coerce(v))
+    ref = _reference_accumulate(terms, lambda acc: acc % p)
+    assert list(out.items()) == list(ref.items())
+    assert all(type(v) is int and 0 < v < p for v in out.values())
