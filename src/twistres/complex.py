@@ -238,9 +238,6 @@ class ChainComplexSpec:
     def n_max(self):
         return len(self.terms) - 1
 
-    def differential_of_label(self, n, label):
-        return self.differentials[n][label]
-
     def apply_differential(self, n, elem):
         """d_n applied to an element of term n: each key l⊗[lab]⊗r (or
         l⊗[lab]) goes to l·d(lab)·r, summed into one dict."""

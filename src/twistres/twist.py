@@ -620,22 +620,23 @@ class CompatMap:
         self._cache = {}
 
     def pair_rule(self, x, y):
-        """rule on one (monomial, key) or (key, monomial) pair, memoized;
-        unit conditions are built in."""
+        """rule on one (monomial, key) or (key, monomial) pair, memoized
+        with zeros dropped and scalars reduced (so it equals the bilinear
+        extension on that pair); unit conditions are built in."""
         hit = self._cache.get((x, y))
         if hit is not None:
             return hit
         f = self.twist.field
         if self.kind in (LEFT_BIMODULE, ONE_SIDED):
-            if x == self.twist.b_spec.one_monomial():
-                out = {(y, x): f.one}
-            else:
-                out = self._rule(x, y)
+            unit = x == self.twist.b_spec.one_monomial()
         else:
-            if y == self.twist.a_spec.one_monomial():
-                out = {(y, x): f.one}
-            else:
-                out = self._rule(x, y)
+            unit = y == self.twist.a_spec.one_monomial()
+        if unit:
+            out = {(y, x): f.one}
+        else:
+            out = {}
+            for pair, v in self._rule(x, y).items():
+                add_term(f, out, pair, v)
         self._cache[(x, y)] = out
         return out
 
@@ -710,6 +711,20 @@ def _record(report, equation, inputs, lhs, rhs):
         })
 
 
+def _image_of(f, vec, image):
+    """The sum of v * image(k) over a sparse vector k -> v.  A single key
+    with coefficient one gives the memoized image itself, to be read only."""
+    if len(vec) == 1:
+        (k, v), = vec.items()
+        if v == f.one:
+            return image(k)
+    out = {}
+    for k, v in vec.items():
+        for pair, w in image(k).items():
+            add_term(f, out, pair, f.mul(v, w))
+    return out
+
+
 def check_bimodule_compat(c, degree_bound):
     """Verify the compatibility equations of a CompatMap on all basis
     tuples whose factors each have degree <= degree_bound.
@@ -722,9 +737,15 @@ def check_bimodule_compat(c, degree_bound):
     One-sided module side uses only the left action; the right-of-bimodule
     equations are the mirror images.
 
-    Both sides of the module-side equations read the actions l.key.r on
-    single basis keys from a memo that lasts for this one call; the input
-    tuple of an equation is formatted only when it is violated."""
+    Each sum is computed once at the loop level it depends on.  Left and
+    one-sided module side: tau(b (x) a) and the move across m, once per
+    (b, a, m) outside the a' loop.  Right module side: a1 moved across n
+    and then across b (acting on the left), once per (b, n) and a1; per
+    (b', a) only tau(b' (x) a) and the right action remain (exact, as the
+    right action is linear).  Actions l.key.r on single basis keys are
+    memoized for this one call.  An lhs whose acted element is one key
+    with coefficient one is the memoized rule image itself, only read.
+    The input tuple of an equation is formatted only when violated."""
     t = c.twist
     f = t.field
     mod = c.module
@@ -734,12 +755,12 @@ def check_bimodule_compat(c, degree_bound):
     acts = {}
 
     def act(l, key, r):
-        """l . key . r for monomials l, r of the acting algebra (r None:
-        left action only), as a dict key -> scalar."""
+        """l . key . r for monomials l, r of the acting algebra (l or r
+        None: right or left action only), as a dict key -> scalar."""
         hit = acts.get((l, key, r))
         if hit is None:
-            hit = _mod_act_left(mod, AlgebraElement(acting, {l: f.one}),
-                                {key: f.one})
+            hit = {key: f.one} if l is None else _mod_act_left(
+                mod, AlgebraElement(acting, {l: f.one}), {key: f.one})
             if r is not None:
                 hit = _mod_act_right(mod, hit,
                                      AlgebraElement(acting, {r: f.one}))
@@ -757,10 +778,8 @@ def check_bimodule_compat(c, degree_bound):
         for b in bs:
             for b2 in bs:
                 for m in mkeys:
-                    lhs = {}
-                    for bm, bc in t.b_spec.mono_mul(b, b2).items():
-                        for pair, v in c.pair_rule(bm, m).items():
-                            add_term(f, lhs, pair, f.mul(bc, v))
+                    lhs = _image_of(f, t.b_spec.mono_mul(b, b2),
+                                    lambda bm: c.pair_rule(bm, m))
                     rhs = {}
                     for (m1, b1), c1 in c.pair_rule(b2, m).items():
                         for (m2, b2b), c2 in c.pair_rule(b, m1).items():
@@ -775,21 +794,24 @@ def check_bimodule_compat(c, degree_bound):
         rights = as_ if c.kind == LEFT_BIMODULE else [None]
         for b in bs:
             for a in as_:
+                tau = t.monomial_rule(b, a)
                 for m in mkeys:
+                    moved = {}
+                    for (a1, b1), c1 in tau.items():
+                        for (m1, b2b), c2 in c.pair_rule(b1, m).items():
+                            add_term(f, moved, (a1, m1, b2b), f.mul(c1, c2))
                     for a2 in rights:
-                        lhs = c.apply({(b, k): v
-                                       for k, v in act(a, m, a2).items()})
+                        lhs = _image_of(f, act(a, m, a2),
+                                        lambda k: c.pair_rule(b, k))
                         rhs = {}
-                        for (a1, b1), c1 in t.monomial_rule(b, a).items():
-                            for (m1, b2b), c2 in c.pair_rule(b1, m).items():
-                                w = f.mul(c1, c2)
-                                moves = ({(None, b2b): f.one} if a2 is None
-                                         else t.monomial_rule(b2b, a2))
-                                for (a3, b3), c3 in moves.items():
-                                    w3 = f.mul(w, c3)
-                                    for k, kc in act(a1, m1, a3).items():
-                                        add_term(f, rhs, (k, b3),
-                                                 f.mul(w3, kc))
+                        for (a1, m1, b2b), w in moved.items():
+                            moves = ({(None, b2b): f.one} if a2 is None
+                                     else t.monomial_rule(b2b, a2))
+                            for (a3, b3), c3 in moves.items():
+                                w3 = f.mul(w, c3)
+                                for k, kc in act(a1, m1, a3).items():
+                                    add_term(f, rhs, (k, b3),
+                                             f.mul(w3, kc))
                         _record(report, "module-side",
                                 lambda: (t.b_spec.format_monomial(b),
                                          t.a_spec.format_monomial(a),
@@ -810,10 +832,8 @@ def check_bimodule_compat(c, degree_bound):
     for m in mkeys:
         for a in as_:
             for a2 in as_:
-                lhs = {}
-                for am, ac in t.a_spec.mono_mul(a, a2).items():
-                    for pair, v in c.pair_rule(m, am).items():
-                        add_term(f, lhs, pair, f.mul(ac, v))
+                lhs = _image_of(f, t.a_spec.mono_mul(a, a2),
+                                lambda am: c.pair_rule(m, am))
                 rhs = {}
                 for (a1, m1), c1 in c.pair_rule(m, a).items():
                     for (a2b, m2), c2 in c.pair_rule(m1, a2).items():
@@ -824,21 +844,30 @@ def check_bimodule_compat(c, degree_bound):
                         lambda: (mod.format_key(m),
                                  t.a_spec.format_monomial(a),
                                  t.a_spec.format_monomial(a2)), lhs, rhs)
-    # module side: tau_mod((b n b') (x) a)
+    # module side: tau_mod((b n b') (x) a); moved[a1] is (a3, key) -> scalar
     for b in bs:
         for m in mkeys:
+            moved = {}
             for b2 in bs:
+                acted = act(b, m, b2)
                 for a in as_:
-                    lhs = c.apply({(k, a): v
-                                   for k, v in act(b, m, b2).items()})
+                    lhs = _image_of(f, acted, lambda k: c.pair_rule(k, a))
                     rhs = {}
                     for (a1, b1), c1 in t.monomial_rule(b2, a).items():
-                        for (a2v, m2), c2 in c.pair_rule(m, a1).items():
-                            w = f.mul(c1, c2)
-                            for (a3, b3), c3 in t.monomial_rule(b, a2v).items():
-                                w3 = f.mul(w, c3)
-                                for k, kc in act(b3, m2, b1).items():
-                                    add_term(f, rhs, (a3, k), f.mul(w3, kc))
+                        mv = moved.get(a1)
+                        if mv is None:
+                            mv = moved[a1] = {}
+                            for (a2v, m2), c2 in c.pair_rule(m, a1).items():
+                                for (a3, b3), c3 in \
+                                        t.monomial_rule(b, a2v).items():
+                                    w = f.mul(c2, c3)
+                                    for k, kc in act(b3, m2, None).items():
+                                        add_term(f, mv, (a3, k),
+                                                 f.mul(w, kc))
+                        for (a3, k), v in mv.items():
+                            w = f.mul(c1, v)
+                            for k2, kc in act(None, k, b1).items():
+                                add_term(f, rhs, (a3, k2), f.mul(w, kc))
                     _record(report, "module-side",
                             lambda: (t.b_spec.format_monomial(b),
                                      mod.format_key(m),

@@ -18,9 +18,9 @@ from twistres.algebra import (
     solvable_2dim_algebra, weyl_algebra,
 )
 from twistres.twist import (
-    check_bimodule_compat, check_hexagon, flip_twist, ore_twist,
-    self_bimodule_compat, solvable_pair_twist, triangular_action_twist,
-    weyl_twist,
+    LEFT_BIMODULE, AlgebraAsBimodule, check_bimodule_compat, check_hexagon,
+    flip_twist, ore_twist, self_bimodule_compat, solvable_pair_twist,
+    transposition_compat, triangular_action_twist, weyl_twist,
 )
 from twistres.complex import BIMODULE, ChainComplexSpec, ComplexError, \
     DegreeRaisingError, FreeElement, FreeModuleTerm, TruncatedComplex, \
@@ -262,6 +262,19 @@ def test_criterion_8_mutations_break_the_checks(monkeypatch):
         monkeypatch.setattr(twist, "_mod_act_right", lambda mod, vec, a: vec)
         rep = check_bimodule_compat(self_bimodule_compat(weyl_twist()), 2)
         assert not rep.passed
+
+        # the compat lhs taken as the memoized rule image of the acted
+        # element's first key whatever else it holds: the Weyl algebra on
+        # itself, where y.x = xy - 1 has two terms
+        monkeypatch.undo()
+        weyl = weyl_algebra()
+        on_weyl = transposition_compat(
+            flip_twist(weyl, polynomial_algebra(("z",))),
+            AlgebraAsBimodule(weyl), LEFT_BIMODULE)
+        assert check_bimodule_compat(on_weyl, 2).passed
+        monkeypatch.setattr(twist, "_image_of",
+                            lambda f, vec, image: image(next(iter(vec))))
+        assert not check_bimodule_compat(on_weyl, 2).passed
 
         # the one-pass graded basis: key degrees that leave out the right
         # monomial, then a degree-prefix cut that ends one degree early

@@ -7,20 +7,23 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from twistres import twist
 from twistres.algebra import (
-    SpecMismatchError, basis_up_to, cyclic_group_algebra, filtration_degree,
-    multiply, parse_element, polynomial_algebra, solvable_2dim_algebra,
-    weyl_algebra,
+    AlgebraElement, SpecMismatchError, basis_up_to, cyclic_group_algebra,
+    filtration_degree, multiply, parse_element, polynomial_algebra,
+    solvable_2dim_algebra, weyl_algebra,
 )
-from twistres.kernel import QQ, PrimeField
+from twistres.complex import BIMODULE, LEFT_MODULE, FreeModuleTerm
+from twistres.kernel import QQ, PrimeField, add_term
 from twistres.twist import (
     LEFT_BIMODULE, ONE_SIDED, RIGHT_BIMODULE,
-    AlgebraAsBimodule, GroundModule, MissingRuleError, NonInvertibleTwistError,
-    TwistError, apply_twist, bijective_on_truncation, check_bimodule_compat,
-    check_hexagon, custom_twist, flip_twist, invert_twist, ore_twist,
-    self_bimodule_compat, self_right_bimodule_compat, skew_group_twist,
-    solvable_pair_twist, transposition_compat, triangular_action_twist,
-    twisted_multiply, weyl_twist,
+    AlgebraAsBimodule, CompatReport, GroundModule, MissingRuleError,
+    NonInvertibleTwistError, TwistError, apply_twist, bijective_on_truncation,
+    check_bimodule_compat, check_hexagon, custom_twist, flip_twist,
+    invert_twist, ore_twist, self_bimodule_compat, self_right_bimodule_compat,
+    skew_group_twist, solvable_pair_twist, transposition_compat,
+    triangular_action_twist, twisted_multiply, weyl_twist,
+    _mod_act_left, _mod_act_right, _record,
 )
 
 
@@ -392,3 +395,237 @@ def test_bimodule_transposition_weyl_violation_records(kind, first, digest):
     assert {v["equation"] for v in rep.violations} == {"module-side"}
     assert rep.violations[0]["inputs"] == first
     assert _digest(rep.violations) == digest
+
+
+# -- the checker against its per-tuple reference ------------------------------
+
+
+def reference_check_bimodule_compat(c, degree_bound):
+    """check_bimodule_compat with every move recomputed per tuple and every
+    lhs built through CompatMap.apply: the reference the shared-sum
+    checker must match record for record."""
+    t = c.twist
+    f = t.field
+    mod = c.module
+    report = CompatReport(c.name, c.kind, degree_bound, f)
+    mkeys = mod.basis(degree_bound)
+    acting = t.a_spec if c.kind in (LEFT_BIMODULE, ONE_SIDED) else t.b_spec
+    acts = {}
+
+    def act(l, key, r):
+        """l . key . r for monomials l, r of the acting algebra (r None:
+        left action only), as a dict key -> scalar."""
+        hit = acts.get((l, key, r))
+        if hit is None:
+            hit = _mod_act_left(mod, AlgebraElement(acting, {l: f.one}),
+                                {key: f.one})
+            if r is not None:
+                hit = _mod_act_right(mod, hit,
+                                     AlgebraElement(acting, {r: f.one}))
+            acts[(l, key, r)] = hit
+        return hit
+
+    if c.kind in (LEFT_BIMODULE, ONE_SIDED):
+        bs = basis_up_to(t.b_spec, degree_bound)
+        as_ = basis_up_to(t.a_spec, degree_bound)
+        for m in mkeys:
+            lhs = c.pair_rule(t.b_spec.one_monomial(), m)
+            _record(report, "unit", lambda: (mod.format_key(m),), lhs,
+                    {(m, t.b_spec.one_monomial()): f.one})
+        # multiplication side
+        for b in bs:
+            for b2 in bs:
+                for m in mkeys:
+                    lhs = {}
+                    for bm, bc in t.b_spec.mono_mul(b, b2).items():
+                        for pair, v in c.pair_rule(bm, m).items():
+                            add_term(f, lhs, pair, f.mul(bc, v))
+                    rhs = {}
+                    for (m1, b1), c1 in c.pair_rule(b2, m).items():
+                        for (m2, b2b), c2 in c.pair_rule(b, m1).items():
+                            w = f.mul(c1, c2)
+                            for bm, bc in t.b_spec.mono_mul(b2b, b1).items():
+                                add_term(f, rhs, (m2, bm), f.mul(w, bc))
+                    _record(report, "product-side",
+                            lambda: (t.b_spec.format_monomial(b),
+                                     t.b_spec.format_monomial(b2),
+                                     mod.format_key(m)), lhs, rhs)
+        # module side; one-sided modules have no a' (a2 None)
+        rights = as_ if c.kind == LEFT_BIMODULE else [None]
+        for b in bs:
+            for a in as_:
+                for m in mkeys:
+                    for a2 in rights:
+                        lhs = c.apply({(b, k): v
+                                       for k, v in act(a, m, a2).items()})
+                        rhs = {}
+                        for (a1, b1), c1 in t.monomial_rule(b, a).items():
+                            for (m1, b2b), c2 in c.pair_rule(b1, m).items():
+                                w = f.mul(c1, c2)
+                                moves = ({(None, b2b): f.one} if a2 is None
+                                         else t.monomial_rule(b2b, a2))
+                                for (a3, b3), c3 in moves.items():
+                                    w3 = f.mul(w, c3)
+                                    for k, kc in act(a1, m1, a3).items():
+                                        add_term(f, rhs, (k, b3),
+                                                 f.mul(w3, kc))
+                        _record(report, "module-side",
+                                lambda: (t.b_spec.format_monomial(b),
+                                         t.a_spec.format_monomial(a),
+                                         mod.format_key(m),
+                                         "" if a2 is None
+                                         else t.a_spec.format_monomial(a2)),
+                                lhs, rhs)
+        return report
+
+    # right-of-bimodule: N over B, rule (key, a_mono) -> (a', key')
+    as_ = basis_up_to(t.a_spec, degree_bound)
+    bs = basis_up_to(t.b_spec, degree_bound)
+    for m in mkeys:
+        lhs = c.pair_rule(m, t.a_spec.one_monomial())
+        _record(report, "unit", lambda: (mod.format_key(m),), lhs,
+                {(t.a_spec.one_monomial(), m): f.one})
+    # multiplication side
+    for m in mkeys:
+        for a in as_:
+            for a2 in as_:
+                lhs = {}
+                for am, ac in t.a_spec.mono_mul(a, a2).items():
+                    for pair, v in c.pair_rule(m, am).items():
+                        add_term(f, lhs, pair, f.mul(ac, v))
+                rhs = {}
+                for (a1, m1), c1 in c.pair_rule(m, a).items():
+                    for (a2b, m2), c2 in c.pair_rule(m1, a2).items():
+                        w = f.mul(c1, c2)
+                        for am, ac in t.a_spec.mono_mul(a1, a2b).items():
+                            add_term(f, rhs, (am, m2), f.mul(w, ac))
+                _record(report, "product-side",
+                        lambda: (mod.format_key(m),
+                                 t.a_spec.format_monomial(a),
+                                 t.a_spec.format_monomial(a2)), lhs, rhs)
+    # module side: tau_mod((b n b') (x) a)
+    for b in bs:
+        for m in mkeys:
+            for b2 in bs:
+                for a in as_:
+                    lhs = c.apply({(k, a): v
+                                   for k, v in act(b, m, b2).items()})
+                    rhs = {}
+                    for (a1, b1), c1 in t.monomial_rule(b2, a).items():
+                        for (a2v, m2), c2 in c.pair_rule(m, a1).items():
+                            w = f.mul(c1, c2)
+                            for (a3, b3), c3 in t.monomial_rule(b, a2v).items():
+                                w3 = f.mul(w, c3)
+                                for k, kc in act(b3, m2, b1).items():
+                                    add_term(f, rhs, (a3, k), f.mul(w3, kc))
+                    _record(report, "module-side",
+                            lambda: (t.b_spec.format_monomial(b),
+                                     mod.format_key(m),
+                                     t.b_spec.format_monomial(b2),
+                                     t.a_spec.format_monomial(a)), lhs, rhs)
+    return report
+
+
+class SignModule(GroundModule):
+    """k over a cyclic group algebra of even order, its generator acting
+    by -1: odd powers act on the one key with coefficient -1."""
+
+    def act_left(self, a_elem, vec):
+        f = self.algebra.field
+        chi = f.zero
+        for e, c in a_elem.terms.items():
+            chi = f.add(chi, f.neg(c) if e % 2 else c)
+        if f.is_zero(chi):
+            return {}
+        return {k: f.mul(chi, c) for k, c in vec.items()}
+
+
+def _corrupted_weyl(extra=1):
+    """The Weyl twist with tau(y (x) x) overridden; extra=0 leaves a term
+    with coefficient zero in the tabulated image."""
+    return weyl_twist().with_overrides(
+        {((1,), (1,)): {((1,), (1,)): 1, ((0,), (0,)): extra}})
+
+
+def _self_compat_maps():
+    maps = []
+    for t in (weyl_twist(), solvable_pair_twist(), triangular_action_twist(2),
+              triangular_action_twist(3), _corrupted_weyl(),
+              _corrupted_weyl(extra=0)):
+        maps += [self_bimodule_compat(t), self_right_bimodule_compat(t)]
+    return maps
+
+
+def _transposition_maps():
+    t = weyl_twist()
+    return [transposition_compat(t, AlgebraAsBimodule(t.a_spec), LEFT_BIMODULE),
+            transposition_compat(t, AlgebraAsBimodule(t.b_spec), RIGHT_BIMODULE),
+            transposition_compat(t, GroundModule(t.a_spec), ONE_SIDED)]
+
+
+def _general_lhs_maps():
+    """Maps whose acted elements have several terms (actions of the Weyl
+    and solvable 2-dim algebras on free modules) or one key with
+    coefficient -1 (the sign module)."""
+    weyl, solv = weyl_algebra(), solvable_2dim_algebra()
+    kz = polynomial_algebra(("z",))
+    left, right = flip_twist(weyl, kz), flip_twist(kz, solv)
+    kg, kx = cyclic_group_algebra(2), polynomial_algebra(("x",))
+    return [
+        transposition_compat(left, AlgebraAsBimodule(weyl), LEFT_BIMODULE),
+        transposition_compat(left, FreeModuleTerm(
+            weyl, ("e", "f"), BIMODULE, {"f": 1}), LEFT_BIMODULE),
+        transposition_compat(left, FreeModuleTerm(
+            weyl, ("e",), LEFT_MODULE), ONE_SIDED),
+        transposition_compat(right, AlgebraAsBimodule(solv), RIGHT_BIMODULE),
+        transposition_compat(right, FreeModuleTerm(
+            solv, ("e",), BIMODULE), RIGHT_BIMODULE),
+        transposition_compat(skew_group_twist(kg, kx, {"x": "x"}),
+                             SignModule(kg), ONE_SIDED),
+        transposition_compat(skew_group_twist(kg, kx, {"x": "-x"}),
+                             SignModule(kg), ONE_SIDED),
+    ]
+
+
+def _suite_lift_maps():
+    from test_acceptance import _suite_products
+    return [cm for tc in _suite_products()
+            for bundle in (tc.bicomplex.pm, tc.bicomplex.pn)
+            for cm in (getattr(bundle, "lifts", None) or {}).values()]
+
+
+def _assert_matches_reference(c, degree_bound):
+    ref = reference_check_bimodule_compat(c, degree_bound)
+    images = {pair: dict(image) for pair, image in c._cache.items()}
+    rep = check_bimodule_compat(c, degree_bound)
+    assert (rep.checked, rep.violations) == (ref.checked, ref.violations), c
+    # the lhs may be a memoized rule image: it is read, never changed
+    assert all(c._cache[pair] == image for pair, image in images.items())
+    return rep
+
+
+@pytest.mark.parametrize("maps", [_self_compat_maps, _transposition_maps,
+                                  _suite_lift_maps])
+def test_compat_matches_reference(maps):
+    for c in maps():
+        for degree_bound in (1, 2):
+            _assert_matches_reference(c, degree_bound)
+
+
+def test_compat_matches_reference_on_general_lhs(monkeypatch):
+    seen = set()
+    image_of = twist._image_of
+
+    def recording(f, vec, image):
+        if len(vec) > 1:
+            seen.add("several terms")
+        elif any(v != f.one for v in vec.values()):
+            seen.add("one key, coefficient not one")
+        return image_of(f, vec, image)
+
+    monkeypatch.setattr(twist, "_image_of", recording)
+    outcomes = [_assert_matches_reference(c, 2).passed
+                for c in _general_lhs_maps()]
+    # only the sign module under the x -> -x action fails
+    assert outcomes == [True] * 6 + [False]
+    assert seen == {"several terms", "one key, coefficient not one"}
