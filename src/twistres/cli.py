@@ -576,12 +576,11 @@ class TaskRecord:
         return self.status in ("pass", "unstable")
 
     def check(self, rep, keep=5):
-        """Fold a report object with .passed/.violations-or-.failures in."""
+        """Fold a check report (a CheckReport or a data report with
+        .passed) in; only a CheckReport carries violations."""
         self.detail = "%s; %s" % (self.detail, rep) if self.detail \
             else "%s" % (rep,)
-        bad = getattr(rep, "violations", None)
-        if bad is None:
-            bad = getattr(rep, "failures", [])
+        bad = getattr(rep, "violations", [])
         for item in bad[:keep]:
             self.violations.append(_format_violation(item))
         if len(bad) > keep:

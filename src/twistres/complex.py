@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from .kernel import SparseMatrix, add_term, record_value
+from .kernel import CheckReport, SparseMatrix, add_term, record_value
 from .algebra import AlgebraElement, basis_up_to
 
 BIMODULE = "bimodule"
@@ -296,42 +296,22 @@ class ChainComplexSpec:
         return total
 
 
-class CompositionReport:
-    """Outcome of d(d(label)) = 0 checks, plus augmentation . d_1 = 0."""
-
-    def __init__(self, name):
-        self.name = name
-        self.failures = []
-        self.checked = 0
-
-    @property
-    def passed(self):
-        return not self.failures
-
-    def __repr__(self):
-        state = "pass" if self.passed else "FAIL(%d)" % len(self.failures)
-        return "compose_check(%s): %s on %d labels" % (self.name, state, self.checked)
-
-
 def compose_check(c):
     """Symbolic d . d = 0 on every label (and augmentation . d_1 = 0)."""
-    report = CompositionReport(c.name)
+    report = CheckReport("compose_check(%s)" % (c.name,), " labels")
     for n in range(2, c.n_max + 1):
         for label in c.terms[n].labels:
             img = c.differentials[n][label]
             dd = c.apply_differential(n - 1, img)
-            report.checked += 1
-            if not dd.is_zero():
-                report.failures.append((n, label, repr(dd)))
+            report.record(dd.is_zero(), lambda: (n, label, repr(dd)))
     if c.augmentation is not None and c.n_max >= 1:
         for label in c.terms[1].labels:
             img = c.differentials[1][label]
             res = c.apply_augmentation(img)
-            report.checked += 1
             if c.aug_kind == "ground":
                 res = record_value(c.algebra.field, res)
-            if res:
-                report.failures.append((1, label, "augmentation: %r" % (res,)))
+            report.record(not res,
+                          lambda: (1, label, "augmentation: %r" % (res,)))
     return report
 
 

@@ -32,7 +32,7 @@ from .algebra import (
     basis_up_to,
 )
 from .complex import BIMODULE, ChainComplexSpec
-from .kernel import SparseMatrix, add_term, homology_dim, kernel_dim, rank
+from .kernel import SparseMatrix, add_term, homology_dim
 from .twist import FLIP, SKEW_GROUP, ORE
 
 __all__ = [
@@ -284,17 +284,17 @@ class CochainTruncation:
         with targets <= cutoff, minus coboundaries inside the window
         coming from sources up to cutoff + slack."""
         mat, cols, _rows = self.matrix(n, cutoff)
-        kernel = kernel_dim(mat)
+        kernel = mat.kernel_dim()
         if n == 0:
             return kernel
         prev, pcols, prows = self.matrix(n - 1, cutoff + slack)
-        total = rank(prev)
+        total = prev.rank()
         if self.coeff == GROUND_COEFF:
             high = []
         else:
             high = [i for i, row in enumerate(prows)
                     if self.alg.monomial_degree(row[1]) > cutoff]
-        inside = total - rank(prev.restrict(rows=high))
+        inside = total - prev.restrict(rows=high).rank()
         return kernel - inside
 
     def degree_slice_dim(self, n, t, cutoff):
@@ -313,7 +313,7 @@ class CochainTruncation:
         keep_r = [i for i, row in enumerate(rows)
                   if self.t_value(row, n + 1) == t] if rows else []
         sliced = mat.restrict(rows=keep_r, cols=keep_c)
-        kernel = kernel_dim(sliced)
+        kernel = sliced.kernel_dim()
         if n == 0:
             return kernel
         prev, pcols, prows = self.matrix(n - 1, cutoff)
@@ -321,7 +321,7 @@ class CochainTruncation:
                    if self.t_value(col, n - 1) == t]
         keep_pr = [i for i, row in enumerate(prows)
                    if self.t_value(row, n) == t]
-        image = rank(prev.restrict(rows=keep_pr, cols=keep_pc))
+        image = prev.restrict(rows=keep_pr, cols=keep_pc).rank()
         return kernel - image
 
 

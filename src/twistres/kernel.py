@@ -135,6 +135,46 @@ def terms_repr(field, terms):
                        key=repr))
 
 
+class CheckReport:
+    """Outcome of a pass/fail check: how many items were checked and one
+    record for each that failed.  Prints as
+    ``<title>: pass|FAIL(k) on <checked><unit>``."""
+
+    def __init__(self, title, unit=""):
+        self.title = title
+        self.unit = unit
+        self.checked = 0
+        self.violations = []
+
+    @property
+    def passed(self):
+        return not self.violations
+
+    def record(self, ok, violation):
+        """Count one checked item; ``violation()`` builds its record only
+        when the item fails."""
+        self.checked += 1
+        if not ok:
+            self.violations.append(violation())
+
+    def record_equation(self, field, equation, key, where, lhs, rhs):
+        """Count one checked equation lhs = rhs between sparse dicts; on a
+        failure record it, with ``where()`` (the inputs) under ``key`` and
+        both sides through terms_repr."""
+        self.checked += 1
+        if lhs != rhs:
+            self.violations.append({
+                "equation": equation,
+                key: where(),
+                "lhs": terms_repr(field, lhs),
+                "rhs": terms_repr(field, rhs),
+            })
+
+    def __repr__(self):
+        state = "pass" if self.passed else "FAIL(%d)" % len(self.violations)
+        return "%s: %s on %d%s" % (self.title, state, self.checked, self.unit)
+
+
 class PrimeField:
     """F_p for prime p < 2^31; elements are ints in [0, p)."""
 
@@ -442,16 +482,6 @@ def _rank_sparse_rows(rows, field):
                 col_count[c] = col_count.get(c, 0) + 1
         active = [oi for oi in active if rows[oi]]
     return rank
-
-
-def rank(m):
-    """Exact rank of a SparseMatrix over its field."""
-    return m.rank()
-
-
-def kernel_dim(m):
-    """dim ker = columns - rank."""
-    return m.kernel_dim()
 
 
 def homology_dim(d_in, d_out):

@@ -26,7 +26,7 @@ across, project back) and compares.
 
 from itertools import combinations, permutations
 
-from .kernel import SparseMatrix, add_term, solve_dense, terms_repr
+from .kernel import CheckReport, SparseMatrix, add_term, solve_dense
 from .algebra import (
     POLYNOMIAL, ITERATED_ORE, CYCLIC_GROUP,
     AlgebraElement, basis_up_to, cyclic_group_algebra, parse_element,
@@ -49,7 +49,7 @@ __all__ = [
     "ResolutionBundle", "sort_wedge",
     "bar", "poly_koszul", "ore_koszul", "one_sided_koszul_kx",
     "cyclic_periodic",
-    "lift_twist", "LiftReport", "check_lift_chain_map", "check_lift_compat",
+    "lift_twist", "check_lift_chain_map", "check_lift_compat",
     "sigma_delta_chain_maps", "OreDerivationMaps",
     "reduce_bar_element", "wedge_to_bar", "crosscheck_koszul_lift",
 ]
@@ -817,35 +817,6 @@ def lift_twist(bundle, t, side="left"):
 # verifying attached lifts
 
 
-class LiftReport:
-    def __init__(self, name, side, degree_bound, field):
-        self.name = name
-        self.side = side
-        self.degree_bound = degree_bound
-        self.field = field
-        self.checked = 0
-        self.violations = []
-
-    @property
-    def passed(self):
-        return not self.violations
-
-    def _record(self, equation, where, lhs, rhs):
-        self.checked += 1
-        if lhs != rhs:
-            self.violations.append({
-                "equation": equation,
-                "where": where,
-                "lhs": terms_repr(self.field, lhs),
-                "rhs": terms_repr(self.field, rhs),
-            })
-
-    def __repr__(self):
-        state = "pass" if self.passed else "FAIL(%d)" % len(self.violations)
-        return "lift-chain-map(%s, %s, deg<=%d): %s on %d squares" % (
-            self.name, self.side, self.degree_bound, state, self.checked)
-
-
 def check_lift_chain_map(bundle, degree_bound):
     """Verify that the attached lifts commute with the differentials on
     every generator label, against all moved monomials of degree at most
@@ -858,7 +829,8 @@ def check_lift_chain_map(bundle, degree_bound):
     f = t.field
     cplx = bundle.complex
     side = bundle.lift_side
-    report = LiftReport(cplx.name, side, degree_bound, f)
+    report = CheckReport("lift-chain-map(%s, %s, deg<=%d)"
+                         % (cplx.name, side, degree_bound), " squares")
     movers = basis_up_to(t.b_spec if side == "left" else t.a_spec,
                          degree_bound)
     for n in range(1, bundle.n_max + 1):
@@ -887,7 +859,8 @@ def check_lift_chain_map(bundle, degree_bound):
                             n, FreeElement(term, {k2: f.one}))
                         for k3, c3 in img.terms.items():
                             add_term(f, rhs, (a2, k3), f.mul(c, c3))
-                report._record("square", (n, lab, mono), lhs, rhs)
+                report.record_equation(f, "square", "where",
+                                       lambda: (n, lab, mono), lhs, rhs)
     term0 = cplx.terms[0]
     for lab in term0.labels:
         genkey = next(iter(term0.generator(lab).terms))
@@ -931,13 +904,14 @@ def check_lift_chain_map(bundle, degree_bound):
                 for bm, bc in img.terms.items():
                     for (a2, b2), c2 in t.monomial_rule(bm, mono).items():
                         add_term(f, rhs, (a2, b2), f.mul(bc, c2))
-            report._record("augmentation", (0, lab, mono), lhs, rhs)
+            report.record_equation(f, "augmentation", "where",
+                                   lambda: (0, lab, mono), lhs, rhs)
     return report
 
 
 def check_lift_compat(bundle, degree_bound):
     """Run the module-compatibility equations on every attached lift;
-    returns {degree: CompatReport}."""
+    returns {degree: CheckReport}."""
     if not bundle.lifts:
         raise ResolutionError("no lifts attached")
     return {n: check_bimodule_compat(cm, degree_bound)
@@ -1090,35 +1064,6 @@ def wedge_to_bar(bar_term, key):
     return FreeElement(bar_term, out)
 
 
-class CrosscheckReport:
-    def __init__(self, name, n_bound, degree_bound, field):
-        self.name = name
-        self.n_bound = n_bound
-        self.degree_bound = degree_bound
-        self.field = field
-        self.checked = 0
-        self.violations = []
-
-    @property
-    def passed(self):
-        return not self.violations
-
-    def _record(self, equation, where, lhs, rhs):
-        self.checked += 1
-        if lhs != rhs:
-            self.violations.append({
-                "equation": equation,
-                "where": where,
-                "lhs": terms_repr(self.field, lhs),
-                "rhs": terms_repr(self.field, rhs),
-            })
-
-    def __repr__(self):
-        state = "pass" if self.passed else "FAIL(%d)" % len(self.violations)
-        return "wedge-vs-bar lift crosscheck(%s, n<=%d, deg<=%d): %s on %d" % (
-            self.name, self.n_bound, self.degree_bound, state, self.checked)
-
-
 def crosscheck_koszul_lift(bundle, n_bound=2, degree_bound=2):
     """Replay the closed-form wedge lift inside the reduced bar complex.
 
@@ -1136,8 +1081,8 @@ def crosscheck_koszul_lift(bundle, n_bound=2, degree_bound=2):
     n_bound = min(n_bound, bundle.n_max)
     barb = bar(alg, n_bound, middle_cutoff=n_bound + degree_bound,
                reduced=True)
-    report = CrosscheckReport(bundle.complex.name, n_bound, degree_bound,
-                              f)
+    report = CheckReport("wedge-vs-bar lift crosscheck(%s, n<=%d, deg<=%d)"
+                         % (bundle.complex.name, n_bound, degree_bound))
     for n in range(n_bound + 1):
         kterm = bundle.complex.terms[n]
         bterm = barb.complex.terms[n]
@@ -1181,5 +1126,7 @@ def crosscheck_koszul_lift(bundle, n_bound=2, degree_bound=2):
                     raise RestrictionError(
                         "bar-side image of %r (moved %r) does not project "
                         "back onto wedges" % (w, b_mono))
-                report._record("agree", (n, w, b_mono), candidate, dict(closed))
+                report.record_equation(f, "agree", "where",
+                                       lambda: (n, w, b_mono), candidate,
+                                       dict(closed))
     return report

@@ -39,8 +39,8 @@ from __future__ import annotations
 import random
 
 from .kernel import (
-    QQ, PrimeField, NonInvertibleError, SparseMatrix, add_term, invert_dense,
-    terms_repr,
+    QQ, CheckReport, PrimeField, NonInvertibleError, SparseMatrix, add_term,
+    invert_dense,
 )
 from .algebra import (
     CYCLIC_GROUP, POLYNOMIAL, TWISTED_PRODUCT,
@@ -99,6 +99,9 @@ class TwistMap:
         return self.a_spec.field
 
     def monomial_rule(self, b_mono, a_mono):
+        """tau on one monomial pair, memoized with zeros dropped and scalars
+        reduced (so a tabulated image that lists a zero term reads the same
+        as one that leaves it out)."""
         key = (b_mono, a_mono)
         hit = self._cache.get(key)
         if hit is not None:
@@ -109,7 +112,9 @@ class TwistMap:
         elif a_mono == self.a_spec.one_monomial():
             out = {(a_mono, b_mono): f.one}
         else:
-            out = self._rule(b_mono, a_mono)
+            out = {}
+            for pair, v in self._rule(b_mono, a_mono).items():
+                add_term(f, out, pair, v)
         self._cache[key] = out
         return out
 
@@ -371,26 +376,6 @@ def _pure_product(t, a_l, b_l, a_r, b_r):
     return out
 
 
-class HexagonReport:
-    def __init__(self, name, degree_bound, sample_count, seed):
-        self.name = name
-        self.degree_bound = degree_bound
-        self.sample_count = sample_count
-        self.seed = seed
-        self.checked = 0
-        self.violations = []
-
-    @property
-    def passed(self):
-        return not self.violations
-
-    def __repr__(self):
-        state = "pass" if self.passed else "FAIL(%d)" % len(self.violations)
-        return ("hexagon(%s, deg<=%d, %d samples): %s on %d tuples"
-                % (self.name, self.degree_bound, self.sample_count, state,
-                   self.checked))
-
-
 def _format_pairs(t, pairs):
     if not pairs:
         return "0"
@@ -411,23 +396,22 @@ def check_hexagon(t, degree_bound, sample_count=0, seed=0):
     products that ``hexagon_sides`` reads lasts for this one call."""
     if degree_bound < 1:
         raise TwistError("degree_bound must be >= 1")
-    report = HexagonReport(t.name, degree_bound, sample_count, seed)
+    report = CheckReport("hexagon(%s, deg<=%d, %d samples)"
+                         % (t.name, degree_bound, sample_count), " tuples")
     bs = basis_up_to(t.b_spec, degree_bound)
     as_ = basis_up_to(t.a_spec, degree_bound)
     products = {}
 
     def run(b, b2, a, a2):
         lhs, rhs = hexagon_sides(t, b, b2, a, a2, products)
-        report.checked += 1
-        if lhs != rhs:
-            report.violations.append({
-                "b": t.b_spec.format_monomial(b),
-                "b_prime": t.b_spec.format_monomial(b2),
-                "a": t.a_spec.format_monomial(a),
-                "a_prime": t.a_spec.format_monomial(a2),
-                "lhs": _format_pairs(t, lhs),
-                "rhs": _format_pairs(t, rhs),
-            })
+        report.record(lhs == rhs, lambda: {
+            "b": t.b_spec.format_monomial(b),
+            "b_prime": t.b_spec.format_monomial(b2),
+            "a": t.a_spec.format_monomial(a),
+            "a_prime": t.a_spec.format_monomial(a2),
+            "lhs": _format_pairs(t, lhs),
+            "rhs": _format_pairs(t, rhs),
+        })
 
     for b in bs:
         for b2 in bs:
@@ -680,37 +664,6 @@ def transposition_compat(t, module, kind=ONE_SIDED):
     return CompatMap(kind, t, module, rule, name="transposition")
 
 
-class CompatReport:
-    def __init__(self, name, kind, degree_bound, field):
-        self.name = name
-        self.kind = kind
-        self.degree_bound = degree_bound
-        self.field = field
-        self.checked = 0
-        self.violations = []
-
-    @property
-    def passed(self):
-        return not self.violations
-
-    def __repr__(self):
-        state = "pass" if self.passed else "FAIL(%d)" % len(self.violations)
-        return ("compat(%s, %s, deg<=%d): %s on %d tuples"
-                % (self.name, self.kind, self.degree_bound, state, self.checked))
-
-
-def _record(report, equation, inputs, lhs, rhs):
-    """Count one checked tuple; ``inputs()`` formats it on a violation."""
-    report.checked += 1
-    if lhs != rhs:
-        report.violations.append({
-            "equation": equation,
-            "inputs": inputs(),
-            "lhs": terms_repr(report.field, lhs),
-            "rhs": terms_repr(report.field, rhs),
-        })
-
-
 def _image_of(f, vec, image):
     """The sum of v * image(k) over a sparse vector k -> v.  A single key
     with coefficient one gives the memoized image itself, to be read only."""
@@ -749,7 +702,8 @@ def check_bimodule_compat(c, degree_bound):
     t = c.twist
     f = t.field
     mod = c.module
-    report = CompatReport(c.name, c.kind, degree_bound, f)
+    report = CheckReport("compat(%s, %s, deg<=%d)"
+                         % (c.name, c.kind, degree_bound), " tuples")
     mkeys = mod.basis(degree_bound)
     acting = t.a_spec if c.kind in (LEFT_BIMODULE, ONE_SIDED) else t.b_spec
     acts = {}
@@ -772,8 +726,9 @@ def check_bimodule_compat(c, degree_bound):
         as_ = basis_up_to(t.a_spec, degree_bound)
         for m in mkeys:
             lhs = c.pair_rule(t.b_spec.one_monomial(), m)
-            _record(report, "unit", lambda: (mod.format_key(m),), lhs,
-                    {(m, t.b_spec.one_monomial()): f.one})
+            report.record_equation(f, "unit", "inputs",
+                                   lambda: (mod.format_key(m),), lhs,
+                                   {(m, t.b_spec.one_monomial()): f.one})
         # multiplication side
         for b in bs:
             for b2 in bs:
@@ -786,10 +741,11 @@ def check_bimodule_compat(c, degree_bound):
                             w = f.mul(c1, c2)
                             for bm, bc in t.b_spec.mono_mul(b2b, b1).items():
                                 add_term(f, rhs, (m2, bm), f.mul(w, bc))
-                    _record(report, "product-side",
-                            lambda: (t.b_spec.format_monomial(b),
-                                     t.b_spec.format_monomial(b2),
-                                     mod.format_key(m)), lhs, rhs)
+                    report.record_equation(
+                        f, "product-side", "inputs",
+                        lambda: (t.b_spec.format_monomial(b),
+                                 t.b_spec.format_monomial(b2),
+                                 mod.format_key(m)), lhs, rhs)
         # module side; one-sided modules have no a' (a2 None)
         rights = as_ if c.kind == LEFT_BIMODULE else [None]
         for b in bs:
@@ -812,13 +768,14 @@ def check_bimodule_compat(c, degree_bound):
                                 for k, kc in act(a1, m1, a3).items():
                                     add_term(f, rhs, (k, b3),
                                              f.mul(w3, kc))
-                        _record(report, "module-side",
-                                lambda: (t.b_spec.format_monomial(b),
-                                         t.a_spec.format_monomial(a),
-                                         mod.format_key(m),
-                                         "" if a2 is None
-                                         else t.a_spec.format_monomial(a2)),
-                                lhs, rhs)
+                        report.record_equation(
+                            f, "module-side", "inputs",
+                            lambda: (t.b_spec.format_monomial(b),
+                                     t.a_spec.format_monomial(a),
+                                     mod.format_key(m),
+                                     "" if a2 is None
+                                     else t.a_spec.format_monomial(a2)),
+                            lhs, rhs)
         return report
 
     # right-of-bimodule: N over B, rule (key, a_mono) -> (a', key')
@@ -826,8 +783,9 @@ def check_bimodule_compat(c, degree_bound):
     bs = basis_up_to(t.b_spec, degree_bound)
     for m in mkeys:
         lhs = c.pair_rule(m, t.a_spec.one_monomial())
-        _record(report, "unit", lambda: (mod.format_key(m),), lhs,
-                {(t.a_spec.one_monomial(), m): f.one})
+        report.record_equation(f, "unit", "inputs",
+                               lambda: (mod.format_key(m),), lhs,
+                               {(t.a_spec.one_monomial(), m): f.one})
     # multiplication side
     for m in mkeys:
         for a in as_:
@@ -840,10 +798,11 @@ def check_bimodule_compat(c, degree_bound):
                         w = f.mul(c1, c2)
                         for am, ac in t.a_spec.mono_mul(a1, a2b).items():
                             add_term(f, rhs, (am, m2), f.mul(w, ac))
-                _record(report, "product-side",
-                        lambda: (mod.format_key(m),
-                                 t.a_spec.format_monomial(a),
-                                 t.a_spec.format_monomial(a2)), lhs, rhs)
+                report.record_equation(
+                    f, "product-side", "inputs",
+                    lambda: (mod.format_key(m),
+                             t.a_spec.format_monomial(a),
+                             t.a_spec.format_monomial(a2)), lhs, rhs)
     # module side: tau_mod((b n b') (x) a); moved[a1] is (a3, key) -> scalar
     for b in bs:
         for m in mkeys:
@@ -868,11 +827,12 @@ def check_bimodule_compat(c, degree_bound):
                             w = f.mul(c1, v)
                             for k2, kc in act(None, k, b1).items():
                                 add_term(f, rhs, (a3, k2), f.mul(w, kc))
-                    _record(report, "module-side",
-                            lambda: (t.b_spec.format_monomial(b),
-                                     mod.format_key(m),
-                                     t.b_spec.format_monomial(b2),
-                                     t.a_spec.format_monomial(a)), lhs, rhs)
+                    report.record_equation(
+                        f, "module-side", "inputs",
+                        lambda: (t.b_spec.format_monomial(b),
+                                 mod.format_key(m),
+                                 t.b_spec.format_monomial(b2),
+                                 t.a_spec.format_monomial(a)), lhs, rhs)
     return report
 
 

@@ -47,7 +47,7 @@ from .complex import (
     FreeElement,
     FreeModuleTerm,
 )
-from .kernel import SparseMatrix, add_term, solve_dense
+from .kernel import CheckReport, SparseMatrix, add_term, solve_dense
 from .resolutions import (
     ONE_SIDED_KOSZUL,
     RESOLVES_ALGEBRA,
@@ -106,31 +106,14 @@ def _require_lift(bundle, t, side, role):
             "the %s factor is missing lifts in degrees %r" % (role, missing))
 
 
-class GridReport:
-    """Outcome of a per-label grid check (anticommutation and friends)."""
-
-    def __init__(self, name):
-        self.name = name
-        self.checked = 0
-        self.failures = []
-
-    def record(self, tag, ok):
-        self.checked += 1
-        if not ok:
-            self.failures.append(tag)
-
-    @property
-    def passed(self):
-        return not self.failures
+class GridReport(CheckReport):
+    """Outcome of a per-label grid check (anticommutation, the twisted
+    action, presentation roundtrips), printed in its own form."""
 
     def __repr__(self):
-        verdict = "ok" if self.passed else "FAILED(%d)" % len(self.failures)
-        return "<GridReport %s: %d checked, %s>" % (self.name, self.checked, verdict)
-
-
-class ActionReport(GridReport):
-    """Outcome of sampling whether the twisted action commutes with the
-    differential and the augmentation."""
+        verdict = "ok" if self.passed else "FAILED(%d)" % len(self.violations)
+        return "<GridReport %s: %d checked, %s>" % (self.title, self.checked,
+                                                    verdict)
 
 
 class KunnethReport:
@@ -299,7 +282,7 @@ class TwistedBicomplex:
                     continue
                 hv = self._apply_part(n - 1, self.vertical_image(lab), "h")
                 vh = self._apply_part(n - 1, self.horizontal_image(lab), "v")
-                rep.record((n, lab), not (hv + vh).terms)
+                rep.record(not (hv + vh).terms, lambda: (n, lab))
         return rep
 
     # -- assembly -------------------------------------------------------
@@ -463,7 +446,7 @@ class TotalComplex:
     def action_commutes_report(self, degree_bound=3, samples=20, seed=0):
         """Sample (algebra element, chain element) pairs and check that the
         twisted action commutes with the differential and augmentation."""
-        rep = ActionReport("action(%s)" % (self.complex.name,))
+        rep = GridReport("action(%s)" % (self.complex.name,))
         f = self.bicomplex.field
         rng = random.Random(seed)
         monos = basis_up_to(self.product, degree_bound)
@@ -492,27 +475,31 @@ class TotalComplex:
                 if n:
                     lhs = self.complex.apply_differential(n, self.act_left(u, e))
                     rhs = self.act_left(u, self.complex.apply_differential(n, e))
-                    rep.record((n, "left", trial), lhs.terms == rhs.terms)
+                    rep.record(lhs.terms == rhs.terms,
+                               lambda: (n, "left", trial))
                     if self.bimodule:
                         lhs = self.complex.apply_differential(
                             n, self.act_right(e, u))
                         rhs = self.act_right(
                             self.complex.apply_differential(n, e), u)
-                        rep.record((n, "right", trial), lhs.terms == rhs.terms)
+                        rep.record(lhs.terms == rhs.terms,
+                                   lambda: (n, "right", trial))
                 else:
                     lhs = self.complex.apply_augmentation(self.act_left(u, e))
                     rhs = self._resolved_left(
                         u, self.complex.apply_augmentation(e))
                     if self.bimodule:
-                        rep.record((0, "left", trial), lhs.terms == rhs.terms)
+                        rep.record(lhs.terms == rhs.terms,
+                                   lambda: (0, "left", trial))
                         lhs = self.complex.apply_augmentation(
                             self.act_right(e, u))
                         rhs = self._resolved_right(
                             self.complex.apply_augmentation(e), u)
-                        rep.record((0, "right", trial), lhs.terms == rhs.terms)
+                        rep.record(lhs.terms == rhs.terms,
+                                   lambda: (0, "right", trial))
                     else:
-                        rep.record((0, "left", trial),
-                                   f.is_zero(f.sub(lhs, rhs)))
+                        rep.record(f.is_zero(f.sub(lhs, rhs)),
+                                   lambda: (0, "left", trial))
         return rep
 
     def anticommute_report(self):
@@ -727,64 +714,45 @@ def transport_complex(cplx, target, mono_map, label_map, name=None):
         name=name or "%s / transported" % (cplx.name,))
 
 
-class MatchReport:
-    """Label-by-label comparison of two complexes."""
-
-    def __init__(self, name):
-        self.name = name
-        self.mismatches = []
-
-    @property
-    def passed(self):
-        return not self.mismatches
-
-    def __repr__(self):
-        verdict = "ok" if self.passed else "FAILED(%d)" % len(self.mismatches)
-        return "<MatchReport %s: %s>" % (self.name, verdict)
-
-
 def complexes_match(c1, c2, check_augmentation=True):
     """Symbolic equality of two complexes: same labels per stage (as
     sets), same internal degrees, identical differential tables, and --
     optionally -- identical augmentations.  Coefficient monomials are
     compared raw, so the two algebras need matching monomial encodings
     but not object identity."""
-    rep = MatchReport("%s == %s" % (c1.name, c2.name))
-    if len(c1.terms) != len(c2.terms):
-        rep.mismatches.append(("stages", len(c1.terms), len(c2.terms)))
+    rep = CheckReport("complexes_match(%s == %s)" % (c1.name, c2.name),
+                      " comparisons")
+    rep.record(len(c1.terms) == len(c2.terms),
+               lambda: ("stages", len(c1.terms), len(c2.terms)))
+    if not rep.passed:
         return rep
     for n, (t1, t2) in enumerate(zip(c1.terms, c2.terms)):
-        if sorted(t1.labels) != sorted(t2.labels):
-            rep.mismatches.append(("labels", n, t1.labels, t2.labels))
+        same = sorted(t1.labels) == sorted(t2.labels)
+        rep.record(same, lambda: ("labels", n, t1.labels, t2.labels))
+        if not same:
             continue
         for lab in t1.labels:
-            if t1.internal_degree[lab] != t2.internal_degree[lab]:
-                rep.mismatches.append(
-                    ("degree", n, lab, t1.internal_degree[lab],
-                     t2.internal_degree[lab]))
-    if rep.mismatches:
+            g1, g2 = t1.internal_degree[lab], t2.internal_degree[lab]
+            rep.record(g1 == g2, lambda: ("degree", n, lab, g1, g2))
+    if not rep.passed:
         return rep
     for n in range(1, len(c1.terms)):
         d1, d2 = c1.differentials[n], c2.differentials[n]
         for lab in c1.terms[n].labels:
             i1 = d1[lab].terms
             i2 = d2[lab].terms
-            if i1 != i2:
-                rep.mismatches.append(("differential", n, lab, i1, i2))
+            rep.record(i1 == i2, lambda: ("differential", n, lab, i1, i2))
     if check_augmentation:
         a1, a2 = c1.augmentation, c2.augmentation
-        if (a1 is None) != (a2 is None) or c1.aug_kind != c2.aug_kind:
-            rep.mismatches.append(("augmentation-kind", c1.aug_kind,
-                                   c2.aug_kind))
-        elif a1 is not None:
+        same = (a1 is None) == (a2 is None) and c1.aug_kind == c2.aug_kind
+        rep.record(same, lambda: ("augmentation-kind", c1.aug_kind,
+                                  c2.aug_kind))
+        if same and a1 is not None:
             for lab in c1.terms[0].labels:
                 v1, v2 = a1[lab], a2[lab]
                 if c1.aug_kind == "algebra":
-                    if v1.terms != v2.terms:
-                        rep.mismatches.append(("augmentation", lab,
-                                               v1.terms, v2.terms))
-                elif v1 != v2:
-                    rep.mismatches.append(("augmentation", lab, v1, v2))
+                    v1, v2 = v1.terms, v2.terms
+                rep.record(v1 == v2, lambda: ("augmentation", lab, v1, v2))
     return rep
 
 
@@ -816,11 +784,6 @@ def kunneth_degree0_check(tc, tr):
 
 # ---------------------------------------------------------------------------
 # one-variable extensions
-
-
-class RoundtripReport(GridReport):
-    """Outcome of checking that the two presentation maps invert each
-    other on basis keys."""
 
 
 class OreFreeForm:
@@ -927,17 +890,19 @@ class OreFreeForm:
     def roundtrip_report(self, degree_bound=2):
         """Both composites are the identity on basis keys up to the given
         coefficient degree."""
-        rep = RoundtripReport("free-form roundtrip(%s)" % (self.skew.name,))
+        rep = GridReport("free-form roundtrip(%s)" % (self.skew.name,))
         f = self._f
         for n in range(len(self.terms)):
             for key in self.terms[n].basis(degree_bound):
                 e = FreeElement(self.terms[n], {key: f.one})
                 back = self.from_total(n, self.to_total(n, e))
-                rep.record((n, "over-extension", key), back.terms == e.terms)
+                rep.record(back.terms == e.terms,
+                           lambda: (n, "over-extension", key))
             for key in self.total.complex.terms[n].basis(degree_bound):
                 e = FreeElement(self.total.complex.terms[n], {key: f.one})
                 back = self.to_total(n, self.from_total(n, e))
-                rep.record((n, "over-total", key), back.terms == e.terms)
+                rep.record(back.terms == e.terms,
+                           lambda: (n, "over-total", key))
         return rep
 
 

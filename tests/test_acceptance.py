@@ -127,10 +127,10 @@ def test_criterion_2_square_zero_everywhere():
     with _criterion(2, "d.d = 0 for every complex in the suite", 30):
         for bundle in _suite_resolutions():
             rep = compose_check(bundle.complex)
-            assert rep.passed, (bundle.complex.name, rep.failures[:1])
+            assert rep.passed, (bundle.complex.name, rep.violations[:1])
         for tc in _suite_products():
             rep = compose_check(tc.complex)
-            assert rep.passed, (tc.complex.name, rep.failures[:1])
+            assert rep.passed, (tc.complex.name, rep.violations[:1])
 
 
 def test_criterion_3_windowed_exactness_with_correct_stage_zero():
@@ -163,7 +163,7 @@ def test_criterion_4_flip_product_is_the_merged_wedge_resolution():
         moved = transport_complex(tc.complex, target.algebra, merge_mono,
                                   merge_label)
         rep = complexes_match(moved, target)
-        assert rep.passed, rep.mismatches[:2]
+        assert rep.passed, rep.violations[:2]
 
 
 def test_criterion_5_cohomology_dimension_tables():

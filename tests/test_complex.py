@@ -115,7 +115,7 @@ def test_ground_augmentation_failure_record(field, shown):
     unit = c.terms[0].generator(c.terms[0].labels[0])
     c.differentials[1][lab] = c.differentials[1][lab] + unit.scale(3)
     rep = compose_check(c)
-    assert rep.failures == [(1, lab, "augmentation: %s" % shown)]
+    assert rep.violations == [(1, lab, "augmentation: %s" % shown)]
 
 
 def test_truncate_matrix_shapes_and_grading():

@@ -62,7 +62,7 @@ def test_bar_composes_to_zero():
     for red in (False, True):
         b = bar(kx, 3, middle_cutoff=4, reduced=red)
         rep = compose_check(b.complex)
-        assert rep.passed, rep.failures
+        assert rep.passed, rep.violations
 
 
 def test_bar_group_algebra_reduced_merge():

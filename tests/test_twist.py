@@ -14,16 +14,16 @@ from twistres.algebra import (
     solvable_2dim_algebra, weyl_algebra,
 )
 from twistres.complex import BIMODULE, LEFT_MODULE, FreeModuleTerm
-from twistres.kernel import QQ, PrimeField, add_term
+from twistres.kernel import QQ, CheckReport, PrimeField, add_term
 from twistres.twist import (
     LEFT_BIMODULE, ONE_SIDED, RIGHT_BIMODULE,
-    AlgebraAsBimodule, CompatReport, GroundModule, MissingRuleError,
+    AlgebraAsBimodule, GroundModule, MissingRuleError,
     NonInvertibleTwistError, TwistError, apply_twist, bijective_on_truncation,
     check_bimodule_compat, check_hexagon, custom_twist, flip_twist,
     invert_twist, ore_twist, self_bimodule_compat, self_right_bimodule_compat,
     skew_group_twist, solvable_pair_twist, transposition_compat,
     triangular_action_twist, twisted_multiply, weyl_twist,
-    _mod_act_left, _mod_act_right, _record,
+    _mod_act_left, _mod_act_right,
 )
 
 
@@ -302,6 +302,18 @@ def test_bijectivity_rank_check():
     assert not bijective_on_truncation(bad, 2)
 
 
+def test_tabulated_zero_term_is_dropped():
+    # the Weyl rule plus a zero term on a pair outside the truncation:
+    # the same twist, so the truncation stays bijective and invertible
+    t = weyl_twist().with_overrides({((1,), (1,)): {
+        ((1,), (1,)): 1, ((0,), (0,)): -1, ((3,), (3,)): 0}})
+    assert t.monomial_rule((1,), (1,)) == {((1,), (1,)): 1, ((0,), (0,)): -1}
+    assert bijective_on_truncation(t, 2)
+    inv = invert_twist(t, 2)
+    assert (inv.monomial_rule((1,), (1,))
+            == invert_twist(weyl_twist(), 2).monomial_rule((1,), (1,)))
+
+
 def test_custom_twist_missing_entry():
     a = polynomial_algebra(("x",))
     b = polynomial_algebra(("y",))
@@ -407,7 +419,8 @@ def reference_check_bimodule_compat(c, degree_bound):
     t = c.twist
     f = t.field
     mod = c.module
-    report = CompatReport(c.name, c.kind, degree_bound, f)
+    report = CheckReport("compat(%s, %s, deg<=%d)"
+                         % (c.name, c.kind, degree_bound), " tuples")
     mkeys = mod.basis(degree_bound)
     acting = t.a_spec if c.kind in (LEFT_BIMODULE, ONE_SIDED) else t.b_spec
     acts = {}
@@ -430,8 +443,9 @@ def reference_check_bimodule_compat(c, degree_bound):
         as_ = basis_up_to(t.a_spec, degree_bound)
         for m in mkeys:
             lhs = c.pair_rule(t.b_spec.one_monomial(), m)
-            _record(report, "unit", lambda: (mod.format_key(m),), lhs,
-                    {(m, t.b_spec.one_monomial()): f.one})
+            report.record_equation(f, "unit", "inputs",
+                                   lambda: (mod.format_key(m),), lhs,
+                                   {(m, t.b_spec.one_monomial()): f.one})
         # multiplication side
         for b in bs:
             for b2 in bs:
@@ -446,10 +460,11 @@ def reference_check_bimodule_compat(c, degree_bound):
                             w = f.mul(c1, c2)
                             for bm, bc in t.b_spec.mono_mul(b2b, b1).items():
                                 add_term(f, rhs, (m2, bm), f.mul(w, bc))
-                    _record(report, "product-side",
-                            lambda: (t.b_spec.format_monomial(b),
-                                     t.b_spec.format_monomial(b2),
-                                     mod.format_key(m)), lhs, rhs)
+                    report.record_equation(
+                        f, "product-side", "inputs",
+                        lambda: (t.b_spec.format_monomial(b),
+                                 t.b_spec.format_monomial(b2),
+                                 mod.format_key(m)), lhs, rhs)
         # module side; one-sided modules have no a' (a2 None)
         rights = as_ if c.kind == LEFT_BIMODULE else [None]
         for b in bs:
@@ -469,13 +484,14 @@ def reference_check_bimodule_compat(c, degree_bound):
                                     for k, kc in act(a1, m1, a3).items():
                                         add_term(f, rhs, (k, b3),
                                                  f.mul(w3, kc))
-                        _record(report, "module-side",
-                                lambda: (t.b_spec.format_monomial(b),
-                                         t.a_spec.format_monomial(a),
-                                         mod.format_key(m),
-                                         "" if a2 is None
-                                         else t.a_spec.format_monomial(a2)),
-                                lhs, rhs)
+                        report.record_equation(
+                            f, "module-side", "inputs",
+                            lambda: (t.b_spec.format_monomial(b),
+                                     t.a_spec.format_monomial(a),
+                                     mod.format_key(m),
+                                     "" if a2 is None
+                                     else t.a_spec.format_monomial(a2)),
+                            lhs, rhs)
         return report
 
     # right-of-bimodule: N over B, rule (key, a_mono) -> (a', key')
@@ -483,8 +499,9 @@ def reference_check_bimodule_compat(c, degree_bound):
     bs = basis_up_to(t.b_spec, degree_bound)
     for m in mkeys:
         lhs = c.pair_rule(m, t.a_spec.one_monomial())
-        _record(report, "unit", lambda: (mod.format_key(m),), lhs,
-                {(t.a_spec.one_monomial(), m): f.one})
+        report.record_equation(f, "unit", "inputs",
+                               lambda: (mod.format_key(m),), lhs,
+                               {(t.a_spec.one_monomial(), m): f.one})
     # multiplication side
     for m in mkeys:
         for a in as_:
@@ -499,10 +516,11 @@ def reference_check_bimodule_compat(c, degree_bound):
                         w = f.mul(c1, c2)
                         for am, ac in t.a_spec.mono_mul(a1, a2b).items():
                             add_term(f, rhs, (am, m2), f.mul(w, ac))
-                _record(report, "product-side",
-                        lambda: (mod.format_key(m),
-                                 t.a_spec.format_monomial(a),
-                                 t.a_spec.format_monomial(a2)), lhs, rhs)
+                report.record_equation(
+                    f, "product-side", "inputs",
+                    lambda: (mod.format_key(m),
+                             t.a_spec.format_monomial(a),
+                             t.a_spec.format_monomial(a2)), lhs, rhs)
     # module side: tau_mod((b n b') (x) a)
     for b in bs:
         for m in mkeys:
@@ -518,11 +536,12 @@ def reference_check_bimodule_compat(c, degree_bound):
                                 w3 = f.mul(w, c3)
                                 for k, kc in act(b3, m2, b1).items():
                                     add_term(f, rhs, (a3, k), f.mul(w3, kc))
-                    _record(report, "module-side",
-                            lambda: (t.b_spec.format_monomial(b),
-                                     mod.format_key(m),
-                                     t.b_spec.format_monomial(b2),
-                                     t.a_spec.format_monomial(a)), lhs, rhs)
+                    report.record_equation(
+                        f, "module-side", "inputs",
+                        lambda: (t.b_spec.format_monomial(b),
+                                 mod.format_key(m),
+                                 t.b_spec.format_monomial(b2),
+                                 t.a_spec.format_monomial(a)), lhs, rhs)
     return report
 
 

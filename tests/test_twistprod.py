@@ -137,7 +137,7 @@ def test_flip_product_matches_two_variable_koszul():
     kxy = polynomial_algebra(("x", "y"), name="k[x,y]")
     moved = transport_complex(tc.complex, kxy, _merge_mono, _merge_label(1))
     rep = complexes_match(moved, poly_koszul(kxy).complex)
-    assert rep.passed, rep.mismatches
+    assert rep.passed, rep.violations
 
 
 def test_flip_product_composes_and_is_exact():
@@ -166,13 +166,13 @@ def test_weyl_product_matches_pbw_wedge_resolution():
     target = weyl_algebra()
     moved = transport_complex(tc.complex, target, _merge_mono, _merge_label(1))
     rep = complexes_match(moved, ore_koszul(target).complex)
-    assert rep.passed, rep.mismatches
+    assert rep.passed, rep.violations
 
 
 def test_weyl_action_commutes_with_differential():
     tc = koszul_pair_product(weyl_twist())
     rep = tc.action_commutes_report(degree_bound=3, samples=15, seed=11)
-    assert rep.passed, rep.failures
+    assert rep.passed, rep.violations
     assert rep.checked > 0
 
 
@@ -209,7 +209,7 @@ def test_dropping_vertical_sign_breaks_square_zero():
     rep = compose_check(bad.complex)
     assert not rep.passed
     # the square picks up twice the mixed term; visible away from char 2
-    assert len(rep.failures) == 1
+    assert len(rep.violations) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +252,7 @@ def test_presented_total_against_wrong_sign_table_fails():
     moved = transport_complex(reb.complex, wrong, lambda m: m, lambda l: l)
     rep = compose_check(moved)
     assert not rep.passed
-    assert rep.failures
+    assert rep.violations
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +276,7 @@ def test_skew_product_exact_window():
 def test_skew_action_commutes():
     tc = triangular_skew_product(3, periodic_degree=4)
     rep = tc.action_commutes_report(degree_bound=2, samples=8, seed=7)
-    assert rep.passed, rep.failures
+    assert rep.passed, rep.violations
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +359,7 @@ def test_extension_rebundles_to_pbw_wedge_resolution():
     assert reb.resolved == RESOLVES_GROUND
     oracle = ore_koszul(solvable_2dim_algebra(), bimodule=False)
     rep = complexes_match(reb.complex, oracle.complex)
-    assert rep.passed, rep.mismatches
+    assert rep.passed, rep.violations
     # frozen top differential: commutator correction term included
     top = reb.complex.differentials[2][(0, 1)]
     assert top.terms == {
@@ -391,7 +391,7 @@ def test_extension_zero_derivation_gives_polynomial_stage():
     kzw = polynomial_algebra(("z", "w"), name="k[z,w]")
     rep = complexes_match(tc.ore_form.rebundled.complex,
                           poly_koszul(kzw, bimodule=False).complex)
-    assert rep.passed, rep.mismatches
+    assert rep.passed, rep.violations
 
 
 def test_extension_rejects_constant_commutators():
@@ -421,7 +421,7 @@ def test_tower_heisenberg():
     assert totals[0].ore_form.skew.variant == POLYNOMIAL
     oracle = ore_koszul(heisenberg_algebra(), bimodule=False)
     rep = complexes_match(bundle.complex, oracle.complex)
-    assert rep.passed, rep.mismatches
+    assert rep.passed, rep.violations
     rep = exactness_report(totals[-1].complex, 5)
     assert rep.passed
 
