@@ -438,10 +438,6 @@ def normalize(word, spec):
     return out
 
 
-def multiply(a, b):
-    return a * b
-
-
 def basis_up_to(spec, n):
     """All monomials of filtration degree <= n, deterministically ordered
     (degree, then lexicographic on exponents).  Cyclic group algebras
@@ -595,6 +591,8 @@ def _parse_term(tokens, pos, spec, text):
             num = int(tok)
             pos += 1
             if pos + 1 < len(tokens) and tokens[pos] == "/" and tokens[pos + 1].isdigit():
+                if not int(tokens[pos + 1]):
+                    raise AlgebraError("zero denominator in %r" % (text,))
                 coeff *= Fraction(num, int(tokens[pos + 1]))
                 pos += 2
             else:
@@ -613,4 +611,8 @@ def _parse_term(tokens, pos, spec, text):
         expect_factor = False
     if out is None:
         out = spec.one()
-    return out.scale(coeff), pos
+    try:
+        return out.scale(coeff), pos
+    except ZeroDivisionError:
+        raise AlgebraError("coefficient %s of %r is not in the field"
+                           % (coeff, text)) from None

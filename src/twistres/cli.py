@@ -150,9 +150,9 @@ class _Marks:
         return ConfigError(message, line, column)
 
 
-def parse_config(text):
-    """Parse and validate a problem file; raise ConfigError with the
-    source line and column on rejection."""
+def _load_problem(text):
+    """YAML text -> (plain data, source marks); raise ConfigError with the
+    source line and column unless it is a mapping (or empty)."""
     try:
         node = yaml.compose(text, Loader=yaml.SafeLoader)
     except yaml.MarkedYAMLError as exc:
@@ -162,12 +162,17 @@ def parse_config(text):
         raise ConfigError(exc.problem or str(exc), line, column) from None
     marks = {}
     if node is None:
-        data = {}
-    else:
-        data = _plain_data(node, (), marks, SafeConstructor())
-        if not isinstance(data, dict):
-            raise ConfigError("the problem file must be a mapping", 1, 1)
-    return config_from_data(data, marks)
+        return {}, marks
+    data = _plain_data(node, (), marks, SafeConstructor())
+    if not isinstance(data, dict):
+        raise ConfigError("the problem file must be a mapping", 1, 1)
+    return data, marks
+
+
+def parse_config(text):
+    """Parse and validate a problem file; raise ConfigError with the
+    source line and column on rejection."""
+    return config_from_data(*_load_problem(text))
 
 
 class _ProductEntry:
@@ -1029,8 +1034,7 @@ def main(argv=None):
     if not args.input and not args.task:
         parser.error("give --input PATH and/or --task NAME")
 
-    data = {}
-    marks = {}
+    data, marks = {}, {}
     if args.input:
         try:
             with open(args.input, encoding="utf-8") as handle:
@@ -1039,16 +1043,7 @@ def main(argv=None):
             print("twistres: %s" % exc, file=sys.stderr)
             return 2
         try:
-            node = yaml.compose(text, Loader=yaml.SafeLoader)
-            if node is not None:
-                data = _plain_data(node, (), marks, SafeConstructor())
-        except yaml.MarkedYAMLError as exc:
-            mark = exc.problem_mark or exc.context_mark
-            print("twistres: %s: line %s, column %s: %s"
-                  % (args.input, mark.line + 1 if mark else "?",
-                     mark.column + 1 if mark else "?",
-                     exc.problem or exc), file=sys.stderr)
-            return 2
+            data, marks = _load_problem(text)
         except ConfigError as exc:
             print("twistres: %s: %s" % (args.input, exc), file=sys.stderr)
             return 2

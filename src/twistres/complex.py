@@ -2,9 +2,11 @@
 
 A ``FreeModuleTerm`` is A (x) span(labels) (x) A (bimodule side) or
 A (x) span(labels) (left-module side); elements are sparse sums of
-(left monomial, label, right monomial) keys.  A ``ChainComplexSpec``
-stores one term per homological degree, differentials given on labels,
-and an optional augmentation treated as the (-1)-degree map.
+(left monomial, label, right monomial) keys, acted on key by key through
+``FreeModuleTerm.act``.  A ``ChainComplexSpec`` stores one term per
+homological degree, differentials given on labels (applied by
+``apply_label_images``), and an optional augmentation treated as the
+(-1)-degree map.
 
 Everything quantitative happens after ``truncate``: keys of total
 filtration degree <= N, enumerated in a fixed deterministic order,
@@ -116,6 +118,27 @@ class FreeModuleTerm:
                         degrees.append(inner + t)
         return keys, degrees
 
+    def act(self, l, key, r):
+        """l·key·r on one basis key, for monomials l, r of the algebra
+        (None: no factor on that side), as a dict key -> scalar."""
+        a = self.algebra
+        f = a.field
+        if self.side == BIMODULE:
+            kl, lab, kr = key
+            rights = {kr: f.one} if r is None else a.mono_mul(kr, r)
+        elif r is not None:
+            raise ComplexError("right action on a one-sided term")
+        else:
+            (kl, lab), rights = key, None
+        out = {}
+        for m, c in ({kl: f.one} if l is None else a.mono_mul(l, kl)).items():
+            if rights is None:
+                add_term(f, out, (m, lab), c)
+                continue
+            for m2, c2 in rights.items():
+                add_term(f, out, (m, lab, m2), f.mul(c, c2))
+        return out
+
     def format_key(self, key):
         a = self.algebra
         if self.side == BIMODULE:
@@ -163,33 +186,27 @@ class FreeElement:
             return FreeElement(self.term, {})
         return FreeElement(self.term, {k: f.mul(s, c) for k, c in self.terms.items()})
 
-    def left_mul(self, a_elem):
-        """a . element: multiplies the left coefficients."""
-        alg = self.term.algebra
-        f = alg.field
+    def act(self, l, r):
+        """l·element·r for monomials l, r of the algebra (None: no factor
+        on that side): ``term.act`` extended over the keys."""
+        f = self.term.algebra.field
         out = {}
         for k, c in self.terms.items():
-            l = k[0]
-            rest = k[1:]
-            for am, ac in a_elem.terms.items():
-                w = f.mul(ac, c)
-                for m, mc in alg.mono_mul(am, l).items():
-                    add_term(f, out, (m,) + rest, f.mul(w, mc))
+            for k2, c2 in self.term.act(l, k, r).items():
+                add_term(f, out, k2, f.mul(c, c2))
         return FreeElement(self.term, out)
+
+    def left_mul(self, a_elem):
+        """a . element: multiplies the left coefficients."""
+        return sum((self.act(m, None).scale(c)
+                    for m, c in a_elem.terms.items()), self.term.zero())
 
     def right_mul(self, a_elem):
         """element . a: multiplies the right coefficients (bimodule side)."""
         if self.term.side != BIMODULE:
             raise ComplexError("right action on a one-sided term")
-        alg = self.term.algebra
-        f = alg.field
-        out = {}
-        for (l, lab, r), c in self.terms.items():
-            for am, ac in a_elem.terms.items():
-                w = f.mul(c, ac)
-                for m, mc in alg.mono_mul(r, am).items():
-                    add_term(f, out, (l, lab, m), f.mul(w, mc))
-        return FreeElement(self.term, out)
+        return sum((self.act(None, m).scale(c)
+                    for m, c in a_elem.terms.items()), self.term.zero())
 
     def map_labels(self, target_term, label_map):
         """Transport along a relabeling (for comparisons between complexes)."""
@@ -239,29 +256,9 @@ class ChainComplexSpec:
         return len(self.terms) - 1
 
     def apply_differential(self, n, elem):
-        """d_n applied to an element of term n: each key l⊗[lab]⊗r (or
-        l⊗[lab]) goes to l·d(lab)·r, summed into one dict."""
-        f = self.algebra.field
-        mul = self.algebra.mono_mul
-        diff = self.differentials[n]
-        out = {}
-        if self.terms[n].side == BIMODULE:
-            for (l, lab, r), c in elem.terms.items():
-                for (l2, lab2, r2), c2 in diff[lab].terms.items():
-                    w = f.mul(c, c2)
-                    rights = mul(r2, r)
-                    for m, cm in mul(l, l2).items():
-                        wm = f.mul(w, cm)
-                        for m2, cm2 in rights.items():
-                            add_term(f, out, (m, lab2, m2), f.mul(wm, cm2))
-        else:
-            for (l, lab), c in elem.terms.items():
-                for k2, c2 in diff[lab].terms.items():
-                    w = f.mul(c, c2)
-                    rest = k2[1:]
-                    for m, cm in mul(l, k2[0]).items():
-                        add_term(f, out, (m,) + rest, f.mul(w, cm))
-        return FreeElement(self.terms[n - 1], out)
+        """d_n applied to an element of term n."""
+        return apply_label_images(elem, self.differentials[n].__getitem__,
+                                  self.terms[n - 1])
 
     def apply_augmentation(self, elem):
         """The (-1)-degree map on an element of term 0.
@@ -294,6 +291,32 @@ class ChainComplexSpec:
                 scalar = self.augmentation[k[1]]
                 total = f.add(total, f.mul(c, f.coerce(scalar)))
         return total
+
+
+def apply_label_images(elem, image, target):
+    """Each key l⊗[lab]⊗r (or l⊗[lab]) of elem goes to l·image(lab)·r in
+    the term target, summed into one dict.  The truncation's hot path, so
+    the products are read inline rather than through ``act``."""
+    f = elem.term.algebra.field
+    mul = elem.term.algebra.mono_mul
+    out = {}
+    if elem.term.side == BIMODULE:
+        for (l, lab, r), c in elem.terms.items():
+            for (l2, lab2, r2), c2 in image(lab).terms.items():
+                w = f.mul(c, c2)
+                rights = mul(r2, r)
+                for m, cm in mul(l, l2).items():
+                    wm = f.mul(w, cm)
+                    for m2, cm2 in rights.items():
+                        add_term(f, out, (m, lab2, m2), f.mul(wm, cm2))
+    else:
+        for (l, lab), c in elem.terms.items():
+            for k2, c2 in image(lab).terms.items():
+                w = f.mul(c, c2)
+                rest = k2[1:]
+                for m, cm in mul(l, k2[0]).items():
+                    add_term(f, out, (m,) + rest, f.mul(w, cm))
+    return FreeElement(target, out)
 
 
 def compose_check(c):

@@ -33,7 +33,7 @@ from .algebra import (
 )
 from .complex import (
     BIMODULE, LEFT_MODULE, ChainComplexSpec, CutoffError, FreeElement,
-    FreeModuleTerm,
+    FreeModuleTerm, apply_label_images,
 )
 from .twist import (
     FLIP, ORE, SKEW_GROUP,
@@ -308,24 +308,7 @@ def poly_koszul(spec, bimodule=True):
         raise ResolutionError(
             "exterior-generator resolutions of this plain shape need a "
             "commutative polynomial algebra; got %r" % (spec.variant,))
-    side = BIMODULE if bimodule else LEFT_MODULE
-    terms = _wedge_terms(spec, side)
-    diffs = _wedge_differentials(spec, terms, side)
-    if bimodule:
-        aug = {(): spec.one()}
-        kind = "algebra"
-        resolved = RESOLVES_ALGEBRA
-        family = POLY_KOSZUL
-    else:
-        aug = {(): spec.field.one}
-        kind = "ground"
-        resolved = RESOLVES_GROUND
-        family = ONE_SIDED_KOSZUL
-    name = "%s(%s)" % (family, spec.name or spec)
-    cplx = ChainComplexSpec(spec, terms, diffs, augmentation=aug,
-                            aug_kind=kind, complete_above=True, name=name)
-    return ResolutionBundle(cplx, family, resolved,
-                            meta={"gen_count": len(spec.gens)})
+    return _wedge_bundle(spec, bimodule, POLY_KOSZUL)
 
 
 def ore_koszul(spec, bimodule=True):
@@ -354,23 +337,23 @@ def ore_koszul(spec, bimodule=True):
                 raise ResolutionError(
                     "commutator of generators %r has a constant term; the "
                     "ground field carries no module structure" % (pair,))
+    return _wedge_bundle(spec, bimodule, ORE_KOSZUL, delta)
+
+
+def _wedge_bundle(spec, bimodule, family, delta=None):
+    """The wedge resolution of spec, bimodule or one-sided (then resolving
+    the ground field, under the one-sided family tag)."""
     side = BIMODULE if bimodule else LEFT_MODULE
     terms = _wedge_terms(spec, side)
     diffs = _wedge_differentials(spec, terms, side, delta=delta)
     if bimodule:
-        aug = {(): spec.one()}
-        kind = "algebra"
-        resolved = RESOLVES_ALGEBRA
-        family = ORE_KOSZUL
+        aug, kind, resolved = {(): spec.one()}, "algebra", RESOLVES_ALGEBRA
     else:
-        aug = {(): spec.field.one}
-        kind = "ground"
-        resolved = RESOLVES_GROUND
+        aug, kind, resolved = {(): spec.field.one}, "ground", RESOLVES_GROUND
         family = ONE_SIDED_KOSZUL
     name = "%s(%s)" % (family, spec.name or spec)
     cplx = ChainComplexSpec(spec, terms, diffs, augmentation=aug,
-                            aug_kind=kind, complete_above=True,
-                            name=name)
+                            aug_kind=kind, complete_above=True, name=name)
     return ResolutionBundle(cplx, family, resolved,
                             meta={"gen_count": len(spec.gens)})
 
@@ -515,6 +498,19 @@ def _delta_data(t, alg):
     return delta_of_monomial, dbar
 
 
+def _wedge_derivative(f, dbar, w):
+    """Each slot of the wedge w replaced in turn by the linear part of its
+    derivative (dbar: slot -> [(slot', scalar)]), sorted back into a wedge
+    with the permutation sign: a list of (wedge, scalar), slot by slot."""
+    out = []
+    for pos in range(len(w)):
+        for k, c in dbar.get(w[pos], ()):
+            sw = sort_wedge(w[:pos] + (k,) + w[pos + 1:])
+            if sw is not None:
+                out.append((sw[0], c if sw[1] > 0 else f.neg(c)))
+    return out
+
+
 def _koszul_left_rule(t, alg, bimodule, holder):
     """Closed-form lift of an Ore-type twist over a wedge resolution:
     the moved generator passes through untouched, plus correction terms
@@ -540,17 +536,9 @@ def _koszul_left_rule(t, alg, bimodule, holder):
             if bimodule:
                 for dm, dc in delta_of_monomial(r).items():
                     add_term(f, out, ((l, w, dm), zero_b), dc)
-            for pos in range(len(w)):
-                for k, c in dbar.get(w[pos], ()):
-                    slots = list(w)
-                    slots[pos] = k
-                    sw = sort_wedge(slots)
-                    if sw is None:
-                        continue
-                    w2, sgn = sw
-                    val = c if sgn > 0 else f.neg(c)
-                    k2 = (l, w2, r) if bimodule else (l, w2)
-                    add_term(f, out, (k2, zero_b), val)
+            for w2, c in _wedge_derivative(f, dbar, w):
+                k2 = (l, w2, r) if bimodule else (l, w2)
+                add_term(f, out, (k2, zero_b), c)
             return out
         cm = holder["cm"]
         for (k1, b1), c in cm.pair_rule((m - 1,), key).items():
@@ -662,9 +650,7 @@ def _periodic_left_rules(bundle, t):
         dgen = bundle.complex.differentials[n]["e%d" % n]
         x = bterms[n - 1].zero()
         for (l, _lab, r), c in dgen.terms.items():
-            moved = mu[n - 1].left_mul(spec.element({l: f.one}))
-            moved = moved.right_mul(spec.element({r: f.one}))
-            x = x + moved.scale(c)
+            x = x + mu[n - 1].act(l, r).scale(c)
         mu.append(degeneracy(x, n - 1))
 
     solvers = {}
@@ -676,9 +662,7 @@ def _periodic_left_rules(bundle, t):
         cols = []
         for a in range(p):
             for b in range(p):
-                moved = mu[n].left_mul(spec.element({a: f.one}))
-                moved = moved.right_mul(spec.element({b: f.one}))
-                cols.append(((a, b), moved.terms))
+                cols.append(((a, b), mu[n].act(a, b).terms))
         rows = {}
         for _, terms in cols:
             for k in terms:
@@ -699,10 +683,8 @@ def _periodic_left_rules(bundle, t):
 
         def rule(s_mono, key):
             ga, _lab, gb = key
-            x = mu[n].left_mul(spec.element({ga: f.one}))
-            x = x.right_mul(spec.element({gb: f.one}))
             lifted = bar_cms[n].apply(
-                {(s_mono, k): c for k, c in x.terms.items()})
+                {(s_mono, k): c for k, c in mu[n].act(ga, gb).terms.items()})
             groups = {}
             for (bk, s2), c in lifted.items():
                 groups.setdefault(s2, {})[bk] = c
@@ -942,19 +924,14 @@ class OreDerivationMaps:
         return self._label_images[(n, lab)]
 
     def delta(self, n, elem):
-        cplx = self.bundle.complex
-        term = cplx.terms[n]
-        alg = cplx.algebra
-        f = alg.field
-        out = term.zero()
+        term = self.bundle.complex.terms[n]
+        f = term.algebra.field
+        out = {}
         for (l, lab), c in elem.terms.items():
-            der = self._derive(l)
-            if der.terms:
-                base = FreeElement(term, {(alg.one_monomial(), lab): c})
-                out = out + base.left_mul(der)
-            lab_img = self._label_images[(n, lab)].scale(c)
-            out = out + lab_img.left_mul(alg.element({l: f.one}))
-        return out
+            for m, dc in self._derive(l).terms.items():
+                add_term(f, out, (m, lab), f.mul(dc, c))
+        return FreeElement(term, out) + apply_label_images(
+            elem, lambda lab: self._label_images[(n, lab)], term)
 
     def _derive(self, mono):
         return _derive_monomial(self.bundle.algebra, self.images,
@@ -1019,15 +996,8 @@ def sigma_delta_chain_maps(bundle, delta_gens):
         term = cplx.terms[n]
         for w in term.labels:
             img = {}
-            for pos in range(len(w)):
-                for k, c in dbar.get(w[pos], ()):
-                    slots = list(w)
-                    slots[pos] = k
-                    sw = sort_wedge(slots)
-                    if sw is None:
-                        continue
-                    w2, sgn = sw
-                    add_term(f, img, (unit, w2), c if sgn > 0 else f.neg(c))
+            for w2, c in _wedge_derivative(f, dbar, w):
+                add_term(f, img, (unit, w2), c)
             label_images[(n, w)] = FreeElement(term, img)
     maps = OreDerivationMaps(bundle, images, label_images)
     for n in range(1, bundle.n_max + 1):

@@ -28,7 +28,9 @@ Four kinds are provided:
 ``CompatMap`` plays the same role one level up: it moves B- (or A-)
 factors across a module, and ``check_bimodule_compat`` verifies the two
 compatibility equations (multiplication side and module side) that make
-the move consistent with the module structure.
+the move consistent with the module structure.  Every module kind -- a
+free term, ``AlgebraAsBimodule``, ``GroundModule`` -- has the one action
+``act(l, key, r)`` on basis keys, which is all the checker reads.
 
 Memo caches are append-only dicts; recomputation is idempotent, so
 concurrent readers are safe.
@@ -47,7 +49,7 @@ from .algebra import (
     AlgebraSpec, AlgebraElement, SpecMismatchError,
     basis_up_to, cyclic_group_algebra, parse_element, polynomial_algebra,
 )
-from .complex import BIMODULE, LEFT_MODULE, FreeElement, FreeModuleTerm
+from .complex import BIMODULE, LEFT_MODULE, ComplexError
 
 FLIP = "flip"
 ORE = "ore"
@@ -509,26 +511,19 @@ class AlgebraAsBimodule:
     def format_key(self, key):
         return self.algebra.format_monomial(key)
 
-    def act_left(self, a_elem, vec):
+    def act(self, l, key, r):
+        """l·key·r for monomials l, r (None: no factor on that side), as a
+        dict monomial -> scalar."""
         alg = self.algebra
         f = alg.field
+        lefts = {key: f.one} if l is None else alg.mono_mul(l, key)
         out = {}
-        for key, c in vec.items():
-            for am, ac in a_elem.terms.items():
-                w = f.mul(ac, c)
-                for m, mc in alg.mono_mul(am, key).items():
-                    add_term(f, out, m, f.mul(w, mc))
-        return out
-
-    def act_right(self, vec, a_elem):
-        alg = self.algebra
-        f = alg.field
-        out = {}
-        for key, c in vec.items():
-            for am, ac in a_elem.terms.items():
-                w = f.mul(c, ac)
-                for m, mc in alg.mono_mul(key, am).items():
-                    add_term(f, out, m, f.mul(w, mc))
+        for m, c in lefts.items():
+            if r is None:
+                add_term(f, out, m, c)
+                continue
+            for m2, c2 in alg.mono_mul(m, r).items():
+                add_term(f, out, m2, f.mul(c, c2))
         return out
 
 
@@ -551,32 +546,14 @@ class GroundModule:
     def format_key(self, key):
         return "[%s]" % (key,)
 
-    def augment(self, a_elem):
-        f = self.algebra.field
-        total = f.zero
-        for m, c in a_elem.terms.items():
-            if self.algebra.monomial_degree(m) == 0:
-                total = f.add(total, c)
-        return total
-
-    def act_left(self, a_elem, vec):
-        f = self.algebra.field
-        eps = self.augment(a_elem)
-        if f.is_zero(eps):
+    def act(self, l, key, r):
+        """epsilon(l)·key: one for no factor or a degree-zero l, else
+        zero; a left module, so any r raises."""
+        if r is not None:
+            raise ComplexError("right action on a one-sided module")
+        if l is not None and self.algebra.monomial_degree(l):
             return {}
-        return {k: f.mul(eps, c) for k, c in vec.items()}
-
-
-def _mod_act_left(mod, a_elem, vec):
-    if isinstance(mod, FreeModuleTerm):
-        return FreeElement(mod, dict(vec)).left_mul(a_elem).terms
-    return mod.act_left(a_elem, vec)
-
-
-def _mod_act_right(mod, vec, a_elem):
-    if isinstance(mod, FreeModuleTerm):
-        return FreeElement(mod, dict(vec)).right_mul(a_elem).terms
-    return mod.act_right(vec, a_elem)
+        return {key: self.algebra.field.one}
 
 
 # ---------------------------------------------------------------------------
@@ -705,20 +682,13 @@ def check_bimodule_compat(c, degree_bound):
     report = CheckReport("compat(%s, %s, deg<=%d)"
                          % (c.name, c.kind, degree_bound), " tuples")
     mkeys = mod.basis(degree_bound)
-    acting = t.a_spec if c.kind in (LEFT_BIMODULE, ONE_SIDED) else t.b_spec
     acts = {}
 
     def act(l, key, r):
-        """l . key . r for monomials l, r of the acting algebra (l or r
-        None: right or left action only), as a dict key -> scalar."""
+        """mod.act(l, key, r), memoized for this call."""
         hit = acts.get((l, key, r))
         if hit is None:
-            hit = {key: f.one} if l is None else _mod_act_left(
-                mod, AlgebraElement(acting, {l: f.one}), {key: f.one})
-            if r is not None:
-                hit = _mod_act_right(mod, hit,
-                                     AlgebraElement(acting, {r: f.one}))
-            acts[(l, key, r)] = hit
+            hit = acts[(l, key, r)] = mod.act(l, key, r)
         return hit
 
     if c.kind in (LEFT_BIMODULE, ONE_SIDED):

@@ -46,6 +46,7 @@ from .complex import (
     ChainComplexSpec,
     FreeElement,
     FreeModuleTerm,
+    apply_label_images,
 )
 from .kernel import CheckReport, SparseMatrix, add_term, solve_dense
 from .resolutions import (
@@ -255,22 +256,6 @@ class TwistedBicomplex:
         self._v_cache[label] = elem
         return elem
 
-    def _apply_part(self, n, elem, which):
-        """Extend one partial differential bilinearly over coefficients."""
-        out = self.terms[n - 1].zero()
-        for key, c in elem.terms.items():
-            lab = key[1]
-            img = (self.horizontal_image(lab) if which == "h"
-                   else self.vertical_image(lab))
-            piece = img.scale(c)
-            left = AlgebraElement(self.plain, {key[0]: self.field.one})
-            piece = piece.left_mul(left)
-            if self.bimodule:
-                right = AlgebraElement(self.plain, {key[2]: self.field.one})
-                piece = piece.right_mul(right)
-            out = out + piece
-        return out
-
     def anticommute_report(self):
         """Check h(v(gen)) + v(h(gen)) = 0 on every interior block label
         (the content of the (-1)^i vertical sign)."""
@@ -280,8 +265,11 @@ class TwistedBicomplex:
                 i, j = lab[0], lab[1]
                 if i < 1 or j < 1:
                     continue
-                hv = self._apply_part(n - 1, self.vertical_image(lab), "h")
-                vh = self._apply_part(n - 1, self.horizontal_image(lab), "v")
+                tgt = self.terms[n - 2]
+                hv = apply_label_images(self.vertical_image(lab),
+                                        self.horizontal_image, tgt)
+                vh = apply_label_images(self.horizontal_image(lab),
+                                        self.vertical_image, tgt)
                 rep.record(not (hv + vh).terms, lambda: (n, lab))
         return rep
 
@@ -874,10 +862,10 @@ class OreFreeForm:
             wl = v if j == 0 else v + (self._x_index,)
             result = {(r + (0,), wl): f.one}
         else:
-            lower = self._from_key(n, ((r, (m - 1,)), lab))
-            x_elem = self.skew.gen(self.skew.gens[-1])
-            moved = FreeElement(self.terms[n], dict(lower)).left_mul(x_elem)
-            result = dict(moved.terms)
+            lower = FreeElement(self.terms[n],
+                                self._from_key(n, ((r, (m - 1,)), lab)))
+            x_mono, = self.skew.gen(self.skew.gens[-1]).terms
+            result = lower.act(x_mono, None).terms
             pm = self.total.bicomplex.pm
             src = FreeElement(pm.complex.terms[i], {(r, v): f.one})
             for (r2, v2), c2 in self.maps.delta(i, src).terms.items():

@@ -259,7 +259,9 @@ def test_criterion_8_mutations_break_the_checks(monkeypatch):
 
         # a right action that does nothing, read through the compat
         # check's memo of basis-level actions
-        monkeypatch.setattr(twist, "_mod_act_right", lambda mod, vec, a: vec)
+        act = AlgebraAsBimodule.act
+        monkeypatch.setattr(AlgebraAsBimodule, "act",
+                            lambda mod, l, key, r: act(mod, l, key, None))
         rep = check_bimodule_compat(self_bimodule_compat(weyl_twist()), 2)
         assert not rep.passed
 

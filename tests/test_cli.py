@@ -114,6 +114,24 @@ def test_rejects_bad_references_in_blocks():
         parse_config("cutoff: 0\ntasks: []\n")
 
 
+def test_rejects_undefined_coefficients_with_position():
+    poly = "  A: {kind: polynomial, generators: [y]}\n" \
+           "  B: {kind: polynomial, generators: [x]}\n"
+    cases = [
+        ("field: 0\nalgebras:\n  Q:\n    kind: iterated-ore\n"
+         "    generators: [x, y]\n    delta: {y: {x: \"1/0\"}}\n", 6),
+        ("field: 3\nalgebras:\n  Q:\n    kind: iterated-ore\n"
+         "    generators: [x, y]\n    delta: {y: {x: \"1/3\"}}\n", 6),
+        ("field: 0\nalgebras:\n" + poly + "  W:\n    kind: twisted-product\n"
+         "    left: A\n    right: B\n"
+         "    twist: {kind: ore, delta: {y: \"1/0\"}}\n", 9),
+    ]
+    for text, line in cases:
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert info.value.line == line
+
+
 # ---------------------------------------------------------------------------
 # execution
 
@@ -293,6 +311,17 @@ def test_main_reports_parse_errors_on_stderr(tmp_path, capsys):
     assert main(["--input", str(path)]) == 2
     err = capsys.readouterr().err
     assert "line 1" in err and "prime" in err
+
+
+@pytest.mark.parametrize("text", ["- a\n- b\n", "42\n"])
+def test_main_rejects_a_non_mapping_file_under_overrides(tmp_path, capsys,
+                                                        text):
+    path = tmp_path / "list.yaml"
+    path.write_text(text, encoding="utf-8")
+    argv = ["--input", str(path), "--task", "preset:cyclic-p", "--seed", "1"]
+    assert main(argv) == 2
+    assert "line 1, column 1: the problem file must be a mapping" in \
+        capsys.readouterr().err
 
 
 def test_main_requires_input_or_task(capsys):

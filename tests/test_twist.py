@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from twistres import twist
 from twistres.algebra import (
-    AlgebraElement, SpecMismatchError, basis_up_to, cyclic_group_algebra,
-    filtration_degree, multiply, parse_element, polynomial_algebra,
+    SpecMismatchError, basis_up_to, cyclic_group_algebra,
+    filtration_degree, parse_element, polynomial_algebra,
     solvable_2dim_algebra, weyl_algebra,
 )
 from twistres.complex import BIMODULE, LEFT_MODULE, FreeModuleTerm
@@ -23,7 +23,6 @@ from twistres.twist import (
     invert_twist, ore_twist, self_bimodule_compat, self_right_bimodule_compat,
     skew_group_twist, solvable_pair_twist, transposition_compat,
     triangular_action_twist, twisted_multiply, weyl_twist,
-    _mod_act_left, _mod_act_right,
 )
 
 
@@ -212,7 +211,7 @@ def test_ore_twist_matches_ore_normal_form():
     for n in range(5):
         for d in range(5):
             crossed = t.monomial_rule((n,), (d,))
-            direct = multiply(y ** n, x ** d) if n or d else ore.one()
+            direct = y ** n * x ** d if n or d else ore.one()
             got = {(i, j): c for ((i,), (j,)), c in crossed.items()}
             assert got == direct.terms
 
@@ -225,7 +224,7 @@ def test_solvable_twist_matches_ore_normal_form():
     for n in range(5):
         for d in range(5):
             crossed = t.monomial_rule((n,), (d,))
-            direct = multiply(x ** n, y ** d) if n or d else ore.one()
+            direct = x ** n * y ** d if n or d else ore.one()
             got = {(j, i): c for ((j,), (i,)), c in crossed.items()}
             assert got == direct.terms
 
@@ -422,21 +421,7 @@ def reference_check_bimodule_compat(c, degree_bound):
     report = CheckReport("compat(%s, %s, deg<=%d)"
                          % (c.name, c.kind, degree_bound), " tuples")
     mkeys = mod.basis(degree_bound)
-    acting = t.a_spec if c.kind in (LEFT_BIMODULE, ONE_SIDED) else t.b_spec
-    acts = {}
-
-    def act(l, key, r):
-        """l . key . r for monomials l, r of the acting algebra (r None:
-        left action only), as a dict key -> scalar."""
-        hit = acts.get((l, key, r))
-        if hit is None:
-            hit = _mod_act_left(mod, AlgebraElement(acting, {l: f.one}),
-                                {key: f.one})
-            if r is not None:
-                hit = _mod_act_right(mod, hit,
-                                     AlgebraElement(acting, {r: f.one}))
-            acts[(l, key, r)] = hit
-        return hit
+    act = mod.act
 
     if c.kind in (LEFT_BIMODULE, ONE_SIDED):
         bs = basis_up_to(t.b_spec, degree_bound)
@@ -549,14 +534,9 @@ class SignModule(GroundModule):
     """k over a cyclic group algebra of even order, its generator acting
     by -1: odd powers act on the one key with coefficient -1."""
 
-    def act_left(self, a_elem, vec):
+    def act(self, l, key, r):
         f = self.algebra.field
-        chi = f.zero
-        for e, c in a_elem.terms.items():
-            chi = f.add(chi, f.neg(c) if e % 2 else c)
-        if f.is_zero(chi):
-            return {}
-        return {k: f.mul(chi, c) for k, c in vec.items()}
+        return {key: f.neg(f.one) if l is not None and l % 2 else f.one}
 
 
 def _corrupted_weyl(extra=1):
