@@ -153,17 +153,17 @@ class _Marks:
 def _load_problem(text):
     """YAML text -> (plain data, source marks); raise ConfigError with the
     source line and column unless it is a mapping (or empty)."""
+    marks = {}
     try:
         node = yaml.compose(text, Loader=yaml.SafeLoader)
+        if node is None:
+            return {}, marks
+        data = _plain_data(node, (), marks, SafeConstructor())
     except yaml.MarkedYAMLError as exc:
         mark = exc.problem_mark or exc.context_mark
         line = mark.line + 1 if mark else None
         column = mark.column + 1 if mark else None
         raise ConfigError(exc.problem or str(exc), line, column) from None
-    marks = {}
-    if node is None:
-        return {}, marks
-    data = _plain_data(node, (), marks, SafeConstructor())
     if not isinstance(data, dict):
         raise ConfigError("the problem file must be a mapping", 1, 1)
     return data, marks

@@ -13,9 +13,10 @@ multiply componentwise.  In that presentation the total differential is
 literally ``d (x) 1 + (-1)^i (x) d``: squaring to zero and windowed
 exactness become statements about the underlying vector spaces, and no
 twisting enters the stored matrices.  The twisted structure is a
-separate layer: :meth:`TotalComplex.act_left` and ``act_right`` move
-factor monomials across the generators through the lifts carried by the
-factor resolutions, and :func:`present_over_twisted_algebra` re-expresses
+separate layer: :meth:`TotalComplex.act` (``l·key·r`` on one basis key,
+extended to elements by ``act_left`` and ``act_right``) moves factor
+monomials across the generators through the lifts carried by the factor
+resolutions, and :func:`present_over_twisted_algebra` re-expresses
 the whole complex over the twisted product by solving for coordinates in
 the twisted free-module presentation.  The lifts being chain maps is
 exactly what makes the action commute with the differentials; the
@@ -339,78 +340,77 @@ class TotalComplex:
 
     # -- the twisted action ---------------------------------------------
 
-    def act_left(self, u, elem):
-        """Left action of a twisted-product element on a chain element.
+    def act(self, l, key, r):
+        """l·key·r on one basis key, for monomials l = (a, b) and r of the
+        twisted product (None: no factor on that side), as a dict key ->
+        scalar.
 
-        Per monomial pair (a, b): b crosses the first-factor part through
-        the degree-i left lift, the emerging second-factor monomials
-        multiply the second coefficient from the left, and a multiplies
-        the (possibly moved) first coefficient from the left."""
+        On the left, b crosses the first-factor part through the degree-i
+        left lift, the emerging second-factor monomials multiply the
+        second coefficient from the left, and a multiplies the (possibly
+        moved) first coefficient from the left.  On the right, a crosses
+        the second-factor part through the degree-j right lift, lands on
+        the first factor's right coefficient, and b multiplies the second
+        factor's right coefficient."""
         bic = self.bicomplex
-        f = bic.field
-        aspec = bic.twist.a_spec
-        bspec = bic.twist.b_spec
-        term = elem.term
-        out = {}
-        for key, c in elem.terms.items():
-            al, bl = key[0]
-            lab = key[1]
-            i, j, v, w = lab
-            if bic.bimodule:
-                ar, br = key[2]
-                mkey = (al, v, ar)
-            else:
-                mkey = (al, v)
-            for (am, bm), uc in u.terms.items():
-                base = f.mul(uc, c)
-                moved = bic.pm.lifts[i].pair_rule(bm, mkey)
-                for (mk2, b2), c2 in moved.items():
-                    c2 = f.mul(base, c2)
-                    for bl2, cb in bspec.mono_mul(b2, bl).items():
-                        c3 = f.mul(c2, cb)
-                        if bic.bimodule:
-                            al2, v2, ar2 = mk2
-                        else:
-                            al2, v2 = mk2
-                        for al3, ca in aspec.mono_mul(am, al2).items():
-                            if bic.bimodule:
-                                nk = ((al3, bl2), (i, j, v2, w), (ar2, br))
-                            else:
-                                nk = ((al3, bl2), (i, j, v2, w))
-                            add_term(f, out, nk, f.mul(c3, ca))
-        return FreeElement(term, out)
-
-    def act_right(self, elem, u):
-        """Right action: a crosses the second-factor part through the
-        degree-j right lift, lands on the first factor's right
-        coefficient, and b multiplies the second factor's right
-        coefficient."""
-        bic = self.bicomplex
-        if not bic.bimodule:
+        if r is not None and not bic.bimodule:
             raise ProductError("one-sided totals carry only a left action")
         f = bic.field
         aspec = bic.twist.a_spec
         bspec = bic.twist.b_spec
-        term = elem.term
+        keys = {key: f.one}
+        if l is not None:
+            am, bm = l
+            (al, bl), (i, j, v, w) = key[0], key[1]
+            mkey = (al, v, key[2][0]) if bic.bimodule else (al, v)
+            keys = {}
+            for (mk2, b2), c2 in bic.pm.lifts[i].pair_rule(bm, mkey).items():
+                for bl2, cb in bspec.mono_mul(b2, bl).items():
+                    c3 = f.mul(c2, cb)
+                    lab = (i, j, mk2[1], w)
+                    for al3, ca in aspec.mono_mul(am, mk2[0]).items():
+                        nk = ((al3, bl2), lab) + (
+                            ((mk2[2], key[2][1]),) if bic.bimodule else ())
+                        add_term(f, keys, nk, f.mul(c3, ca))
+        if r is None:
+            return keys
+        am, bm = r
+        out = {}
+        for (lcoef, (i, j, v, w), (ar, br)), c in keys.items():
+            bl = lcoef[1]
+            moved = bic.pn.lifts[j].pair_rule((bl, w, br), am)
+            for (a2, (bl2, w2, br2)), c2 in moved.items():
+                c2 = f.mul(c, c2)
+                for ar2, ca in aspec.mono_mul(ar, a2).items():
+                    c3 = f.mul(c2, ca)
+                    for br3, cb in bspec.mono_mul(br2, bm).items():
+                        nk = ((lcoef[0], bl2), (i, j, v, w2), (ar2, br3))
+                        add_term(f, out, nk, f.mul(c3, cb))
+        return out
+
+    def act_left(self, u, elem):
+        """u·elem for a twisted-product element u: ``act`` extended over
+        the monomials of u and the keys of elem."""
+        return self._extend(u, elem, left=True)
+
+    def act_right(self, elem, u):
+        """elem·u: ``act`` extended over the keys of elem and the
+        monomials of u."""
+        if not self.bimodule:
+            raise ProductError("one-sided totals carry only a left action")
+        return self._extend(u, elem, left=False)
+
+    def _extend(self, u, elem, left):
+        f = self.bicomplex.field
         out = {}
         for key, c in elem.terms.items():
-            al, bl = key[0]
-            lab = key[1]
-            i, j, v, w = lab
-            ar, br = key[2]
-            nkey = (bl, w, br)
-            for (am, bm), uc in u.terms.items():
+            for m, uc in u.terms.items():
                 base = f.mul(uc, c)
-                moved = bic.pn.lifts[j].pair_rule(nkey, am)
-                for (a2, nk2), c2 in moved.items():
-                    c2 = f.mul(base, c2)
-                    bl2, w2, br2 = nk2
-                    for ar2, ca in aspec.mono_mul(ar, a2).items():
-                        c3 = f.mul(c2, ca)
-                        for br3, cb in bspec.mono_mul(br2, bm).items():
-                            nk = ((al, bl2), (i, j, v, w2), (ar2, br3))
-                            add_term(f, out, nk, f.mul(c3, cb))
-        return FreeElement(term, out)
+                moved = self.act(m, key, None) if left \
+                    else self.act(None, key, m)
+                for k2, c2 in moved.items():
+                    add_term(f, out, k2, f.mul(base, c2))
+        return FreeElement(elem.term, out)
 
     def _resolved_left(self, u, value):
         """The action on the degree -1 target: twisted multiplication when
@@ -593,15 +593,9 @@ def present_over_twisted_algebra(tc, degree_bound=None, n_top=None):
         rows = {key: r for r, key in enumerate(term_p.basis(degree_bound))}
         entries = []
         for cx, ckey in enumerate(cols):
-            gen = term_p.generator(ckey[1])
-            left = AlgebraElement(C, {ckey[0]: f.one})
-            if bic.bimodule:
-                image = tc.act_left(left, gen)
-                right = AlgebraElement(C, {ckey[2]: f.one})
-                image = tc.act_right(image, right)
-            else:
-                image = tc.act_left(left, gen)
-            for key, val in image.terms.items():
+            gen, = term_p.generator(ckey[1]).terms
+            image = tc.act(ckey[0], gen, ckey[2] if bic.bimodule else None)
+            for key, val in image.items():
                 r = rows.get(key)
                 if r is None:
                     raise PresentationError(
@@ -833,13 +827,12 @@ class OreFreeForm:
         tc = self.total
         f = self._f
         term = tc.complex.terms[n]
-        out = term.zero()
+        out = {}
         for (u, wl), c in elem.terms.items():
-            lab = self._to_block[wl]
-            r, m = u[:-1], u[-1]
-            mover = AlgebraElement(tc.product, {(r, (m,)): f.one})
-            out = out + tc.act_left(mover, term.generator(lab)).scale(c)
-        return out
+            gen, = term.generator(self._to_block[wl]).terms
+            for key, c2 in tc.act((u[:-1], (u[-1],)), gen, None).items():
+                add_term(f, out, key, f.mul(c, c2))
+        return FreeElement(term, out)
 
     def from_total(self, n, elem):
         """Total-complex element -> free element over the extension."""

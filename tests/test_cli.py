@@ -324,6 +324,19 @@ def test_main_rejects_a_non_mapping_file_under_overrides(tmp_path, capsys,
         capsys.readouterr().err
 
 
+def test_unknown_yaml_tag_is_a_config_error_with_its_position(tmp_path,
+                                                             capsys):
+    text = "cutoff: !foo 3\n"
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert (info.value.line, info.value.column) == (1, 9)
+    path = tmp_path / "tag.yaml"
+    path.write_text(text, encoding="utf-8")
+    assert main(["--input", str(path)]) == 2
+    assert "line 1, column 9: could not determine a constructor" in \
+        capsys.readouterr().err
+
+
 def test_main_requires_input_or_task(capsys):
     with pytest.raises(SystemExit):
         main([])

@@ -197,6 +197,24 @@ def test_weyl_action_is_genuinely_twisted():
     }
 
 
+def test_basis_action_is_a_bimodule_action():
+    # act(l, key, r) applies l first; (l·key)·r must equal l·(key·r)
+    tc = koszul_pair_product(weyl_twist())
+    C = tc.product
+    f = C.field
+    monos = basis_up_to(C, 1)
+    for n in range(tc.n_max + 1):
+        term = tc.complex.terms[n]
+        for key in term.basis(2):
+            assert tc.act(None, key, None) == {key: f.one}
+            for l in monos:
+                for r in monos:
+                    right_first = tc.act_left(
+                        AlgebraElement(C, {l: f.one}),
+                        FreeElement(term, tc.act(None, key, r)))
+                    assert tc.act(l, key, r) == right_first.terms
+
+
 def test_anticommute_report():
     tc = koszul_pair_product(weyl_twist())
     assert tc.anticommute_report().passed
@@ -488,3 +506,6 @@ def test_one_sided_total_has_no_right_action():
     u = AlgebraElement(tc.product, {tc.product.one_monomial(): QQ.one})
     with pytest.raises(ProductError):
         tc.act_right(gen, u)
+    key, = gen.terms
+    with pytest.raises(ProductError):
+        tc.act(None, key, tc.product.one_monomial())
