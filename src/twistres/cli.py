@@ -107,14 +107,16 @@ TWIST_KINDS = ("flip", "ore", "skew-group", "custom")
 
 
 class ConfigError(Exception):
-    """Problem-file rejection, with the source position when known."""
+    """Problem-file rejection, with the source position when known and the
+    config path (tuple of keys/indices) of the rejected value."""
 
-    def __init__(self, message, line=None, column=None):
+    def __init__(self, message, line=None, column=None, path=()):
         if line is not None:
             message = "line %d, column %d: %s" % (line, column, message)
         super().__init__(message)
         self.line = line
         self.column = column
+        self.path = path
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +149,7 @@ class _Marks:
 
     def error(self, message, *path):
         line, column = self.table.get(tuple(path), (None, None))
-        return ConfigError(message, line, column)
+        return ConfigError(message, line, column, tuple(path))
 
 
 def _load_problem(text):
@@ -1047,16 +1049,24 @@ def main(argv=None):
         except ConfigError as exc:
             print("twistres: %s: %s" % (args.input, exc), file=sys.stderr)
             return 2
+    flags = {}  # top-level key -> the flag that overrode it
     if args.task:
         data["tasks"] = list(args.task)
+        flags["tasks"] = "--task"
     if args.cutoff is not None:
         data["cutoff"] = args.cutoff
+        flags["cutoff"] = "--cutoff"
     if args.seed is not None:
         data["seed"] = args.seed
+        flags["seed"] = "--seed"
+    # an overridden value has no place in the file: blame its flag
+    marks = {path: mark for path, mark in marks.items()
+             if not path or path[0] not in flags}
     try:
         config = config_from_data(data, marks)
     except ConfigError as exc:
-        source = args.input or "<command line>"
+        source = (flags.get(exc.path[0]) if exc.path else None) \
+            or args.input or "<command line>"
         print("twistres: %s: %s" % (source, exc), file=sys.stderr)
         return 2
     report = run(config)

@@ -357,8 +357,10 @@ class TruncatedComplex:
             index.append({k: i for i, k in enumerate(b)})
         self.matrices = [None]
         self.max_drop = 0
+        # every image comes out of add_term (reduced, nonzero, one value
+        # per key), so the assembled dicts are adopted unchecked
         for n in range(1, spec.n_max + 1):
-            entries = []
+            entries = {}
             term = spec.terms[n]
             tindex = index[n - 1]
             tdegs = self.key_degrees[n - 1]
@@ -374,8 +376,8 @@ class TruncatedComplex:
                         raise DegreeRaisingError(
                             "d_%d raises degree on %r" % (n, key))
                     self.max_drop = max(self.max_drop, src_deg - tdegs[i])
-                    entries.append((i, j, v))
-            self.matrices.append(SparseMatrix(
+                    entries[(i, j)] = v
+            self.matrices.append(SparseMatrix._adopt(
                 len(self.bases[n - 1]), len(self.bases[n]), entries, f))
         self.aug_matrix = None
         self.target_basis = None
@@ -384,7 +386,7 @@ class TruncatedComplex:
                 self.target_basis = basis_up_to(alg, cutoff)
                 tindex = {m: i for i, m in enumerate(self.target_basis)}
                 self.target_degrees = [alg.monomial_degree(m) for m in self.target_basis]
-                entries = []
+                entries = {}
                 for j, (key, src_deg) in enumerate(zip(self.bases[0],
                                                        self.key_degrees[0])):
                     elem = FreeElement(spec.terms[0], {key: f.one})
@@ -394,19 +396,19 @@ class TruncatedComplex:
                         if d > src_deg:
                             raise DegreeRaisingError("augmentation raises degree")
                         self.max_drop = max(self.max_drop, src_deg - d)
-                        entries.append((tindex[m], j, v))
+                        entries[(tindex[m], j)] = v
             else:
                 self.target_basis = [()]
                 self.target_degrees = [0]
-                entries = []
+                entries = {}
                 for j, (key, src_deg) in enumerate(zip(self.bases[0],
                                                        self.key_degrees[0])):
                     elem = FreeElement(spec.terms[0], {key: f.one})
                     v = spec.apply_augmentation(elem)
-                    if not f.is_zero(v):
+                    if v:
                         self.max_drop = max(self.max_drop, src_deg)
-                        entries.append((0, j, v))
-            self.aug_matrix = SparseMatrix(
+                        entries[(0, j)] = v
+            self.aug_matrix = SparseMatrix._adopt(
                 len(self.target_basis), len(self.bases[0]), entries, f)
         # no map raises degree, so a zero drop means every entry of every
         # map preserves degree

@@ -33,7 +33,7 @@ from .algebra import (
 )
 from .complex import BIMODULE, ChainComplexSpec
 from .kernel import SparseMatrix, add_term, homology_dim
-from .twist import FLIP, SKEW_GROUP, ORE
+from .twist import FLIP, SKEW_GROUP, ORE, AlgebraAsBimodule, GroundModule
 
 __all__ = [
     "HomologyError",
@@ -102,12 +102,6 @@ def complex_is_graded(cplx):
                 if cplx.algebra.monomial_degree(mono) != want:
                     return False
     return True
-
-
-def _counit(spec, mono):
-    """1 on degree-zero monomials, 0 otherwise (the augmentation of every
-    shipped algebra on its monomial basis)."""
-    return 1 if spec.monomial_degree(mono) == 0 else 0
 
 
 def _resolve_algebra_source(source):
@@ -180,6 +174,7 @@ class CochainTruncation:
             self.raises.append(shift)
         self._mats = {}
         self._bases = {}
+        self._acts = {}  # (l, m, r) -> l·m·r, shared by every cutoff
 
     def computable_top(self):
         return self.top if self.cplx.complete_above else self.top - 1
@@ -230,29 +225,35 @@ class CochainTruncation:
         rows = self.basis(n + 1, cutoff + shift)
         row_index = {r: i for i, r in enumerate(rows)}
         entries = {}
-        for mu, img in self.cplx.differentials[n + 1].items():
-            for (l, lab, r), c in img.terms.items():
-                if self.coeff == GROUND_COEFF:
-                    scale = _counit(self.alg, l) * _counit(self.alg, r)
-                    if not scale:
-                        continue
-                    add_term(f, entries,
-                             (row_index[(mu,)], col_index[(lab,)]), c)
-                    continue
-                for col in self._mono_cols(lab, cutoff):
-                    m = col[1]
-                    ci = col_index[col]
-                    for m1, c1 in self.alg.mono_mul(l, m).items():
-                        for m2, c2 in self.alg.mono_mul(m1, r).items():
+        if self.coeff == GROUND_COEFF:
+            # epsilon(l)·[lab]·epsilon(r); the ground field is commutative,
+            # so epsilon(r) acts from the left as well
+            eps = GroundModule(self.alg).act
+            for mu, img in self.cplx.differentials[n + 1].items():
+                for (l, lab, r), c in img.terms.items():
+                    for k, e in eps(l, lab, None).items():
+                        for k2, e2 in eps(r, k, None).items():
+                            add_term(f, entries,
+                                     (row_index[(mu,)], col_index[(k2,)]),
+                                     f.mul(c, f.mul(e, e2)))
+        else:
+            act = AlgebraAsBimodule(self.alg).act
+            acts = self._acts
+            monos = basis_up_to(self.alg, cutoff)
+            for mu, img in self.cplx.differentials[n + 1].items():
+                for (l, lab, r), c in img.terms.items():
+                    for m in monos:
+                        ci = col_index[(lab, m)]
+                        lmr = acts.get((l, m, r))
+                        if lmr is None:
+                            lmr = acts[(l, m, r)] = act(l, m, r)
+                        for m2, c2 in lmr.items():
                             add_term(f, entries, (row_index[(mu, m2)], ci),
-                                     f.mul(c, f.mul(c1, c2)))
-        triples = [(i, j, v) for (i, j), v in entries.items()]
-        mat = SparseMatrix(len(rows), len(cols), triples, f)
+                                     f.mul(c, c2))
+        # add_term leaves every entry reduced and nonzero
+        mat = SparseMatrix._adopt(len(rows), len(cols), entries, f)
         self._mats[key] = (mat, cols, rows)
         return self._mats[key]
-
-    def _mono_cols(self, lab, cutoff):
-        return [(lab, m) for m in basis_up_to(self.alg, cutoff)]
 
     def compose_zero_check(self, n, cutoff):
         """Consecutive codifferentials compose to zero: verified on the
@@ -404,7 +405,7 @@ def _reduced_matrices(cplx):
     basis of generator labels, a differential entry survives with the
     counit of its coefficient."""
     f = cplx.algebra.field
-    alg = cplx.algebra
+    eps = GroundModule(cplx.algebra).act
     sizes = [len(term.labels) for term in cplx.terms]
     mats = [None]
     for n in range(1, len(cplx.terms)):
@@ -413,11 +414,9 @@ def _reduced_matrices(cplx):
         entries = {}
         for lab, img in cplx.differentials[n].items():
             for (l, lab2), c in img.terms.items():
-                if not _counit(alg, l):
-                    continue
-                add_term(f, entries, (tgt[lab2], src[lab]), c)
-        triples = [(i, j, v) for (i, j), v in entries.items()]
-        mats.append(SparseMatrix(sizes[n - 1], sizes[n], triples, f))
+                for lab3, e in eps(l, lab2, None).items():
+                    add_term(f, entries, (tgt[lab3], src[lab]), f.mul(c, e))
+        mats.append(SparseMatrix._adopt(sizes[n - 1], sizes[n], entries, f))
     return sizes, mats
 
 

@@ -10,9 +10,10 @@ Over the rationals, elimination is fraction-free: rows are cleared to
 integers and kept gcd-reduced, so entries stay integral and exact while
 coefficient growth stays controlled (two-term cross-multiplication
 updates, each followed by a gcd reduction).  Over F_p elimination is the
-straightforward one.  Every rank goes through one sparse elimination with
-Markowitz-style pivoting, run on each connected component of the matrix's
-row/column graph separately.  Small dense solves and inverses share one
+straightforward one.  Every rank goes through one sparse elimination,
+run on each connected component of the matrix's row/column graph
+separately; each step pivots on the shortest row and, within it, on the
+column with the fewest entries.  Small dense solves and inverses share one
 Gauss-Jordan routine.
 """
 
@@ -258,9 +259,13 @@ class SparseMatrix:
 
     @classmethod
     def _adopt(cls, nrows, ncols, entries, field):
-        """A matrix that takes over a dict (row, col) -> value whose values
-        come from an existing SparseMatrix (or field arithmetic on them):
-        in range, coerced and nonzero, so no check is repeated."""
+        """A matrix that takes over a dict (row, col) -> value whose entries
+        are already in range, reduced and nonzero, so no check is repeated.
+        Callers: submatrices, products and transposes of existing matrices,
+        and the assembled matrices of ``TruncatedComplex`` and of the
+        cochain and collapse matrices in ``homology``, whose values come out
+        of ``add_term`` (or, for a ground augmentation, are kept only when
+        nonzero)."""
         m = cls.__new__(cls)
         m.nrows = nrows
         m.ncols = ncols
@@ -359,7 +364,7 @@ class SparseMatrix:
                     ints = {j: v // g for j, v in ints.items()}
                 out.append(ints)
             else:
-                out.append(dict(row))
+                out.append(row)
         return out
 
     def rank(self):
@@ -400,12 +405,19 @@ def _components(rows):
 
 
 def _rank_sparse_rows(rows, field):
-    """Rank of a list of sparse rows by elimination with Markowitz-style
-    pivoting; the one elimination core behind every rank.
+    """Rank of a list of sparse rows by elimination; the one elimination
+    core behind every rank.
+
+    Each step pivots on the shortest active row and, within it, on the
+    column with the fewest entries among the active rows: a cheap form of
+    the Markowitz rule (Markowitz, 1957) that keeps fill-in low on sparse
+    rank problems over finite fields (Dumas & Villard, CASC 2002).  Rank
+    does not depend on the pivot order, so this only sets the cost.
 
     rows: list of nonempty dicts col -> value (ints over Q, residues over
-    F_p).  Over Q rows stay integral: two-term cross-multiplication updates
-    with a gcd reduction afterwards.
+    F_p), consumed: each elimination updates a row in place, touching only
+    the pivot row's columns.  Over Q rows stay integral: two-term
+    cross-multiplication updates with a gcd reduction afterwards.
     """
     modp = field.characteristic
     col_count = {}
@@ -415,24 +427,10 @@ def _rank_sparse_rows(rows, field):
     rank = 0
     active = list(range(len(rows)))
     while active:
-        # Markowitz: minimize (nnz(row)-1) * (nnz(col)-1)
-        best = None
-        best_score = None
-        for ri in active:
-            row = rows[ri]
-            rn = len(row) - 1
-            for c in row:
-                score = rn * (col_count[c] - 1)
-                if best_score is None or score < best_score:
-                    best_score = score
-                    best = (ri, c)
-                    if score == 0:
-                        break
-            if best_score == 0:
-                break
-        ri, pc = best
+        ri = min(active, key=lambda i: len(rows[i]))
         prow = rows[ri]
-        pv = prow[pc]
+        pc = min(prow, key=col_count.__getitem__)
+        pv = prow.pop(pc)
         active.remove(ri)
         for c in prow:
             col_count[c] -= 1
@@ -441,45 +439,35 @@ def _rank_sparse_rows(rows, field):
             inv = pow(pv, -1, modp)
         for oi in active:
             orow = rows[oi]
-            if pc not in orow:
+            ov = orow.pop(pc, None)
+            if ov is None:
                 continue
-            ov = orow[pc]
-            for c in orow:
-                col_count[c] -= 1
             if modp:
                 fac = ov * inv % modp
-                new = {}
-                for c, v in orow.items():
-                    if c == pc:
-                        continue
-                    w = (v - fac * prow.get(c, 0)) % modp
-                    if w:
-                        new[c] = w
-                for c, v in prow.items():
-                    if c != pc and c not in orow:
-                        w = (-fac * v) % modp
-                        if w:
-                            new[c] = w
-            else:
-                new = {}
-                for c, v in orow.items():
-                    if c == pc:
-                        continue
-                    w = pv * v - ov * prow.get(c, 0)
-                    if w:
-                        new[c] = w
-                for c, v in prow.items():
-                    if c != pc and c not in orow:
-                        new[c] = -ov * v
-                if new:
-                    g = 0
-                    for v in new.values():
-                        g = gcd(g, v)
-                    if g > 1:
-                        new = {c: v // g for c, v in new.items()}
-            rows[oi] = new
-            for c in new:
-                col_count[c] = col_count.get(c, 0) + 1
+            elif pv != 1:
+                for c in orow:
+                    orow[c] *= pv
+            for c, v in prow.items():
+                w = orow.get(c)
+                if w is None:
+                    orow[c] = -fac * v % modp if modp else -ov * v
+                    col_count[c] += 1
+                    continue
+                w = (w - fac * v) % modp if modp else w - ov * v
+                if w:
+                    orow[c] = w
+                else:
+                    del orow[c]
+                    col_count[c] -= 1
+            if not modp:
+                g = 0
+                for v in orow.values():
+                    g = gcd(g, v)
+                    if g == 1:
+                        break
+                if g > 1:
+                    for c in orow:
+                        orow[c] //= g
         active = [oi for oi in active if rows[oi]]
     return rank
 

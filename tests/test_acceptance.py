@@ -258,12 +258,17 @@ def test_criterion_8_mutations_break_the_checks(monkeypatch):
         assert not exactness_report(cplx, 4).passed
 
         # a right action that does nothing, read through the compat
-        # check's memo of basis-level actions
+        # check's memo of basis-level actions and through the Hochschild
+        # cochain matrix's l·m·r (with the rank split restored)
+        monkeypatch.undo()
+        hh = {0: 1, 1: 0, 2: 0}
+        assert hochschild_cohomology(bundle, cutoff=6).dims == hh
         act = AlgebraAsBimodule.act
         monkeypatch.setattr(AlgebraAsBimodule, "act",
                             lambda mod, l, key, r: act(mod, l, key, None))
         rep = check_bimodule_compat(self_bimodule_compat(weyl_twist()), 2)
         assert not rep.passed
+        assert hochschild_cohomology(bundle, cutoff=6).dims != hh
 
         # the compat lhs taken as the memoized rule image of the acted
         # element's first key whatever else it holds: the Weyl algebra on

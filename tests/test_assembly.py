@@ -1,0 +1,175 @@
+"""Assembled matrices are adopted without re-validation, and every rank
+pivots on the shortest row: differential tests against the checked
+constructor and, on the skew-p3 blocks, against sympy.
+
+The truncations, cochain matrices and collapses built by the eight presets
+and by the filtered Weyl cases (exactness at N = 4, 6, 8, the Weyl pair
+product at N = 6, HH at cutoffs 8 and 10) are recorded as they are adopted;
+each must equal ``SparseMatrix(nrows, ncols, triples, field)`` built from
+the same entries, with every entry in range, reduced and nonzero."""
+
+import io
+from contextlib import redirect_stdout
+from fractions import Fraction
+
+import pytest
+
+from twistres import kernel
+from twistres.algebra import polynomial_algebra, weyl_algebra
+from twistres.cli import main
+from twistres.complex import (
+    LEFT_MODULE, ChainComplexSpec, FreeModuleTerm, TruncatedComplex,
+    exactness_report, truncate,
+)
+from twistres.homology import hochschild_cohomology
+from twistres.kernel import QQ, PrimeField, SparseMatrix
+from twistres.resolutions import ore_koszul
+from twistres.twist import weyl_twist
+from twistres.twistprod import koszul_pair_product
+
+PRESETS = ("weyl", "weyl-2", "skew-p2", "skew-p3", "ue-solvable-2dim",
+           "heisenberg", "cyclic-p", "lie-sl2-excluded")
+
+
+def _record(monkeypatch):
+    """Record every adopted matrix, every truncation and every elimination
+    block (copied before it is consumed) until the test ends."""
+    seen = {"adopted": [], "truncations": [], "blocks": []}
+    adopt = SparseMatrix._adopt.__func__
+
+    def recording_adopt(cls, nrows, ncols, entries, field):
+        m = adopt(cls, nrows, ncols, entries, field)
+        seen["adopted"].append(m)
+        return m
+
+    init = TruncatedComplex.__init__
+
+    def recording_init(self, spec, cutoff):
+        init(self, spec, cutoff)
+        seen["truncations"].append(self)
+
+    rank_rows = kernel._rank_sparse_rows
+
+    def recording_rank(rows, field):
+        seen["blocks"].append(([dict(r) for r in rows], field))
+        return rank_rows(rows, field)
+
+    monkeypatch.setattr(SparseMatrix, "_adopt", classmethod(recording_adopt))
+    monkeypatch.setattr(TruncatedComplex, "__init__", recording_init)
+    monkeypatch.setattr(kernel, "_rank_sparse_rows", recording_rank)
+    return seen
+
+
+@pytest.fixture(scope="module")
+def preset_run():
+    mp = pytest.MonkeyPatch()
+    try:
+        seen = _record(mp)
+        argv = ["--seed", "11", "--format", "json"]
+        for name in PRESETS:
+            argv += ["--task", "preset:" + name]
+        with redirect_stdout(io.StringIO()):
+            main(argv)
+    finally:
+        mp.undo()
+    return seen
+
+
+@pytest.fixture(scope="module")
+def ladder_run():
+    mp = pytest.MonkeyPatch()
+    try:
+        seen = _record(mp)
+        weyl = ore_koszul(weyl_algebra())
+        for n in (4, 6, 8):
+            assert exactness_report(weyl.complex, n).passed
+        assert exactness_report(
+            koszul_pair_product(weyl_twist()).complex, 6).passed
+        for cutoff in (8, 10):
+            assert hochschild_cohomology(weyl, cutoff=cutoff).dims == \
+                {0: 1, 1: 0, 2: 0}
+    finally:
+        mp.undo()
+    return seen
+
+
+def _is_reduced(field, v):
+    p = field.characteristic
+    if p:
+        return v.__class__ is int and 0 < v < p
+    if v.__class__ is int:
+        return v != 0
+    return v.__class__ is Fraction and v.denominator != 1
+
+
+def _assert_adopted_matrices_are_checked_ones(seen):
+    assert seen["adopted"]
+    for m in seen["adopted"]:
+        f = m.field
+        triples = [(i, j, v) for (i, j), v in m.entries.items()]
+        assert SparseMatrix(m.nrows, m.ncols, triples, f) == m
+        for (i, j), v in m.entries.items():
+            assert 0 <= i < m.nrows and 0 <= j < m.ncols
+            assert _is_reduced(f, v), (m, (i, j), v)
+
+
+@pytest.mark.parametrize("run", ["preset_run", "ladder_run"])
+def test_adopted_matrices_equal_the_checked_construction(run, request):
+    _assert_adopted_matrices_are_checked_ones(request.getfixturevalue(run))
+
+
+@pytest.mark.parametrize("run", ["preset_run", "ladder_run"])
+def test_every_truncation_matrix_was_adopted(run, request):
+    seen = request.getfixturevalue(run)
+    adopted = {id(m) for m in seen["adopted"]}
+    assert seen["truncations"]
+    for tc in seen["truncations"]:
+        maps = tc.matrices[1:] + ([tc.aug_matrix] if tc.aug_matrix else [])
+        assert all(id(m) in adopted for m in maps)
+
+
+def test_presets_adopt_both_augmentation_kinds(preset_run):
+    kinds = {tc.spec.aug_kind for tc in preset_run["truncations"]
+             if tc.aug_matrix is not None and tc.aug_matrix.entries}
+    assert kinds == {"algebra", "ground"}
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)])
+def test_ground_augmentation_keeps_no_zero_entry(field):
+    # of the keys 1⊗a, x⊗a, 1⊗b, x⊗b only 1⊗a augments to nonzero: x acts
+    # by zero, and b augments to zero (3 = 0 in F_3)
+    alg = polynomial_algebra(["x"], field)
+    t0 = FreeModuleTerm(alg, ["a", "b"], side=LEFT_MODULE)
+    b_value = 0 if field is QQ else 3
+    spec = ChainComplexSpec(alg, [t0], [{}], aug_kind="ground",
+                            augmentation={"a": 2, "b": b_value})
+    tr = truncate(spec, 1)
+    assert len(tr.bases[0]) == 4
+    assert tr.aug_matrix.entries == {(0, tr.bases[0].index(((0,), "a"))): 2}
+
+
+# ------------------------------------------------------------ pivot rule
+
+
+def _dense(sparse_rows):
+    cols = sorted({c for r in sparse_rows for c in r})
+    at = {c: j for j, c in enumerate(cols)}
+    dense = [[0] * len(cols) for _ in sparse_rows]
+    for i, r in enumerate(sparse_rows):
+        for c, v in r.items():
+            dense[i][at[c]] = v
+    return dense
+
+
+def test_rank_of_skew_p3_truncation_blocks(preset_run):
+    # the F_3 elimination blocks of the skew-p3 truncation at N = 4, as
+    # the presets hand them to the eliminator; the largest forty
+    blocks = [(rows, f) for rows, f in preset_run["blocks"]
+              if f.characteristic == 3]
+    blocks.sort(key=lambda b: -sum(map(len, b[0])))
+    assert len(blocks) >= 40 and len(blocks[0][0]) >= 64
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+    for rows, f in blocks[:40]:
+        want = DomainMatrix.from_list(_dense(rows), sympy.GF(3)).rank()
+        assert kernel._rank_sparse_rows([dict(r) for r in rows], f) == want

@@ -337,6 +337,31 @@ def test_unknown_yaml_tag_is_a_config_error_with_its_position(tmp_path,
         capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["--cutoff", "0"], "--cutoff"),
+    (["--task", "bogus-task"], "--task"),
+    (["--task", "preset:nope"], "--task"),
+])
+def test_main_blames_an_invalid_override_on_its_flag(tmp_path, capsys, argv,
+                                                     flag):
+    path = tmp_path / "c.yaml"
+    path.write_text("cutoff: 3\ntasks: [check-twist]\n", encoding="utf-8")
+    assert main(["--input", str(path)] + argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("twistres: %s: " % flag)
+    assert "line" not in err and "c.yaml" not in err
+
+
+def test_main_keeps_file_positions_of_values_not_overridden(tmp_path,
+                                                            capsys):
+    path = tmp_path / "c.yaml"
+    path.write_text("cutoff: 0\n", encoding="utf-8")
+    assert main(["--input", str(path), "--seed", "5",
+                 "--task", "preset:cyclic-p"]) == 2
+    assert "c.yaml: line 1, column 9: cutoff must be >= 1" in \
+        capsys.readouterr().err
+
+
 def test_main_requires_input_or_task(capsys):
     with pytest.raises(SystemExit):
         main([])

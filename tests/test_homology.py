@@ -83,6 +83,15 @@ def test_cyclic_group_ground_coefficients():
     assert rep.dims == {n: 1 for n in range(5)}
 
 
+def test_polynomial_ground_coefficients_kill_both_sides():
+    # epsilon(x) = 0 on either side of d(e_x) = x⊗1 - 1⊗x, so the
+    # codifferential is zero and HH^n(k[x,y], k) has dimension C(2, n)
+    kxy = polynomial_algebra(("x", "y"), name="k[x,y]")
+    rep = hochschild_cohomology(poly_koszul(kxy), coeff="ground", cutoff=4)
+    assert rep.dims == {0: 1, 1: 2, 2: 1}
+    assert rep.per_degree == {(0, 0): 1, (1, -1): 2, (2, -2): 1}
+
+
 def test_truncated_resolution_rejects_deep_stages():
     with pytest.raises(HomologyError):
         hochschild_cohomology(cyclic_periodic(3, 5), n_top=5, cutoff=2)

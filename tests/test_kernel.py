@@ -1,5 +1,6 @@
 """Tests for the exact linear algebra kernel."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -222,6 +223,58 @@ def test_rank_mod_p_of_scattered_blocks_matches_sympy(p, case):
     blocks, rows = case
     want = sum(sympy_rank_mod(b, p) for b in blocks)
     assert M(rows, PrimeField(p)).rank() == want
+
+
+# ------------------------------------------ pivot rule: structured cases
+
+
+def assert_rank_matches_sympy(rows, field):
+    p = field.characteristic
+    if p:
+        want = sympy_rank_mod([[field.coerce(v) for v in r] for r in rows], p)
+    else:
+        want = pytest.importorskip("sympy").Matrix(rows).rank()
+    m = M(rows, field)
+    assert m.rank() == want == m.transpose().rank()
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF3])
+@pytest.mark.parametrize("n, sign", [(5, 1), (5, -1), (6, 1), (6, -1),
+                                     (9, 1)])
+def test_rank_with_ties_between_equal_length_rows(field, n, sign):
+    # the incidence rows of an n-cycle: every row has two entries and
+    # every column two rows, so each pivot step breaks a tie
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = 1
+        rows[i][(i + 1) % n] = sign
+    assert_rank_matches_sympy(rows, field)
+
+
+@pytest.mark.parametrize("field", [QQ, GF3])
+def test_rank_of_singleton_rows(field):
+    # one entry per row, columns repeated: rank = number of columns hit
+    rng = random.Random(7)
+    rows = []
+    for _ in range(40):
+        row = [0] * 15
+        row[rng.randrange(15)] = rng.choice([1, 2, -1, Fraction(1, 2)])
+        rows.append(row)
+    assert_rank_matches_sympy(rows, field)
+    assert M(rows, field).rank() == \
+        len({next(j for j, v in enumerate(r) if v) for r in rows})
+
+
+@pytest.mark.parametrize("field", [QQ, GF3, PrimeField(2**31 - 1)])
+@pytest.mark.parametrize("inner", [3, 12])
+def test_rank_of_dense_block(field, inner):
+    # a dense 12 x 14 product of a 12 x inner and an inner x 14 matrix
+    rng = random.Random(inner)
+    a = [[rng.randint(-4, 4) for _ in range(inner)] for _ in range(12)]
+    b = [[rng.randint(-4, 4) for _ in range(14)] for _ in range(inner)]
+    rows = [[sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(14)]
+            for i in range(12)]
+    assert_rank_matches_sympy(rows, field)
 
 
 def test_components_of_block_diagonal_matrix():
