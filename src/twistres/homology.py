@@ -174,7 +174,6 @@ class CochainTruncation:
             self.raises.append(shift)
         self._mats = {}
         self._bases = {}
-        self._acts = {}  # (l, m, r) -> l·m·r, shared by every cutoff
 
     def computable_top(self):
         return self.top if self.cplx.complete_above else self.top - 1
@@ -226,28 +225,22 @@ class CochainTruncation:
         row_index = {r: i for i, r in enumerate(rows)}
         entries = {}
         if self.coeff == GROUND_COEFF:
-            # epsilon(l)·[lab]·epsilon(r); the ground field is commutative,
-            # so epsilon(r) acts from the left as well
+            # epsilon(l)·[lab]·epsilon(r), each counit 0 or 1; the ground
+            # field is commutative, so epsilon(r) is read as a left action
             eps = GroundModule(self.alg).act
             for mu, img in self.cplx.differentials[n + 1].items():
                 for (l, lab, r), c in img.terms.items():
-                    for k, e in eps(l, lab, None).items():
-                        for k2, e2 in eps(r, k, None).items():
-                            add_term(f, entries,
-                                     (row_index[(mu,)], col_index[(k2,)]),
-                                     f.mul(c, f.mul(e, e2)))
+                    if eps(l, lab, None) and eps(r, lab, None):
+                        add_term(f, entries,
+                                 (row_index[(mu,)], col_index[(lab,)]), c)
         else:
             act = AlgebraAsBimodule(self.alg).act
-            acts = self._acts
             monos = basis_up_to(self.alg, cutoff)
             for mu, img in self.cplx.differentials[n + 1].items():
                 for (l, lab, r), c in img.terms.items():
                     for m in monos:
                         ci = col_index[(lab, m)]
-                        lmr = acts.get((l, m, r))
-                        if lmr is None:
-                            lmr = acts[(l, m, r)] = act(l, m, r)
-                        for m2, c2 in lmr.items():
+                        for m2, c2 in act(l, m, r).items():
                             add_term(f, entries, (row_index[(mu, m2)], ci),
                                      f.mul(c, c2))
         # add_term leaves every entry reduced and nonzero
@@ -414,8 +407,8 @@ def _reduced_matrices(cplx):
         entries = {}
         for lab, img in cplx.differentials[n].items():
             for (l, lab2), c in img.terms.items():
-                for lab3, e in eps(l, lab2, None).items():
-                    add_term(f, entries, (tgt[lab3], src[lab]), f.mul(c, e))
+                if eps(l, lab2, None):
+                    add_term(f, entries, (tgt[lab2], src[lab]), c)
         mats.append(SparseMatrix._adopt(sizes[n - 1], sizes[n], entries, f))
     return sizes, mats
 

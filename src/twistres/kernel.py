@@ -415,9 +415,11 @@ def _rank_sparse_rows(rows, field):
     does not depend on the pivot order, so this only sets the cost.
 
     rows: list of nonempty dicts col -> value (ints over Q, residues over
-    F_p), consumed: each elimination updates a row in place, touching only
-    the pivot row's columns.  Over Q rows stay integral: two-term
-    cross-multiplication updates with a gcd reduction afterwards.
+    F_p), consumed: each elimination updates a row in place.  Over F_p it
+    touches only the pivot row's columns.  Over Q rows stay integral: a row
+    is first rescaled in full by the pivot value (unless that is 1), then
+    gets the two-term cross-multiplication update over the pivot row's
+    columns, then a gcd pass that reads the row until the gcd reaches 1.
     """
     modp = field.characteristic
     col_count = {}

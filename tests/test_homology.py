@@ -8,8 +8,8 @@ import pytest
 
 from twistres.kernel import QQ, PrimeField
 from twistres.algebra import (
-    cyclic_group_algebra, heisenberg_algebra, polynomial_algebra,
-    solvable_2dim_algebra, weyl_algebra,
+    cyclic_group_algebra, heisenberg_algebra, parse_element,
+    polynomial_algebra, solvable_2dim_algebra, weyl_algebra,
 )
 from twistres.twist import flip_twist, solvable_pair_twist, weyl_twist
 from twistres.resolutions import (
@@ -19,6 +19,7 @@ from twistres.resolutions import (
 from twistres.twistprod import (
     koszul_pair_product, one_sided_twisted_product, ore_module_resolution,
 )
+from twistres.complex import BIMODULE, ChainComplexSpec, FreeModuleTerm
 from twistres.homology import (
     CochainTruncation, HomologyError, algebra_is_graded, complex_is_graded,
     ext_over_augmented, hochschild_cohomology, tor_over_augmented,
@@ -90,6 +91,23 @@ def test_polynomial_ground_coefficients_kill_both_sides():
     rep = hochschild_cohomology(poly_koszul(kxy), coeff="ground", cutoff=4)
     assert rep.dims == {0: 1, 1: 2, 2: 1}
     assert rep.per_degree == {(0, 0): 1, (1, -1): 2, (2, -2): 1}
+
+
+def test_ground_coefficients_need_the_counit_on_both_sides():
+    # d(e) = x⊗1 + 1⊗x: epsilon(x) = 0 kills each term on its own side;
+    # the two terms do not cancel, so a term surviving on one side shows
+    kx = _kx()
+    x = parse_element("x", kx)
+    t0 = FreeModuleTerm(kx, ("1",), side=BIMODULE)
+    t1 = FreeModuleTerm(kx, ("e",), side=BIMODULE, internal_degree={"e": 1})
+    one = t0.generator("1")
+    cplx = ChainComplexSpec(kx, [t0, t1],
+                            [None, {"e": one.left_mul(x) + one.right_mul(x)}],
+                            augmentation={"1": kx.one()},
+                            aug_kind="algebra", name="anticommutator")
+    mat, cols, rows = CochainTruncation(cplx, "ground").matrix(0, 2)
+    assert (cols, rows) == ([("1",)], [("e",)])
+    assert mat.entries == {}
 
 
 def test_truncated_resolution_rejects_deep_stages():
