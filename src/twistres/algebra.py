@@ -271,29 +271,6 @@ class AlgebraSpec:
                     add_term(f, out, (aa, bb), f.mul(c, f.mul(ac, bc)))
         return out
 
-    # -- delta as a derivation -------------------------------------------------
-
-    def apply_delta(self, j, elem):
-        """delta_j extended from generators to the subalgebra
-        k[x_1..x_{j-1}] by the derivation rule (sigma = 1):
-        delta(rs) = delta(r) s + r delta(s)."""
-        assert self.variant == ITERATED_ORE
-        f = self.field
-        out = self.zero()
-        for mono, c in elem.terms.items():
-            word = self._word(mono)
-            for pos, i in enumerate(word):
-                if i >= j:
-                    raise AlgebraError(
-                        "delta_%d applied outside its subalgebra (x_%d)" % (j, i))
-                table = self.delta.get((j, i), {})
-                if not table:
-                    continue
-                prefix = self.element({self._exp(word[:pos]): f.one})
-                suffix = self.element({self._exp(word[pos + 1:]): f.one})
-                out = out + c * (prefix * self.element(dict(table)) * suffix)
-        return out
-
     def __repr__(self):
         if self.name:
             return self.name

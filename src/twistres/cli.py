@@ -445,6 +445,8 @@ def _normalize_tasks(data, marks, config):
         def err(msg, *sub, _i=i):
             return marks.error(msg, *(("tasks", _i) + sub))
 
+        # a bare name's mark is the entry's own
+        name_at = () if isinstance(entry, str) else ("task",)
         if isinstance(entry, str):
             entry = {"task": entry}
         if not isinstance(entry, dict) or "task" not in entry:
@@ -454,13 +456,13 @@ def _normalize_tasks(data, marks, config):
             preset = name[len("preset:"):]
             if preset not in _PRESETS:
                 raise err("unknown preset %r (known: %s)"
-                          % (preset, ", ".join(preset_names())), "task")
+                          % (preset, ", ".join(preset_names())), *name_at)
             _check_keys(entry, {"task"}, "preset task", err)
             config.tasks.append({"task": name})
             continue
         if name not in TASK_NAMES:
             raise err("unknown task %r (known: %s and preset:<name>)"
-                      % (name, ", ".join(TASK_NAMES)), "task")
+                      % (name, ", ".join(TASK_NAMES)), *name_at)
         task = dict(entry)
         for key in ("cutoff", "n_max", "n_top", "degree_bound", "samples"):
             if key in task:

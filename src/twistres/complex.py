@@ -3,10 +3,17 @@
 A ``FreeModuleTerm`` is A (x) span(labels) (x) A (bimodule side) or
 A (x) span(labels) (left-module side); elements are sparse sums of
 (left monomial, label, right monomial) keys, acted on key by key through
-``FreeModuleTerm.act``.  A ``ChainComplexSpec`` stores one term per
-homological degree, differentials given on labels (applied by
-``apply_label_images``), and an optional augmentation treated as the
-(-1)-degree map.
+``FreeModuleTerm.act``.  The objects a resolution resolves are modules of
+the same shape: ``AlgebraAsBimodule`` (the algebra over itself, keyed by
+monomials) and ``GroundModule`` (the ground field, acted on through the
+augmentation).  Each module kind has the one action ``act(l, key, r)``
+on basis keys.
+
+A ``ChainComplexSpec`` stores one term per homological degree,
+differentials given on labels (applied by ``apply_label_images``), and an
+optional augmentation treated as the (-1)-degree map into its ``target``
+module: a key l⊗[lab]⊗r goes to l·ε(lab)·r through ``target.act``
+(``augmentation_image``).
 
 Everything quantitative happens after ``truncate``: keys of total
 filtration degree <= N, enumerated in a fixed deterministic order,
@@ -148,6 +155,81 @@ class FreeModuleTerm:
         return "%s⊗[%s]" % (a.format_monomial(l), lab)
 
 
+class AlgebraAsBimodule:
+    """An algebra seen as a bimodule over itself: keys are its monomials."""
+
+    def __init__(self, algebra):
+        self.algebra = algebra
+        self.side = BIMODULE
+
+    def basis(self, n):
+        return basis_up_to(self.algebra, n)
+
+    def key_degree(self, key):
+        return self.algebra.monomial_degree(key)
+
+    def format_key(self, key):
+        return self.algebra.format_monomial(key)
+
+    def act(self, l, key, r):
+        """l·key·r for monomials l, r (None: no factor on that side), as a
+        dict monomial -> scalar."""
+        alg = self.algebra
+        f = alg.field
+        lefts = {key: f.one} if l is None else alg.mono_mul(l, key)
+        out = {}
+        for m, c in lefts.items():
+            if r is None:
+                add_term(f, out, m, c)
+                continue
+            for m2, c2 in alg.mono_mul(m, r).items():
+                add_term(f, out, m2, f.mul(c, c2))
+        return out
+
+
+class GroundModule:
+    """The ground field as a module: the algebra acts through the
+    augmentation (positive-degree monomials act by zero, degree-zero
+    monomials — including group elements — act by one)."""
+
+    def __init__(self, algebra, label="k"):
+        self.algebra = algebra
+        self.label = label
+        self.side = LEFT_MODULE
+
+    def basis(self, n):
+        return [self.label]
+
+    def key_degree(self, key):
+        return 0
+
+    def format_key(self, key):
+        return "[%s]" % (key,)
+
+    def act(self, l, key, r):
+        """epsilon(l)·key: one for no factor or a degree-zero l, else
+        zero; a left module, so any r raises."""
+        if r is not None:
+            raise ComplexError("right action on a one-sided module")
+        if l is not None and self.algebra.monomial_degree(l):
+            return {}
+        return {key: self.algebra.field.one}
+
+
+def image_of(f, vec, image):
+    """The sum of v * image(k) over a sparse vector k -> v.  A single key
+    with coefficient one gives image(k) itself, to be read only."""
+    if len(vec) == 1:
+        (k, v), = vec.items()
+        if v == f.one:
+            return image(k)
+    out = {}
+    for k, v in vec.items():
+        for pair, w in image(k).items():
+            add_term(f, out, pair, f.mul(v, w))
+    return out
+
+
 class FreeElement:
     """Sparse element of a free term: dict key -> scalar."""
 
@@ -189,12 +271,9 @@ class FreeElement:
     def act(self, l, r):
         """l·element·r for monomials l, r of the algebra (None: no factor
         on that side): ``term.act`` extended over the keys."""
-        f = self.term.algebra.field
-        out = {}
-        for k, c in self.terms.items():
-            for k2, c2 in self.term.act(l, k, r).items():
-                add_term(f, out, k2, f.mul(c, c2))
-        return FreeElement(self.term, out)
+        term = self.term
+        return FreeElement(term, image_of(term.algebra.field, self.terms,
+                                          lambda k: term.act(l, k, r)))
 
     def left_mul(self, a_elem):
         """a . element: multiplies the left coefficients."""
@@ -207,14 +286,6 @@ class FreeElement:
             raise ComplexError("right action on a one-sided term")
         return sum((self.act(None, m).scale(c)
                     for m, c in a_elem.terms.items()), self.term.zero())
-
-    def map_labels(self, target_term, label_map):
-        """Transport along a relabeling (for comparisons between complexes)."""
-        out = {}
-        for k, c in self.terms.items():
-            key = (k[0], label_map[k[1]]) + k[2:]
-            out[key] = c
-        return FreeElement(target_term, out)
 
     def __eq__(self, other):
         return (isinstance(other, FreeElement) and self.term is other.term
@@ -233,7 +304,8 @@ class FreeElement:
 class ChainComplexSpec:
     """Terms indexed 0..n_max; differentials[n] maps labels of term n to
     FreeElements of term n-1; augmentation maps degree-0 labels to the
-    resolved object (an algebra element, or a scalar for the ground field).
+    resolved object ``target``: an algebra element for the algebra over
+    itself (aug_kind 'algebra'), a scalar for the ground field ('ground').
 
     complete_above=False marks truncations of longer complexes (bar,
     periodic): the top spot is then excluded from exactness reports.
@@ -248,8 +320,11 @@ class ChainComplexSpec:
         self.aug_kind = aug_kind  # "algebra" | "ground" | None
         self.complete_above = complete_above
         self.name = name
-        if augmentation is not None and aug_kind not in ("algebra", "ground"):
-            raise ComplexError("augmented complex needs aug_kind")
+        self.target = None
+        if augmentation is not None:
+            if aug_kind not in _TARGETS:
+                raise ComplexError("augmented complex needs aug_kind")
+            self.target = _TARGETS[aug_kind](algebra)
 
     @property
     def n_max(self):
@@ -260,37 +335,29 @@ class ChainComplexSpec:
         return apply_label_images(elem, self.differentials[n].__getitem__,
                                   self.terms[n - 1])
 
-    def apply_augmentation(self, elem):
-        """The (-1)-degree map on an element of term 0.
+    def augmentation_image(self, key):
+        """l·ε(lab)·r for one key l⊗[lab]⊗r (or l⊗[lab]) of term 0, read
+        through ``target.act``, as a dict target key -> scalar."""
+        f = self.algebra.field
+        l, lab, r = key if len(key) == 3 else key + (None,)
+        value = self.augmentation[lab]
+        eps = value.terms if self.aug_kind == "algebra" \
+            else {self.target.label: f.coerce(value)}
+        return image_of(f, eps, lambda m: self.target.act(l, m, r))
 
-        Returns an AlgebraElement (aug_kind 'algebra') or a scalar
-        (aug_kind 'ground', where epsilon kills positive-degree left
-        coefficients).  A key l⊗[lab]⊗r (or l⊗[lab]) goes to l·ε(lab)·r,
-        read from the cached monomial products and summed into one dict."""
-        alg = self.algebra
-        f = alg.field
-        if self.aug_kind == "algebra":
-            mul = alg.mono_mul
-            bimodule = self.terms[0].side == BIMODULE
-            out = {}
-            for k, c in elem.terms.items():
-                for m1, c1 in self.augmentation[k[1]].terms.items():
-                    w = f.mul(c, c1)
-                    for m, cm in mul(k[0], m1).items():
-                        if not bimodule:
-                            add_term(f, out, m, f.mul(w, cm))
-                            continue
-                        wm = f.mul(w, cm)
-                        for m2, cm2 in mul(m, k[2]).items():
-                            add_term(f, out, m2, f.mul(wm, cm2))
-            return AlgebraElement(alg, out)
-        total = f.zero
-        for k, c in elem.terms.items():
-            # degree-0 monomials (the unit, group elements) augment to 1
-            if alg.monomial_degree(k[0]) == 0:
-                scalar = self.augmentation[k[1]]
-                total = f.add(total, f.mul(c, f.coerce(scalar)))
-        return total
+    def apply_augmentation(self, elem):
+        """The (-1)-degree map on an element of term 0, summed key by key
+        from ``augmentation_image``: an AlgebraElement, or a scalar for the
+        ground field."""
+        f = self.algebra.field
+        out = image_of(f, elem.terms, self.augmentation_image)
+        if self.aug_kind == "ground":
+            return out.get(self.target.label, f.zero)
+        return AlgebraElement(self.algebra, out)
+
+
+# the module each augmentation kind lands in
+_TARGETS = {"algebra": AlgebraAsBimodule, "ground": GroundModule}
 
 
 def apply_label_images(elem, image, target):
@@ -344,76 +411,56 @@ class TruncatedComplex:
     def __init__(self, spec, cutoff):
         self.spec = spec
         self.cutoff = cutoff
-        alg = spec.algebra
-        f = alg.field
-        self.field = f
+        self.field = f = spec.algebra.field
         self.bases = []
         self.key_degrees = []
-        index = []
-        for n, term in enumerate(spec.terms):
+        for term in spec.terms:
             b, degs = term.graded_basis(cutoff)
             self.bases.append(b)
             self.key_degrees.append(degs)
-            index.append({k: i for i, k in enumerate(b)})
         self.matrices = [None]
         self.max_drop = 0
-        # every image comes out of add_term (reduced, nonzero, one value
-        # per key), so the assembled dicts are adopted unchecked
         for n in range(1, spec.n_max + 1):
-            entries = {}
             term = spec.terms[n]
-            tindex = index[n - 1]
-            tdegs = self.key_degrees[n - 1]
-            for j, (key, src_deg) in enumerate(zip(self.bases[n],
-                                                   self.key_degrees[n])):
-                elem = FreeElement(term, {key: f.one})
-                img = spec.apply_differential(n, elem)
-                for k, v in img.terms.items():
-                    # a key missing from the target basis lies above the
-                    # cutoff, so above src_deg
-                    i = tindex.get(k)
-                    if i is None or tdegs[i] > src_deg:
-                        raise DegreeRaisingError(
-                            "d_%d raises degree on %r" % (n, key))
-                    self.max_drop = max(self.max_drop, src_deg - tdegs[i])
-                    entries[(i, j)] = v
-            self.matrices.append(SparseMatrix._adopt(
-                len(self.bases[n - 1]), len(self.bases[n]), entries, f))
+            self.matrices.append(self._assemble(
+                n, lambda key: spec.apply_differential(
+                    n, FreeElement(term, {key: f.one})).terms,
+                self.bases[n - 1], self.key_degrees[n - 1]))
         self.aug_matrix = None
         self.target_basis = None
-        if spec.augmentation is not None:
-            if spec.aug_kind == "algebra":
-                self.target_basis = basis_up_to(alg, cutoff)
-                tindex = {m: i for i, m in enumerate(self.target_basis)}
-                self.target_degrees = [alg.monomial_degree(m) for m in self.target_basis]
-                entries = {}
-                for j, (key, src_deg) in enumerate(zip(self.bases[0],
-                                                       self.key_degrees[0])):
-                    elem = FreeElement(spec.terms[0], {key: f.one})
-                    img = spec.apply_augmentation(elem)
-                    for m, v in img.terms.items():
-                        d = alg.monomial_degree(m)
-                        if d > src_deg:
-                            raise DegreeRaisingError("augmentation raises degree")
-                        self.max_drop = max(self.max_drop, src_deg - d)
-                        entries[(tindex[m], j)] = v
-            else:
-                self.target_basis = [()]
-                self.target_degrees = [0]
-                entries = {}
-                for j, (key, src_deg) in enumerate(zip(self.bases[0],
-                                                       self.key_degrees[0])):
-                    elem = FreeElement(spec.terms[0], {key: f.one})
-                    v = spec.apply_augmentation(elem)
-                    if v:
-                        self.max_drop = max(self.max_drop, src_deg)
-                        entries[(0, j)] = v
-            self.aug_matrix = SparseMatrix._adopt(
-                len(self.target_basis), len(self.bases[0]), entries, f)
+        if spec.target is not None:
+            self.target_basis = spec.target.basis(cutoff)
+            self.target_degrees = [spec.target.key_degree(m)
+                                   for m in self.target_basis]
+            self.aug_matrix = self._assemble(
+                0, spec.augmentation_image, self.target_basis,
+                self.target_degrees)
         # no map raises degree, so a zero drop means every entry of every
         # map preserves degree
         self.graded = self.max_drop == 0
         self._ranks = {}  # rank_on memo: n -> block ranks, or a restriction
+
+    def _assemble(self, n, image, rows, row_degrees):
+        """The matrix of d_n (n = 0: the augmentation) from the image of
+        each key of term n, a dict over the keys rows.  Every image comes
+        out of add_term (reduced, nonzero, one value per key), so the
+        assembled dict is adopted unchecked."""
+        index = {k: i for i, k in enumerate(rows)}
+        entries = {}
+        for j, (key, src_deg) in enumerate(zip(self.bases[n],
+                                               self.key_degrees[n])):
+            for k, v in image(key).items():
+                # a key missing from the rows lies above the cutoff, so
+                # above src_deg
+                i = index.get(k)
+                if i is None or row_degrees[i] > src_deg:
+                    raise DegreeRaisingError(
+                        "%s raises degree on %r"
+                        % ("d_%d" % n if n else "augmentation", key))
+                self.max_drop = max(self.max_drop, src_deg - row_degrees[i])
+                entries[(i, j)] = v
+        return SparseMatrix._adopt(len(rows), len(self.bases[n]), entries,
+                                   self.field)
 
     # -- ranks ----------------------------------------------------------------
 
@@ -480,13 +527,6 @@ class TruncatedComplex:
 
     def windowed_homology(self, n):
         return self.cycle_dim_in_window(n) - self.boundary_dim_in_window(n)
-
-    def coabsolute_h0(self):
-        """dim of (term_0 / im d_1) inside the window — the degree-0 homology
-        ignoring the augmentation, for comparison against the resolved object."""
-        d = self.window
-        free = sum(1 for dg in self.key_degrees[0] if dg <= d)
-        return free - self.boundary_dim_in_window(0)
 
     def augmentation_cokernel(self):
         """Windowed dim of target / im(augmentation)."""

@@ -31,9 +31,9 @@ from .algebra import (
     TWISTED_PRODUCT,
     basis_up_to,
 )
-from .complex import BIMODULE, ChainComplexSpec
+from .complex import BIMODULE, AlgebraAsBimodule, ChainComplexSpec, GroundModule
 from .kernel import SparseMatrix, add_term, homology_dim
-from .twist import FLIP, SKEW_GROUP, ORE, AlgebraAsBimodule, GroundModule
+from .twist import FLIP, SKEW_GROUP, ORE
 
 __all__ = [
     "HomologyError",
@@ -146,6 +146,14 @@ def _resolve_ground_source(source):
         raise HomologyError(
             "the resolution must resolve the ground field")
     return cplx
+
+
+# Coboundaries are counted from sources up to _SLACK degrees above the
+# window, and filtered counts are rechecked _SLACK degrees higher.  2 is
+# the largest degree drop of one commutation in the shipped algebras
+# (y·x = xy - 1 in the Weyl algebra); the pinned dimension tables and
+# stability flags are computed with it.
+_SLACK = 2
 
 
 class CochainTruncation:
@@ -273,15 +281,15 @@ class CochainTruncation:
 
     # -- windowed dimensions ------------------------------------------
 
-    def window_dim(self, n, cutoff, slack=2):
+    def window_dim(self, n, cutoff):
         """dim of stage-n cohomology seen at the window: exact cocycles
         with targets <= cutoff, minus coboundaries inside the window
-        coming from sources up to cutoff + slack."""
+        coming from sources up to cutoff + _SLACK."""
         mat, cols, _rows = self.matrix(n, cutoff)
         kernel = mat.kernel_dim()
         if n == 0:
             return kernel
-        prev, pcols, prows = self.matrix(n - 1, cutoff + slack)
+        prev, pcols, prows = self.matrix(n - 1, cutoff + _SLACK)
         total = prev.rank()
         if self.coeff == GROUND_COEFF:
             high = []
@@ -353,15 +361,14 @@ class CohomologyReport:
             self.name, mode, self.dims, flag)
 
 
-def hochschild_cohomology(source, n_top=None, cutoff=8, coeff=SELF_COEFF,
-                          slack=2, stability_shift=2):
+def hochschild_cohomology(source, n_top=None, cutoff=8, coeff=SELF_COEFF):
     """Cohomology dimensions of a two-sided free resolution with values
     in the algebra itself (default) or the ground field.
 
     Graded inputs report exact per-internal-degree dimensions alongside
     the windowed counts; filtered inputs report windowed counts at
-    ``cutoff`` and ``cutoff + stability_shift`` with per-stage stability
-    flags (disagreement flags, never raises)."""
+    ``cutoff`` and ``cutoff + _SLACK`` with per-stage stability flags
+    (disagreement flags, never raises)."""
     cplx = _resolve_algebra_source(source)
     co = CochainTruncation(cplx, coeff=coeff)
     computable = co.computable_top()
@@ -371,11 +378,11 @@ def hochschild_cohomology(source, n_top=None, cutoff=8, coeff=SELF_COEFF,
         raise HomologyError(
             "stage %d beyond the truncated resolution's trustworthy top %d"
             % (n_top, computable))
-    recheck = cutoff + stability_shift
+    recheck = cutoff + _SLACK
     rep = CohomologyReport(cplx.name, coeff, cutoff, recheck, co.graded)
     for n in range(n_top + 1):
-        here = co.window_dim(n, cutoff, slack=slack)
-        again = co.window_dim(n, recheck, slack=slack)
+        here = co.window_dim(n, cutoff)
+        again = co.window_dim(n, recheck)
         rep.dims[n] = here
         rep.stable[n] = here == again
     if co.graded:

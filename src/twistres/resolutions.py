@@ -844,6 +844,7 @@ def check_lift_chain_map(bundle, degree_bound):
                 report.record_equation(f, "square", "where",
                                        lambda: (n, lab, mono), lhs, rhs)
     term0 = cplx.terms[0]
+    aug = cplx.augmentation_image
     for lab in term0.labels:
         genkey = next(iter(term0.generator(lab).terms))
         for mono in movers:
@@ -852,38 +853,29 @@ def check_lift_chain_map(bundle, degree_bound):
                 if cplx.aug_kind == "algebra":
                     lhs = {}
                     for (k2, b2), c in pairs.items():
-                        img = cplx.apply_augmentation(
-                            FreeElement(term0, {k2: f.one}))
-                        for am, ac in img.terms.items():
+                        for am, ac in aug(k2).items():
                             add_term(f, lhs, (am, b2), f.mul(c, ac))
                     rhs = {}
-                    img = cplx.apply_augmentation(
-                        FreeElement(term0, {genkey: f.one}))
-                    for am, ac in img.terms.items():
+                    for am, ac in aug(genkey).items():
                         for (a2, b2), c2 in t.monomial_rule(mono, am).items():
                             add_term(f, rhs, (a2, b2), f.mul(ac, c2))
                 else:
+                    # the ground field: one key, so only its scalar is kept
                     lhs = {}
                     for (k2, b2), c in pairs.items():
-                        s = cplx.apply_augmentation(
-                            FreeElement(term0, {k2: f.one}))
-                        add_term(f, lhs, b2, f.mul(c, s))
+                        for s in aug(k2).values():
+                            add_term(f, lhs, b2, f.mul(c, s))
                     rhs = {}
-                    s = cplx.apply_augmentation(
-                        FreeElement(term0, {genkey: f.one}))
-                    add_term(f, rhs, mono, s)
+                    for s in aug(genkey).values():
+                        add_term(f, rhs, mono, s)
             else:
                 pairs = bundle.lifts[0].pair_rule(genkey, mono)
                 lhs = {}
                 for (a2, k2), c in pairs.items():
-                    img = cplx.apply_augmentation(
-                        FreeElement(term0, {k2: f.one}))
-                    for bm, bc in img.terms.items():
+                    for bm, bc in aug(k2).items():
                         add_term(f, lhs, (a2, bm), f.mul(c, bc))
                 rhs = {}
-                img = cplx.apply_augmentation(
-                    FreeElement(term0, {genkey: f.one}))
-                for bm, bc in img.terms.items():
+                for bm, bc in aug(genkey).items():
                     for (a2, b2), c2 in t.monomial_rule(bm, mono).items():
                         add_term(f, rhs, (a2, b2), f.mul(bc, c2))
             report.record_equation(f, "augmentation", "where",

@@ -29,7 +29,8 @@ Four kinds are provided:
 factors across a module, and ``check_bimodule_compat`` verifies the two
 compatibility equations (multiplication side and module side) that make
 the move consistent with the module structure.  Every module kind -- a
-free term, ``AlgebraAsBimodule``, ``GroundModule`` -- has the one action
+free term, ``AlgebraAsBimodule``, ``GroundModule``, all defined in
+``complex.py`` and re-exported here -- has the one action
 ``act(l, key, r)`` on basis keys, which is all the checker reads.
 
 Memo caches are append-only dicts; recomputation is idempotent, so
@@ -49,7 +50,9 @@ from .algebra import (
     AlgebraSpec, AlgebraElement, SpecMismatchError,
     basis_up_to, cyclic_group_algebra, parse_element, polynomial_algebra,
 )
-from .complex import BIMODULE, LEFT_MODULE, ComplexError
+# the module kinds live beside the free terms; _image_of is the linear
+# extension the compat checker reads
+from .complex import AlgebraAsBimodule, GroundModule, image_of as _image_of
 
 FLIP = "flip"
 ORE = "ore"
@@ -492,71 +495,6 @@ def invert_twist(t, degree_bound):
 
 
 # ---------------------------------------------------------------------------
-# modules for compatibility checks
-
-
-class AlgebraAsBimodule:
-    """An algebra seen as a bimodule over itself: keys are its monomials."""
-
-    def __init__(self, algebra):
-        self.algebra = algebra
-        self.side = BIMODULE
-
-    def basis(self, n):
-        return basis_up_to(self.algebra, n)
-
-    def key_degree(self, key):
-        return self.algebra.monomial_degree(key)
-
-    def format_key(self, key):
-        return self.algebra.format_monomial(key)
-
-    def act(self, l, key, r):
-        """l·key·r for monomials l, r (None: no factor on that side), as a
-        dict monomial -> scalar."""
-        alg = self.algebra
-        f = alg.field
-        lefts = {key: f.one} if l is None else alg.mono_mul(l, key)
-        out = {}
-        for m, c in lefts.items():
-            if r is None:
-                add_term(f, out, m, c)
-                continue
-            for m2, c2 in alg.mono_mul(m, r).items():
-                add_term(f, out, m2, f.mul(c, c2))
-        return out
-
-
-class GroundModule:
-    """The ground field as a module: the algebra acts through the
-    augmentation (positive-degree monomials act by zero, degree-zero
-    monomials — including group elements — act by one)."""
-
-    def __init__(self, algebra, label="k"):
-        self.algebra = algebra
-        self.label = label
-        self.side = LEFT_MODULE
-
-    def basis(self, n):
-        return [self.label]
-
-    def key_degree(self, key):
-        return 0
-
-    def format_key(self, key):
-        return "[%s]" % (key,)
-
-    def act(self, l, key, r):
-        """epsilon(l)·key: one for no factor or a degree-zero l, else
-        zero; a left module, so any r raises."""
-        if r is not None:
-            raise ComplexError("right action on a one-sided module")
-        if l is not None and self.algebra.monomial_degree(l):
-            return {}
-        return {key: self.algebra.field.one}
-
-
-# ---------------------------------------------------------------------------
 # CompatMap
 
 
@@ -639,20 +577,6 @@ def transposition_compat(t, module, kind=ONE_SIDED):
         return {(y, x): f.one}
 
     return CompatMap(kind, t, module, rule, name="transposition")
-
-
-def _image_of(f, vec, image):
-    """The sum of v * image(k) over a sparse vector k -> v.  A single key
-    with coefficient one gives the memoized image itself, to be read only."""
-    if len(vec) == 1:
-        (k, v), = vec.items()
-        if v == f.one:
-            return image(k)
-    out = {}
-    for k, v in vec.items():
-        for pair, w in image(k).items():
-            add_term(f, out, pair, f.mul(v, w))
-    return out
 
 
 def check_bimodule_compat(c, degree_bound):

@@ -44,10 +44,13 @@ from .algebra import (
 from .complex import (
     BIMODULE,
     LEFT_MODULE,
+    AlgebraAsBimodule,
     ChainComplexSpec,
     FreeElement,
     FreeModuleTerm,
+    GroundModule,
     apply_label_images,
+    image_of,
 )
 from .kernel import CheckReport, SparseMatrix, add_term, solve_dense
 from .resolutions import (
@@ -391,54 +394,43 @@ class TotalComplex:
     def act_left(self, u, elem):
         """u·elem for a twisted-product element u: ``act`` extended over
         the monomials of u and the keys of elem."""
-        return self._extend(u, elem, left=True)
+        return FreeElement(elem.term,
+                           self._extend(u, elem.terms, self.act, left=True))
 
     def act_right(self, elem, u):
         """elem·u: ``act`` extended over the keys of elem and the
         monomials of u."""
         if not self.bimodule:
             raise ProductError("one-sided totals carry only a left action")
-        return self._extend(u, elem, left=False)
+        return FreeElement(elem.term,
+                           self._extend(u, elem.terms, self.act, left=False))
 
-    def _extend(self, u, elem, left):
+    def _extend(self, u, terms, act, left):
+        """u·terms (left) or terms·u as a dict, for a basis-level action
+        act(l, key, r) of the twisted product."""
         f = self.bicomplex.field
         out = {}
-        for key, c in elem.terms.items():
+        for key, c in terms.items():
             for m, uc in u.terms.items():
                 base = f.mul(uc, c)
-                moved = self.act(m, key, None) if left \
-                    else self.act(None, key, m)
+                moved = act(m, key, None) if left else act(None, key, m)
                 for k2, c2 in moved.items():
                     add_term(f, out, k2, f.mul(base, c2))
-        return FreeElement(elem.term, out)
-
-    def _resolved_left(self, u, value):
-        """The action on the degree -1 target: twisted multiplication when
-        the target is the twisted product, counit scaling when it is the
-        ground field."""
-        f = self.bicomplex.field
-        if self.bimodule:
-            img = AlgebraElement(self.product, dict(value.terms))
-            return AlgebraElement(self.product, dict(u.terms)) * img
-        scale = f.zero
-        for mono, c in u.terms.items():
-            if self.product.monomial_degree(mono) == 0:
-                scale = f.add(scale, c)
-        return f.mul(scale, value)
-
-    def _resolved_right(self, value, u):
-        f = self.bicomplex.field
-        img = AlgebraElement(self.product, dict(value.terms))
-        return img * AlgebraElement(self.product, dict(u.terms))
+        return out
 
     def action_commutes_report(self, degree_bound=3, samples=20, seed=0):
         """Sample (algebra element, chain element) pairs and check that the
-        twisted action commutes with the differential and augmentation."""
+        twisted action commutes with the differential and augmentation.
+        Below stage 0 the twisted product acts on the resolved object --
+        itself, or the ground field -- through that module's ``act``."""
         rep = GridReport("action(%s)" % (self.complex.name,))
         f = self.bicomplex.field
+        cplx = self.complex
         rng = random.Random(seed)
         monos = basis_up_to(self.product, degree_bound)
         coeffs = [f.one, f.coerce(2), f.neg(f.one)]
+        resolved = (AlgebraAsBimodule if self.bimodule
+                    else GroundModule)(self.product)
 
         def random_algebra_element():
             terms = {}
@@ -453,41 +445,28 @@ class TotalComplex:
             return FreeElement(term, terms)
 
         for n in range(self.n_max + 1):
-            term = self.complex.terms[n]
+            term = cplx.terms[n]
             keys = term.basis(degree_bound)
             if not keys:
                 continue
+            # the map out of stage n and the action on its target
+            if n:
+                down = lambda e: cplx.apply_differential(n, e).terms
+                act = self.act
+            else:
+                down = lambda e: image_of(f, e.terms, cplx.augmentation_image)
+                act = resolved.act
             for trial in range(samples):
                 u = random_algebra_element()
                 e = random_chain_element(term, keys)
-                if n:
-                    lhs = self.complex.apply_differential(n, self.act_left(u, e))
-                    rhs = self.act_left(u, self.complex.apply_differential(n, e))
-                    rep.record(lhs.terms == rhs.terms,
-                               lambda: (n, "left", trial))
-                    if self.bimodule:
-                        lhs = self.complex.apply_differential(
-                            n, self.act_right(e, u))
-                        rhs = self.act_right(
-                            self.complex.apply_differential(n, e), u)
-                        rep.record(lhs.terms == rhs.terms,
-                                   lambda: (n, "right", trial))
-                else:
-                    lhs = self.complex.apply_augmentation(self.act_left(u, e))
-                    rhs = self._resolved_left(
-                        u, self.complex.apply_augmentation(e))
-                    if self.bimodule:
-                        rep.record(lhs.terms == rhs.terms,
-                                   lambda: (0, "left", trial))
-                        lhs = self.complex.apply_augmentation(
-                            self.act_right(e, u))
-                        rhs = self._resolved_right(
-                            self.complex.apply_augmentation(e), u)
-                        rep.record(lhs.terms == rhs.terms,
-                                   lambda: (0, "right", trial))
-                    else:
-                        rep.record(f.is_zero(f.sub(lhs, rhs)),
-                                   lambda: (0, "left", trial))
+                below = down(e)
+                lhs = down(self.act_left(u, e))
+                rhs = self._extend(u, below, act, left=True)
+                rep.record(lhs == rhs, lambda: (n, "left", trial))
+                if self.bimodule:
+                    lhs = down(self.act_right(e, u))
+                    rhs = self._extend(u, below, act, left=False)
+                    rep.record(lhs == rhs, lambda: (n, "right", trial))
         return rep
 
     def anticommute_report(self):
@@ -696,12 +675,12 @@ def transport_complex(cplx, target, mono_map, label_map, name=None):
         name=name or "%s / transported" % (cplx.name,))
 
 
-def complexes_match(c1, c2, check_augmentation=True):
+def complexes_match(c1, c2):
     """Symbolic equality of two complexes: same labels per stage (as
-    sets), same internal degrees, identical differential tables, and --
-    optionally -- identical augmentations.  Coefficient monomials are
-    compared raw, so the two algebras need matching monomial encodings
-    but not object identity."""
+    sets), same internal degrees, identical differential tables and
+    identical augmentations.  Coefficient monomials are compared raw, so
+    the two algebras need matching monomial encodings but not object
+    identity."""
     rep = CheckReport("complexes_match(%s == %s)" % (c1.name, c2.name),
                       " comparisons")
     rep.record(len(c1.terms) == len(c2.terms),
@@ -724,17 +703,15 @@ def complexes_match(c1, c2, check_augmentation=True):
             i1 = d1[lab].terms
             i2 = d2[lab].terms
             rep.record(i1 == i2, lambda: ("differential", n, lab, i1, i2))
-    if check_augmentation:
-        a1, a2 = c1.augmentation, c2.augmentation
-        same = (a1 is None) == (a2 is None) and c1.aug_kind == c2.aug_kind
-        rep.record(same, lambda: ("augmentation-kind", c1.aug_kind,
-                                  c2.aug_kind))
-        if same and a1 is not None:
-            for lab in c1.terms[0].labels:
-                v1, v2 = a1[lab], a2[lab]
-                if c1.aug_kind == "algebra":
-                    v1, v2 = v1.terms, v2.terms
-                rep.record(v1 == v2, lambda: ("augmentation", lab, v1, v2))
+    a1, a2 = c1.augmentation, c2.augmentation
+    same = (a1 is None) == (a2 is None) and c1.aug_kind == c2.aug_kind
+    rep.record(same, lambda: ("augmentation-kind", c1.aug_kind, c2.aug_kind))
+    if same and a1 is not None:
+        for lab in c1.terms[0].labels:
+            v1, v2 = a1[lab], a2[lab]
+            if c1.aug_kind == "algebra":
+                v1, v2 = v1.terms, v2.terms
+            rep.record(v1 == v2, lambda: ("augmentation", lab, v1, v2))
     return rep
 
 
@@ -750,17 +727,12 @@ def kunneth_degree0_check(tc, tr):
     window = tr.window
     rep = KunnethReport(tc.complex.name, tr.cutoff, window)
     term0 = tc.complex.terms[0]
-    alg = tc.complex.algebra
     degrees = sorted({term0.internal_degree[lab] for lab in term0.labels})
     base = degrees[0] if degrees else 0
     for d in range(base, window + 1):
         free = sum(1 for e in tr.key_degrees[0] if e <= d)
         bdim = tr.boundary_dim_in_window(0, window=d)
-        if tc.complex.aug_kind == "algebra":
-            want = len(basis_up_to(alg, d))
-        else:
-            want = 1
-        rep.rows[d] = (free - bdim, want)
+        rep.rows[d] = (free - bdim, len(tc.complex.target.basis(d)))
     return rep
 
 

@@ -18,13 +18,14 @@ from twistres.algebra import (
     solvable_2dim_algebra, weyl_algebra,
 )
 from twistres.twist import (
-    LEFT_BIMODULE, AlgebraAsBimodule, check_bimodule_compat, check_hexagon,
-    flip_twist, ore_twist, self_bimodule_compat, solvable_pair_twist,
-    transposition_compat, triangular_action_twist, weyl_twist,
+    LEFT_BIMODULE, AlgebraAsBimodule, GroundModule, check_bimodule_compat,
+    check_hexagon, flip_twist, ore_twist, self_bimodule_compat,
+    solvable_pair_twist, transposition_compat, triangular_action_twist,
+    weyl_twist,
 )
-from twistres.complex import BIMODULE, ChainComplexSpec, ComplexError, \
-    DegreeRaisingError, FreeElement, FreeModuleTerm, TruncatedComplex, \
-    compose_check, exactness_report, truncate
+from twistres.complex import BIMODULE, LEFT_MODULE, ChainComplexSpec, \
+    ComplexError, DegreeRaisingError, FreeElement, FreeModuleTerm, \
+    TruncatedComplex, compose_check, exactness_report, truncate
 from twistres.resolutions import (
     bar, check_lift_chain_map, check_lift_compat, crosscheck_koszul_lift,
     cyclic_periodic, lift_twist, one_sided_koszul_kx, ore_koszul,
@@ -359,6 +360,29 @@ def test_criterion_8_mutations_break_the_checks(monkeypatch):
 
         monkeypatch.setattr(kernel.RationalField, "mul", numerator_only)
         assert not check_hexagon(half_solvable_twist(), 2).passed
+
+        # the ground field's action read as zero on a group element: the
+        # augmentation of a one-sided complex over k[Z/3] then no longer
+        # kills d_1 = (g - 1)·[e0]
+        monkeypatch.undo()
+        kz3 = cyclic_group_algebra(3, PrimeField(3))
+        t0 = FreeModuleTerm(kz3, ["e0"], LEFT_MODULE)
+        t1 = FreeModuleTerm(kz3, ["e1"], LEFT_MODULE)
+        e0 = t0.generator("e0")
+        stub = ChainComplexSpec(
+            kz3, [t0, t1], [{}, {"e1": e0.left_mul(kz3.gen("g")) - e0}],
+            augmentation={"e0": 1}, aug_kind="ground", complete_above=False,
+            name="kZ3-stub")
+        assert compose_check(stub).passed
+        ground_act = GroundModule.act
+
+        def unit_only(mod, l, key, r):
+            if l not in (None, mod.algebra.one_monomial()):
+                return {}
+            return ground_act(mod, l, key, r)
+
+        monkeypatch.setattr(GroundModule, "act", unit_only)
+        assert not compose_check(stub).passed
 
 
 def test_criterion_9_full_preset_suite_is_deterministic():

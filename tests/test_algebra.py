@@ -253,10 +253,3 @@ def test_delta_table_from_strings():
     assert table == {(1, 0): {(0, 0): -1}}
     table2 = delta_table_from_strings(("y", "x"), {"x": {"y": "y"}})
     assert table2 == {(1, 0): {(1, 0): 1}}
-
-
-def test_apply_delta_leibniz():
-    # Weyl delta_y(x^2) = delta(x) x + x delta(x) = -2x
-    w = weyl_algebra()
-    d = w.apply_delta(1, E("x^2", w))
-    assert d == E("-2*x", w)

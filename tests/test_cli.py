@@ -362,6 +362,14 @@ def test_main_keeps_file_positions_of_values_not_overridden(tmp_path,
         capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["bogus", "preset:nope"])
+def test_main_marks_an_unknown_bare_task_name(tmp_path, capsys, name):
+    path = tmp_path / "c.yaml"
+    path.write_text("tasks:\n  - %s\n" % name, encoding="utf-8")
+    assert main(["--input", str(path)]) == 2
+    assert "c.yaml: line 2, column 5: unknown" in capsys.readouterr().err
+
+
 def test_main_requires_input_or_task(capsys):
     with pytest.raises(SystemExit):
         main([])
