@@ -2,8 +2,8 @@
 constructions, checks, and dimension computations, and emit a structured
 report to standard output.
 
-Problem files are YAML mappings with the following keys (all optional
-except, in practice, ``tasks``):
+Problem files are UTF-8 YAML mappings, without aliases, with the
+following keys (all optional except, in practice, ``tasks``):
 
 ``field``
     Characteristic of the ground field: 0 (rationals) or a prime.
@@ -72,9 +72,6 @@ import json
 import sys
 import time
 
-import yaml
-from yaml.constructor import SafeConstructor
-
 from . import __version__
 from .kernel import field_of_characteristic
 from .algebra import (
@@ -123,24 +120,6 @@ class ConfigError(Exception):
 # parsing: YAML -> plain data with source marks -> validated ProblemConfig
 
 
-def _plain_data(node, path, marks, scalars):
-    marks[path] = (node.start_mark.line + 1, node.start_mark.column + 1)
-    if isinstance(node, yaml.MappingNode):
-        out = {}
-        for key_node, value_node in node.value:
-            if not isinstance(key_node, yaml.ScalarNode):
-                raise ConfigError("mapping keys must be scalars",
-                                  key_node.start_mark.line + 1,
-                                  key_node.start_mark.column + 1)
-            key = scalars.construct_object(key_node)
-            out[key] = _plain_data(value_node, path + (key,), marks, scalars)
-        return out
-    if isinstance(node, yaml.SequenceNode):
-        return [_plain_data(child, path + (i,), marks, scalars)
-                for i, child in enumerate(node.value)]
-    return scalars.construct_object(node)
-
-
 class _Marks:
     """Maps config paths (tuples of keys/indices) to (line, column)."""
 
@@ -154,18 +133,69 @@ class _Marks:
 
 def _load_problem(text):
     """YAML text -> (plain data, source marks); raise ConfigError with the
-    source line and column unless it is a mapping (or empty)."""
+    source line and column unless it is a mapping (or empty) of plain
+    values without aliases.
+
+    PyYAML is imported here, the one place that reads a problem file, so
+    library imports and ``--task`` runs never load it."""
+    import yaml
+    from yaml.constructor import SafeConstructor
+
+    scalars = SafeConstructor()
     marks = {}
+    seen = set()  # ids of the nodes walked: an alias reaches one again
+
+    def visit(node):
+        line = node.start_mark.line + 1
+        column = node.start_mark.column + 1
+        if id(node) in seen:
+            raise ConfigError("this node is reached again through an alias "
+                              "(aliases are not supported)", line, column)
+        seen.add(id(node))
+        return line, column
+
+    def scalar(node, line, column):
+        try:
+            return scalars.construct_object(node)
+        except (AttributeError, KeyError, ValueError):
+            # SafeConstructor's readers of tagged scalars raise these
+            raise ConfigError("cannot read %r as %s" % (node.value, node.tag),
+                              line, column) from None
+
+    def plain_data(node, path):
+        line, column = marks[path] = visit(node)
+        if isinstance(node, yaml.MappingNode):
+            out = {}
+            for key_node, value_node in node.value:
+                key_at = visit(key_node)
+                if not isinstance(key_node, yaml.ScalarNode):
+                    raise ConfigError("mapping keys must be scalars", *key_at)
+                key = scalar(key_node, *key_at)
+                out[key] = plain_data(value_node, path + (key,))
+            return out
+        if isinstance(node, yaml.SequenceNode):
+            return [plain_data(child, path + (i,))
+                    for i, child in enumerate(node.value)]
+        return scalar(node, line, column)
+
     try:
         node = yaml.compose(text, Loader=yaml.SafeLoader)
         if node is None:
             return {}, marks
-        data = _plain_data(node, (), marks, SafeConstructor())
+        data = plain_data(node, ())
     except yaml.MarkedYAMLError as exc:
         mark = exc.problem_mark or exc.context_mark
         line = mark.line + 1 if mark else None
         column = mark.column + 1 if mark else None
         raise ConfigError(exc.problem or str(exc), line, column) from None
+    except yaml.reader.ReaderError as exc:
+        before = text[:exc.position]
+        raise ConfigError("unacceptable character #x%04x: %s"
+                          % (exc.character, exc.reason),
+                          before.count("\n") + 1,
+                          exc.position - before.rfind("\n")) from None
+    except RecursionError:
+        raise ConfigError("the problem file nests too deeply") from None
     if not isinstance(data, dict):
         raise ConfigError("the problem file must be a mapping", 1, 1)
     return data, marks
@@ -1045,6 +1075,9 @@ def main(argv=None):
                 text = handle.read()
         except OSError as exc:
             print("twistres: %s" % exc, file=sys.stderr)
+            return 2
+        except UnicodeDecodeError as exc:
+            print("twistres: %s: %s" % (args.input, exc), file=sys.stderr)
             return 2
         try:
             data, marks = _load_problem(text)

@@ -5,6 +5,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -335,6 +336,68 @@ def test_unknown_yaml_tag_is_a_config_error_with_its_position(tmp_path,
     assert main(["--input", str(path)]) == 2
     assert "line 1, column 9: could not determine a constructor" in \
         capsys.readouterr().err
+
+
+ALIAS = "this node is reached again through an alias"
+
+
+@pytest.mark.parametrize("text, position, message", [
+    ("a: &x [*x]\n", (1, 4), ALIAS),
+    ("a: &x [1]\nb: *x\nc: *x\n", (1, 4), ALIAS),
+    ("&k cutoff: 1\n*k : 2\n", (1, 1), ALIAS),
+    ("? [a]\n: 1\n", (1, 3), "mapping keys must be scalars"),
+    ("cutoff: !!float abc\n", (1, 9), "cannot read 'abc' as"),
+    ("cutoff: !!bool maybe\n", (1, 9), "cannot read 'maybe' as"),
+    ("cutoff: !!timestamp 2020-13-45\n", (1, 9), "cannot read '2020-13-45'"),
+    ("cutoff: 3\nb: x\x01\n", (2, 5), "unacceptable character #x0001"),
+], ids=["self-alias", "alias-used-twice", "aliased-key", "non-scalar-key",
+        "bad-float", "bad-bool", "bad-timestamp", "unprintable"])
+def test_malformed_yaml_exits_2_with_its_position(tmp_path, capsys, text,
+                                                  position, message):
+    with pytest.raises(ConfigError, match=message) as info:
+        parse_config(text)
+    assert (info.value.line, info.value.column) == position
+    path = tmp_path / "bad.yaml"
+    path.write_text(text, encoding="utf-8")
+    assert main(["--input", str(path)]) == 2
+    assert "line %d, column %d: %s" % (position + (message,)) in \
+        capsys.readouterr().err
+
+
+def test_deeply_nested_yaml_is_a_config_error():
+    with pytest.raises(ConfigError, match="nests too deeply"):
+        parse_config("a: " + "[" * 3000 + "]" * 3000 + "\n")
+
+
+def test_main_rejects_a_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "latin1.yaml"
+    path.write_bytes(b"cutoff: 3\n# caf\xe9 \xff\n")
+    assert main(["--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("twistres: %s: " % path)
+    assert "can't decode byte" in err
+
+
+def test_yaml_is_imported_only_to_read_a_problem_file():
+    # a fresh interpreter: this test process has long since imported yaml
+    weyl = Path(__file__).resolve().parents[1] / "demos" / "weyl.yaml"
+    script = "\n".join([
+        "import contextlib, hashlib, io, sys",
+        "from twistres.cli import main",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    main(['--task', 'preset:cyclic-p', '--format', 'json'])",
+        "print('yaml' in sys.modules)",
+        "out = io.StringIO()",
+        "with contextlib.redirect_stdout(out):",
+        "    main(['--input', sys.argv[1], '--format', 'json'])",
+        "print('yaml' in sys.modules)",
+        "print(hashlib.sha256(out.getvalue().encode('utf-8')).hexdigest())",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script, str(weyl)],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == [
+        "False", "True",
+        "36bc132bc1d0ada649890f1e17ac4212033dfe9c57ffc868881a10a27ced3d93"]
 
 
 @pytest.mark.parametrize("argv, flag", [
