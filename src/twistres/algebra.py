@@ -7,7 +7,9 @@ Four variants share one element type:
 * ``iterated-ore`` -- k[x_1..x_t; delta_2..delta_t] with sigma = 1
   throughout: the rewriting rule is x_j x_i -> x_i x_j + delta_j(x_i) for
   i < j, where each delta_j(x_i) is a constant plus a linear combination
-  of x_1..x_{j-1} (the filtered condition, validated at construction);
+  of x_1..x_{j-1} (the filtered condition).  Construction also checks
+  that every overlap x_k x_j x_i resolves, so the ordered monomials are a
+  basis (PBW), and products are built one generator at a time;
 * ``twisted-product`` -- A (x)_tau B; monomials are (A-monomial,
   B-monomial) pairs kept in left-normal form, with every B*A crossing
   routed through the twisting map.
@@ -41,7 +43,7 @@ class ZeroElementError(AlgebraError):
 
 
 class DeltaTableError(AlgebraError):
-    """A delta table entry violates the filtered condition."""
+    """A delta table violates the filtered condition or breaks PBW."""
 
 
 POLYNOMIAL = "polynomial"
@@ -70,7 +72,8 @@ class AlgebraSpec:
         self.twist = twist
         self.name = name
         self._mul_cache = {}
-        self._word_cache = {}
+        self._gen_cache = {}
+        self._basis_cache = {}
         if variant == ITERATED_ORE:
             self._validate_delta()
 
@@ -97,6 +100,21 @@ class AlgebraSpec:
                     raise DeltaTableError(
                         "delta_%d(x_%d) contains x_%d outside span of lower "
                         "generators" % (j, i, m))
+        # Bergman's diamond lemma: the normal monomials are a basis (PBW)
+        # exactly when every overlap x_k x_j x_i (i < j < k) resolves, that
+        # is, when (x_k x_j) x_i and x_k (x_j x_i) have the same normal form
+        gens = [AlgebraElement(self, {tuple(int(m == k) for m in range(t)):
+                                      self.field.one}) for k in range(t)]
+        for k in range(t):
+            for j in range(k):
+                for i in range(j):
+                    left = (gens[k] * gens[j]) * gens[i]
+                    right = gens[k] * (gens[j] * gens[i])
+                    if left != right:
+                        c, b, a = self.gens[k], self.gens[j], self.gens[i]
+                        raise DeltaTableError(
+                            "delta table breaks PBW: (%s*%s)*%s = %r but "
+                            "%s*(%s*%s) = %r" % (c, b, a, left, c, b, a, right))
 
     # -- generators and units ------------------------------------------------
 
@@ -212,7 +230,15 @@ class AlgebraSpec:
         elif self.variant == CYCLIC_GROUP:
             out = {(m1 + m2) % self.order: self.field.one}
         elif self.variant == ITERATED_ORE:
-            out = self._normalize_word(self._word(m1) + self._word(m2))
+            f = self.field
+            out = {m1: f.one}
+            for j, e in enumerate(m2):
+                for _ in range(e):
+                    step = {}
+                    for m, c in out.items():
+                        for mm, cm in self._times_gen(m, j).items():
+                            add_term(f, step, mm, f.mul(c, cm))
+                    out = step
         else:
             out = self._twisted_mono_mul(m1, m2)
         self._mul_cache[key] = out
@@ -231,34 +257,54 @@ class AlgebraSpec:
             e[i] += 1
         return tuple(e)
 
-    def _normalize_word(self, word):
-        """PBW rewriting: x_j x_i -> x_i x_j + delta_j(x_i), leftmost descent
-        first.  Each step drops (length, inversions) lexicographically, so
-        this terminates."""
-        hit = self._word_cache.get(word)
+    def _times_gen(self, mono, j):
+        """Normal form of the normal monomial ``mono`` times x_j, memoized.
+
+        Ore recursion: for mono = u x_i whose last letter has i > j,
+        mono x_j = (u x_j) x_i + u delta[(i, j)].  Every monomial of u x_j
+        and of u x_m (m < i) has its letters <= i, so appending x_i keeps
+        it normal.  Missing entries are filled from an explicit stack, each
+        after the lower-degree entries it reads, so the depth follows the
+        degree without touching the recursion limit."""
+        memo = self._gen_cache
+        top = (mono, j)
+        hit = memo.get(top)
         if hit is not None:
             return hit
         f = self.field
-        pending = {word: f.one}
-        done = {}
-        while pending:
-            w, c = pending.popitem()
-            k = None
-            for pos in range(len(w) - 1):
-                if w[pos] > w[pos + 1]:
-                    k = pos
-                    break
-            if k is None:
-                add_term(f, done, self._exp(w), c)
+        stack = [top]
+        while stack:
+            key = stack[-1]
+            if key in memo:
+                stack.pop()
                 continue
-            j, i = w[k], w[k + 1]
-            add_term(f, pending, w[:k] + (i, j) + w[k + 2:], c)
-            for dm, dc in self.delta.get((j, i), {}).items():
-                frag = self._word(dm)
-                add_term(f, pending, w[:k] + frag + w[k + 2:],
-                         f.mul(c, f.coerce(dc)))
-        self._word_cache[word] = done
-        return done
+            mono, j = key
+            i = len(mono) - 1
+            while i > j and not mono[i]:
+                i -= 1
+            if i == j:
+                memo[key] = {mono[:j] + (mono[j] + 1,) + mono[j + 1:]: f.one}
+                stack.pop()
+                continue
+            u = mono[:i] + (mono[i] - 1,) + mono[i + 1:]
+            delta = self.delta.get((i, j), {})
+            needs = [(u, j)] + [(u, dm.index(1)) for dm in delta if any(dm)]
+            missing = [k for k in needs if k not in memo]
+            if missing:
+                stack.extend(missing)
+                continue
+            stack.pop()
+            out = {n[:i] + (n[i] + 1,) + n[i + 1:]: c
+                   for n, c in memo[(u, j)].items()}
+            for dm, dc in delta.items():
+                dc = f.coerce(dc)
+                if any(dm):
+                    for n, c in memo[(u, dm.index(1))].items():
+                        add_term(f, out, n, f.mul(dc, c))
+                else:
+                    add_term(f, out, u, dc)
+            memo[key] = out
+        return memo[top]
 
     def _twisted_mono_mul(self, m1, m2):
         (a1, b1), (a2, b2) = m1, m2
@@ -418,9 +464,17 @@ def normalize(word, spec):
 def basis_up_to(spec, n):
     """All monomials of filtration degree <= n, deterministically ordered
     (degree, then lexicographic on exponents).  Cyclic group algebras
-    return the full basis regardless of n."""
+    return the full basis regardless of n.  Each spec enumerates a bound
+    once; every call returns a fresh copy that the caller may mutate."""
     if n < 0:
         raise AlgebraError("negative degree bound")
+    hit = spec._basis_cache.get(n)
+    if hit is None:
+        hit = spec._basis_cache[n] = _enumerate_basis(spec, n)
+    return list(hit)
+
+
+def _enumerate_basis(spec, n):
     if spec.variant == CYCLIC_GROUP:
         return list(range(spec.order))
     if spec.variant in (POLYNOMIAL, ITERATED_ORE):

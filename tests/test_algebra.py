@@ -3,10 +3,11 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from twistres.kernel import QQ, PrimeField
+from twistres.kernel import QQ, PrimeField, add_term, field_of_characteristic
 from twistres.algebra import (
+    AlgebraSpec, ITERATED_ORE,
     polynomial_algebra, cyclic_group_algebra, iterated_ore_algebra,
     weyl_algebra, solvable_2dim_algebra, heisenberg_algebra,
     normalize, basis_up_to, filtration_degree, parse_element,
@@ -14,6 +15,7 @@ from twistres.algebra import (
     AlgebraError, UnknownGeneratorError, SpecMismatchError, ZeroElementError,
     DeltaTableError,
 )
+from twistres.twist import triangular_action_twist, weyl_twist
 
 
 def E(text, spec):
@@ -212,8 +214,8 @@ def test_degree_subadditive_and_polynomial_equality(wa, wb):
 
 
 def test_rewriting_is_bounded():
-    # terminating rewriting: a worst-case small product finishes and the
-    # word cache only holds finitely many entries afterwards
+    # the Ore recursion ends: a worst-case small product finishes with
+    # its top-degree term x^6 y^6
     w = weyl_algebra()
     y6x6 = E("y^6", w) * E("x^6", w)
     assert filtration_degree(y6x6) == 12
@@ -253,3 +255,230 @@ def test_delta_table_from_strings():
     assert table == {(1, 0): {(0, 0): -1}}
     table2 = delta_table_from_strings(("y", "x"), {"x": {"y": "y"}})
     assert table2 == {(1, 0): {(1, 0): 1}}
+
+
+# ------------------------------------------------- Ore multiplication vs rewriting
+#
+# The reference below is the word-rewriting normal form the library used
+# before it multiplied one generator at a time: rewrite the leftmost descent
+# x_j x_i (i < j) to x_i x_j + delta[(j, i)] until no descent is left.  It
+# needs only a field and a delta table, so it also runs on tables the
+# library rejects.
+
+
+def _exp(t, word):
+    e = [0] * t
+    for i in word:
+        e[i] += 1
+    return tuple(e)
+
+
+def reference_normalize(field, t, delta, word, cache):
+    hit = cache.get(word)
+    if hit is not None:
+        return hit
+    pending = {word: field.one}
+    done = {}
+    while pending:
+        w, c = pending.popitem()
+        k = None
+        for pos in range(len(w) - 1):
+            if w[pos] > w[pos + 1]:
+                k = pos
+                break
+        if k is None:
+            add_term(field, done, _exp(t, w), c)
+            continue
+        j, i = w[k], w[k + 1]
+        add_term(field, pending, w[:k] + (i, j) + w[k + 2:], c)
+        for dm, dc in delta.get((j, i), {}).items():
+            frag = AlgebraSpec._word(dm)
+            add_term(field, pending, w[:k] + frag + w[k + 2:],
+                     field.mul(c, field.coerce(dc)))
+    cache[word] = done
+    return done
+
+
+def reference_mul(field, t, delta, x, y, cache):
+    """Reference product of two monomial -> scalar dicts."""
+    out = {}
+    for m1, c1 in x.items():
+        for m2, c2 in y.items():
+            word = AlgebraSpec._word(m1) + AlgebraSpec._word(m2)
+            for m, c in reference_normalize(field, t, delta, word,
+                                            cache).items():
+                add_term(field, out, m, field.mul(field.mul(c1, c2), c))
+    return out
+
+
+def reference_fails_associativity(field, t, delta):
+    """Whether (x_a x_b) x_c != x_a (x_b x_c) for some generator triple,
+    each product normalized by the reference rewriting."""
+    cache = {}
+    e = [{tuple(int(m == k) for m in range(t)): field.one} for k in range(t)]
+    for a in range(t):
+        for b in range(t):
+            for c in range(t):
+                ab = reference_mul(field, t, delta, e[a], e[b], cache)
+                bc = reference_mul(field, t, delta, e[b], e[c], cache)
+                if (reference_mul(field, t, delta, ab, e[c], cache)
+                        != reference_mul(field, t, delta, e[a], bc, cache)):
+                    return True
+    return False
+
+
+def assert_matches_reference(spec, monos, max_degree=None):
+    cache = {}
+    t = len(spec.gens)
+    for m1 in monos:
+        for m2 in monos:
+            if (max_degree is not None and spec.monomial_degree(m1)
+                    + spec.monomial_degree(m2) > max_degree):
+                continue
+            want = reference_normalize(
+                spec.field, t, spec.delta,
+                AlgebraSpec._word(m1) + AlgebraSpec._word(m2), cache)
+            assert spec.mono_mul(m1, m2) == want, (m1, m2)
+
+
+ORE_SPECS = sorted(name for name in SPECS
+                   if SPECS[name]().variant == ITERATED_ORE)
+
+
+def test_ore_specs_cover_every_shipped_ore_algebra():
+    assert ORE_SPECS == ["heis", "solv", "weyl", "weyl2"]
+
+
+@pytest.mark.parametrize("name", ORE_SPECS)
+def test_mono_mul_matches_reference_rewriting(name):
+    """Every pair of normal monomials of degree <= 5."""
+    spec = SPECS[name]()
+    assert_matches_reference(spec, basis_up_to(spec, 5))
+
+
+@st.composite
+def ore_tables(draw, zeros=2):
+    """A 3- or 4-generator delta table meeting the filtered condition:
+    delta[(j, i)] is a constant plus x_0..x_{j-1}, coefficients in
+    {-1, 0, 1}, each 0 with weight ``zeros`` against 1 for 1 and -1."""
+    t = draw(st.integers(3, 4))
+    coeff = st.sampled_from((0,) * zeros + (1, -1))
+    table = {}
+    for j in range(t):
+        for i in range(j):
+            row = {}
+            for m in range(-1, j):
+                c = draw(coeff)
+                if c:
+                    row[tuple(int(k == m) for k in range(t))] = c
+            if row:
+                table[(j, i)] = row
+    return t, table
+
+
+# b a = a b + a and c a = a c + b, c b = b c: (c b) a - c (b a) = -b
+INCONSISTENT = (3, {(1, 0): {(1, 0, 0): 1}, (2, 0): {(0, 1, 0): 1}})
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(ore_tables(), st.sampled_from((0, 3)))
+@example(INCONSISTENT, 0)
+@example((3, {(2, 1): {(1, 0, 0): 1}}), 3)
+def test_validation_rejects_exactly_the_non_associative_tables(drawn, p):
+    t, table = drawn
+    field = field_of_characteristic(p)
+    try:
+        iterated_ore_algebra("abcd"[:t], table, field)
+        rejected = False
+    except DeltaTableError:
+        rejected = True
+    assert rejected == reference_fails_associativity(field, t, table)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(ore_tables(), st.sampled_from((0, 3)))
+@example((4, {(3, 0): {(1, 0, 0, 0): 1}, (2, 1): {(0, 0, 0, 0): 1},
+              (3, 2): {(0, 1, 0, 0): -1}}), 0)
+def test_mono_mul_matches_reference_on_random_tables(drawn, p):
+    t, table = drawn
+    try:
+        spec = iterated_ore_algebra("abcd"[:t], table, field_of_characteristic(p))
+    except DeltaTableError:
+        assume(False)
+    assert_matches_reference(spec, basis_up_to(spec, 3), max_degree=5)
+
+
+def test_inconsistent_table_names_its_overlap():
+    t, table = INCONSISTENT
+    with pytest.raises(DeltaTableError) as info:
+        iterated_ore_algebra(("a", "b", "c"), table)
+    assert "(c*b)*a" in str(info.value) and "c*(b*a)" in str(info.value)
+
+
+def test_consistent_tables_are_accepted():
+    # every shipped Ore algebra resolves all its overlaps, over Q and F_3
+    for p in (0, 3):
+        field = field_of_characteristic(p)
+        for spec in (weyl_algebra(field), weyl_algebra(field, n=2),
+                     solvable_2dim_algebra(field), heisenberg_algebra(field)):
+            assert not reference_fails_associativity(
+                field, len(spec.gens), spec.delta)
+
+
+def test_deep_product_needs_no_recursion():
+    # y^1500 x walks 1500 steps down the Ore recursion, past the default
+    # recursion limit: y^n x = x y^n - n y^(n-1)
+    w = weyl_algebra()
+    assert w.mono_mul((0, 1500), (1, 0)) == {(1, 1500): 1, (0, 1499): -1500}
+
+
+def test_degree_200_weyl_product():
+    w = weyl_algebra()
+    prod = w.mono_mul((0, 200), (200, 0))
+    assert len(prod) == 201
+    # the constant term of y^n x^n is (-1)^n n!
+    fact = 1
+    for k in range(1, 201):
+        fact *= k
+    assert prod[(0, 0)] == fact and prod[(200, 200)] == 1
+
+
+# ------------------------------------------------------------------ basis memo
+
+def test_basis_copy_is_the_callers():
+    w = weyl_algebra()
+    first = basis_up_to(w, 2)
+    want = list(first)
+    first.append((9, 9))
+    first[0] = None
+    first.sort(key=repr)
+    assert basis_up_to(w, 2) == want
+
+
+BASIS_SPECS = {
+    "poly": lambda: polynomial_algebra(("x", "y", "z")),
+    "weyl": weyl_algebra,
+    "weyl-twisted": lambda: weyl_twist().product(),
+    "triangular-twisted": lambda: triangular_action_twist(3).product(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BASIS_SPECS))
+def test_smaller_bound_is_a_prefix(name):
+    # large bound first, then small, on a fresh spec; then the other way
+    big_first = BASIS_SPECS[name]()
+    full = basis_up_to(big_first, 4)
+    small_first = BASIS_SPECS[name]()
+    for d in range(5):
+        part = basis_up_to(big_first, d)
+        assert part == full[:len(part)]
+        assert basis_up_to(small_first, d) == part
+        assert all(big_first.monomial_degree(m) <= d for m in part)
+        assert len(full) == len(part) or \
+            big_first.monomial_degree(full[len(part)]) > d
+
+
+def test_cyclic_group_basis_at_any_bound():
+    g = cyclic_group_algebra(5, PrimeField(3))
+    for n in (7, 0, 3, 0, 100):
+        assert basis_up_to(g, n) == [0, 1, 2, 3, 4]

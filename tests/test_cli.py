@@ -86,6 +86,28 @@ def test_rejects_delta_image_involving_later_generator():
         parse_config(text)
 
 
+INCONSISTENT_DELTA = ("field: 0\nalgebras:\n  T:\n    kind: iterated-ore\n"
+                      "    generators: [a, b, c]\n"
+                      "    delta: {b: {a: \"a\"}, c: {a: \"b\"}}\n"
+                      "resolutions:\n"
+                      "  PT: {algebra: T, family: ore-koszul, cutoff: 4}\n"
+                      "tasks: [verify-resolution]\n")
+
+
+def test_rejects_delta_table_that_breaks_pbw(tmp_path, capsys):
+    # (c*b)*a and c*(b*a) differ by b: the normal monomials are no basis,
+    # and an accepted table would report a negative homology dimension
+    with pytest.raises(ConfigError) as info:
+        parse_config(INCONSISTENT_DELTA)
+    assert info.value.line == 6
+    assert "(c*b)*a" in str(info.value)
+    path = tmp_path / "inconsistent.yaml"
+    path.write_text(INCONSISTENT_DELTA, encoding="utf-8")
+    assert main(["--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "delta" in err and "Traceback" not in err
+
+
 def test_rejects_yaml_syntax_error_with_position():
     with pytest.raises(ConfigError) as info:
         parse_config("tasks:\n  - [unclosed\n")
