@@ -21,7 +21,8 @@ following keys (all optional except, in practice, ``tasks``):
     * ``iterated-ore`` with ``generators`` and a ``delta`` table
       ``{later-gen: {earlier-gen: "image string"}}`` -- images are
       linear-combination strings like ``"-1"`` or ``"y"`` or ``"2*z - 1"``
-      over the ground field and strictly earlier generators;
+      over the ground field and strictly earlier generators, and the
+      table is rejected unless every overlap resolves (PBW);
     * ``twisted-product`` with ``left``/``right`` naming previously
       declared plain blocks and a ``twist`` sub-block whose ``kind`` is
       ``flip``, ``ore`` (with ``delta: {left-gen: "image"}``),

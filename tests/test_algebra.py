@@ -259,11 +259,10 @@ def test_delta_table_from_strings():
 
 # ------------------------------------------------- Ore multiplication vs rewriting
 #
-# The reference below is the word-rewriting normal form the library used
-# before it multiplied one generator at a time: rewrite the leftmost descent
-# x_j x_i (i < j) to x_i x_j + delta[(j, i)] until no descent is left.  It
-# needs only a field and a delta table, so it also runs on tables the
-# library rejects.
+# The reference below reaches the normal form by word rewriting: rewrite
+# the leftmost descent x_j x_i (i < j) of the whole word to
+# x_i x_j + delta[(j, i)] until no descent is left.  It needs only a field
+# and a delta table, so it also runs on tables the library rejects.
 
 
 def _exp(t, word):
@@ -345,10 +344,6 @@ ORE_SPECS = sorted(name for name in SPECS
                    if SPECS[name]().variant == ITERATED_ORE)
 
 
-def test_ore_specs_cover_every_shipped_ore_algebra():
-    assert ORE_SPECS == ["heis", "solv", "weyl", "weyl2"]
-
-
 @pytest.mark.parametrize("name", ORE_SPECS)
 def test_mono_mul_matches_reference_rewriting(name):
     """Every pair of normal monomials of degree <= 5."""
@@ -413,16 +408,6 @@ def test_inconsistent_table_names_its_overlap():
     with pytest.raises(DeltaTableError) as info:
         iterated_ore_algebra(("a", "b", "c"), table)
     assert "(c*b)*a" in str(info.value) and "c*(b*a)" in str(info.value)
-
-
-def test_consistent_tables_are_accepted():
-    # every shipped Ore algebra resolves all its overlaps, over Q and F_3
-    for p in (0, 3):
-        field = field_of_characteristic(p)
-        for spec in (weyl_algebra(field), weyl_algebra(field, n=2),
-                     solvable_2dim_algebra(field), heisenberg_algebra(field)):
-            assert not reference_fails_associativity(
-                field, len(spec.gens), spec.delta)
 
 
 def test_deep_product_needs_no_recursion():
