@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .kernel import QQ, add_term, field_of_characteristic
+from .kernel import QQ, add_term
 
 
 class AlgebraError(Exception):

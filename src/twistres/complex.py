@@ -12,7 +12,8 @@ on basis keys.
 A ``ChainComplexSpec`` stores one term per homological degree,
 differentials given on labels (applied by ``apply_label_images``), and an
 optional augmentation treated as the (-1)-degree map into its ``target``
-module: a key l⊗[lab]⊗r goes to l·ε(lab)·r through ``target.act``
+module: ε(lab) is a sparse dict over the target's keys, and a key
+l⊗[lab]⊗r goes to l·ε(lab)·r through ``target.act``
 (``augmentation_image``).
 
 Everything quantitative happens after ``truncate``: keys of total
@@ -36,6 +37,10 @@ from .algebra import AlgebraElement, basis_up_to
 
 BIMODULE = "bimodule"
 LEFT_MODULE = "left-module"
+GROUND_KEY = "k"  # the one basis key of the ground field
+# the aug_kind values: what an augmented complex resolves
+RESOLVES_ALGEBRA = "algebra"
+RESOLVES_GROUND = "ground"
 
 
 class ComplexError(Exception):
@@ -192,13 +197,12 @@ class GroundModule:
     augmentation (positive-degree monomials act by zero, degree-zero
     monomials — including group elements — act by one)."""
 
-    def __init__(self, algebra, label="k"):
+    def __init__(self, algebra):
         self.algebra = algebra
-        self.label = label
         self.side = LEFT_MODULE
 
     def basis(self, n):
-        return [self.label]
+        return [GROUND_KEY]
 
     def key_degree(self, key):
         return 0
@@ -303,9 +307,10 @@ class FreeElement:
 
 class ChainComplexSpec:
     """Terms indexed 0..n_max; differentials[n] maps labels of term n to
-    FreeElements of term n-1; augmentation maps degree-0 labels to the
-    resolved object ``target``: an algebra element for the algebra over
-    itself (aug_kind 'algebra'), a scalar for the ground field ('ground').
+    FreeElements of term n-1; augmentation maps degree-0 labels to sparse
+    dicts over the keys of the resolved module ``target``: monomial ->
+    scalar for the algebra over itself (aug_kind RESOLVES_ALGEBRA),
+    {GROUND_KEY: scalar} for the ground field (RESOLVES_GROUND).
 
     complete_above=False marks truncations of longer complexes (bar,
     periodic): the top spot is then excluded from exactness reports.
@@ -317,7 +322,7 @@ class ChainComplexSpec:
         self.terms = list(terms)
         self.differentials = list(differentials)
         self.augmentation = augmentation
-        self.aug_kind = aug_kind  # "algebra" | "ground" | None
+        self.aug_kind = aug_kind  # RESOLVES_ALGEBRA | RESOLVES_GROUND | None
         self.complete_above = complete_above
         self.name = name
         self.target = None
@@ -338,26 +343,13 @@ class ChainComplexSpec:
     def augmentation_image(self, key):
         """l·ε(lab)·r for one key l⊗[lab]⊗r (or l⊗[lab]) of term 0, read
         through ``target.act``, as a dict target key -> scalar."""
-        f = self.algebra.field
         l, lab, r = key if len(key) == 3 else key + (None,)
-        value = self.augmentation[lab]
-        eps = value.terms if self.aug_kind == "algebra" \
-            else {self.target.label: f.coerce(value)}
-        return image_of(f, eps, lambda m: self.target.act(l, m, r))
-
-    def apply_augmentation(self, elem):
-        """The (-1)-degree map on an element of term 0, summed key by key
-        from ``augmentation_image``: an AlgebraElement, or a scalar for the
-        ground field."""
-        f = self.algebra.field
-        out = image_of(f, elem.terms, self.augmentation_image)
-        if self.aug_kind == "ground":
-            return out.get(self.target.label, f.zero)
-        return AlgebraElement(self.algebra, out)
+        return image_of(self.algebra.field, self.augmentation[lab],
+                        lambda m: self.target.act(l, m, r))
 
 
 # the module each augmentation kind lands in
-_TARGETS = {"algebra": AlgebraAsBimodule, "ground": GroundModule}
+_TARGETS = {RESOLVES_ALGEBRA: AlgebraAsBimodule, RESOLVES_GROUND: GroundModule}
 
 
 def apply_label_images(elem, image, target):
@@ -388,6 +380,7 @@ def apply_label_images(elem, image, target):
 
 def compose_check(c):
     """Symbolic d . d = 0 on every label (and augmentation . d_1 = 0)."""
+    f = c.algebra.field
     report = CheckReport("compose_check(%s)" % (c.name,), " labels")
     for n in range(2, c.n_max + 1):
         for label in c.terms[n].labels:
@@ -395,13 +388,14 @@ def compose_check(c):
             dd = c.apply_differential(n - 1, img)
             report.record(dd.is_zero(), lambda: (n, label, repr(dd)))
     if c.augmentation is not None and c.n_max >= 1:
+        ground = c.aug_kind == RESOLVES_GROUND
         for label in c.terms[1].labels:
             img = c.differentials[1][label]
-            res = c.apply_augmentation(img)
-            if c.aug_kind == "ground":
-                res = record_value(c.algebra.field, res)
-            report.record(not res,
-                          lambda: (1, label, "augmentation: %r" % (res,)))
+            res = image_of(f, img.terms, c.augmentation_image)
+            # a failure shows the ground scalar, or an algebra element
+            report.record(not res, lambda: (1, label, "augmentation: %r" % (
+                record_value(f, res[GROUND_KEY]) if ground
+                else AlgebraElement(c.algebra, res),)))
     return report
 
 

@@ -31,7 +31,10 @@ from .algebra import (
     TWISTED_PRODUCT,
     basis_up_to,
 )
-from .complex import BIMODULE, AlgebraAsBimodule, ChainComplexSpec, GroundModule
+from .complex import (
+    BIMODULE, RESOLVES_ALGEBRA, RESOLVES_GROUND, AlgebraAsBimodule,
+    ChainComplexSpec, GroundModule,
+)
 from .kernel import SparseMatrix, add_term, homology_dim
 from .twist import FLIP, SKEW_GROUP, ORE
 
@@ -95,11 +98,11 @@ def complex_is_graded(cplx):
             for key in img.terms:
                 if tgt.key_degree(key) != want:
                     return False
-    if cplx.augmentation is not None and cplx.aug_kind == "algebra":
+    if cplx.augmentation is not None:
         for lab, img in cplx.augmentation.items():
             want = cplx.terms[0].internal_degree[lab]
-            for mono in img.terms:
-                if cplx.algebra.monomial_degree(mono) != want:
+            for key in img:
+                if cplx.target.key_degree(key) != want:
                     return False
     return True
 
@@ -119,7 +122,7 @@ def _resolve_algebra_source(source):
     if cplx.terms[0].side != BIMODULE:
         raise HomologyError(
             "algebra-valued cochains need a two-sided resolution")
-    if cplx.aug_kind != "algebra":
+    if cplx.aug_kind != RESOLVES_ALGEBRA:
         raise HomologyError(
             "the resolution must resolve the algebra itself")
     return cplx
@@ -142,7 +145,7 @@ def _resolve_ground_source(source):
     if cplx.terms[0].side == BIMODULE:
         raise HomologyError(
             "ground-field collapse needs a one-sided resolution")
-    if cplx.aug_kind != "ground":
+    if cplx.aug_kind != RESOLVES_GROUND:
         raise HomologyError(
             "the resolution must resolve the ground field")
     return cplx

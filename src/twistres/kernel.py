@@ -264,8 +264,7 @@ class SparseMatrix:
         Callers: submatrices, products and transposes of existing matrices,
         and the assembled matrices of ``TruncatedComplex`` and of the
         cochain and collapse matrices in ``homology``, whose values come out
-        of ``add_term`` (or, for a ground augmentation, are kept only when
-        nonzero)."""
+        of ``add_term``."""
         m = cls.__new__(cls)
         m.nrows = nrows
         m.ncols = ncols

@@ -32,8 +32,9 @@ from .algebra import (
     AlgebraElement, basis_up_to, cyclic_group_algebra, parse_element,
 )
 from .complex import (
-    BIMODULE, LEFT_MODULE, ChainComplexSpec, CutoffError, FreeElement,
-    FreeModuleTerm, apply_label_images,
+    BIMODULE, GROUND_KEY, LEFT_MODULE, RESOLVES_ALGEBRA, RESOLVES_GROUND,
+    ChainComplexSpec, CutoffError, FreeElement, FreeModuleTerm,
+    apply_label_images,
 )
 from .twist import (
     FLIP, ORE, SKEW_GROUP,
@@ -61,9 +62,6 @@ POLY_KOSZUL = "poly-koszul"
 ORE_KOSZUL = "ore-koszul"
 ONE_SIDED_KOSZUL = "one-sided-koszul"
 CYCLIC_PERIODIC = "cyclic-periodic"
-
-RESOLVES_ALGEBRA = "algebra-as-bimodule"
-RESOLVES_GROUND = "ground-field"
 
 
 class ResolutionError(Exception):
@@ -108,15 +106,19 @@ class ResolutionBundle:
     the companion factor across that term; ``lift_side`` records whether the
     moved factor enters from the left or the right."""
 
-    def __init__(self, complex, family, resolved, meta=None,
+    def __init__(self, complex, family, meta=None,
                  twist=None, lift_side=None, lifts=None):
         self.complex = complex
         self.family = family
-        self.resolved = resolved
         self.meta = dict(meta or {})
         self.twist = twist
         self.lift_side = lift_side
         self.lifts = lifts or {}
+
+    @property
+    def resolved(self):
+        """RESOLVES_ALGEBRA or RESOLVES_GROUND, read off the complex."""
+        return self.complex.aug_kind
 
     @property
     def algebra(self):
@@ -127,8 +129,8 @@ class ResolutionBundle:
         return self.complex.n_max
 
     def with_lifts(self, twist, side, lifts):
-        return ResolutionBundle(self.complex, self.family, self.resolved,
-                                self.meta, twist, side, lifts)
+        return ResolutionBundle(self.complex, self.family, self.meta, twist,
+                                side, lifts)
 
     def __repr__(self):
         tail = ", lifted-%s" % self.lift_side if self.lifts else ""
@@ -203,13 +205,12 @@ def bar(spec, n_max, middle_cutoff=None, reduced=False):
             add_term(f, img, (unit, mids[:-1], mids[-1]), sign)
             dn[mids] = FreeElement(tgt, img)
         diffs.append(dn)
-    aug = {(): spec.one()}
+    aug = {(): {unit: f.one}}
     name = "%s(%s)" % (REDUCED_BAR if reduced else BAR, spec.name or spec)
     cplx = ChainComplexSpec(spec, terms, diffs, augmentation=aug,
-                            aug_kind="algebra", complete_above=False,
+                            aug_kind=RESOLVES_ALGEBRA, complete_above=False,
                             name=name)
     return ResolutionBundle(cplx, REDUCED_BAR if reduced else BAR,
-                            RESOLVES_ALGEBRA,
                             meta={"middle_cutoff": middle_cutoff})
 
 
@@ -347,15 +348,14 @@ def _wedge_bundle(spec, bimodule, family, delta=None):
     terms = _wedge_terms(spec, side)
     diffs = _wedge_differentials(spec, terms, side, delta=delta)
     if bimodule:
-        aug, kind, resolved = {(): spec.one()}, "algebra", RESOLVES_ALGEBRA
+        key, kind = spec.one_monomial(), RESOLVES_ALGEBRA
     else:
-        aug, kind, resolved = {(): spec.field.one}, "ground", RESOLVES_GROUND
-        family = ONE_SIDED_KOSZUL
+        key, kind, family = GROUND_KEY, RESOLVES_GROUND, ONE_SIDED_KOSZUL
     name = "%s(%s)" % (family, spec.name or spec)
-    cplx = ChainComplexSpec(spec, terms, diffs, augmentation=aug,
+    cplx = ChainComplexSpec(spec, terms, diffs,
+                            augmentation={(): {key: spec.field.one}},
                             aug_kind=kind, complete_above=True, name=name)
-    return ResolutionBundle(cplx, family, resolved,
-                            meta={"gen_count": len(spec.gens)})
+    return ResolutionBundle(cplx, family, meta={"gen_count": len(spec.gens)})
 
 
 def one_sided_koszul_kx(spec):
@@ -399,13 +399,12 @@ def cyclic_periodic(p, n_max, spec=None):
                 left = left * spec.element({(p - 1) % p: f.one})
                 right = right * g
         diffs.append({"e%d" % n: img})
-    aug = {"e0": spec.one()}
+    aug = {"e0": {spec.one_monomial(): f.one}}
     name = "%s(p=%d)" % (CYCLIC_PERIODIC, p)
     cplx = ChainComplexSpec(spec, terms, diffs, augmentation=aug,
-                            aug_kind="algebra", complete_above=False,
+                            aug_kind=RESOLVES_ALGEBRA, complete_above=False,
                             name=name)
-    return ResolutionBundle(cplx, CYCLIC_PERIODIC, RESOLVES_ALGEBRA,
-                            meta={"p": p})
+    return ResolutionBundle(cplx, CYCLIC_PERIODIC, meta={"p": p})
 
 
 # ---------------------------------------------------------------------------
@@ -850,7 +849,7 @@ def check_lift_chain_map(bundle, degree_bound):
         for mono in movers:
             if side == "left":
                 pairs = bundle.lifts[0].pair_rule(mono, genkey)
-                if cplx.aug_kind == "algebra":
+                if cplx.aug_kind == RESOLVES_ALGEBRA:
                     lhs = {}
                     for (k2, b2), c in pairs.items():
                         for am, ac in aug(k2).items():

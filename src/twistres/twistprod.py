@@ -44,11 +44,10 @@ from .algebra import (
 from .complex import (
     BIMODULE,
     LEFT_MODULE,
-    AlgebraAsBimodule,
+    GROUND_KEY,
     ChainComplexSpec,
     FreeElement,
     FreeModuleTerm,
-    GroundModule,
     apply_label_images,
     image_of,
 )
@@ -291,13 +290,14 @@ class TwistedBicomplex:
         aug = {}
         for lab in self.terms[0].labels:
             _, _, v, w = lab
-            a_img = self.pm.complex.augmentation[v]
-            b_img = self.pn.complex.augmentation[w]
-            if self.bimodule:
-                aug[lab] = self.plain.from_pair(a_img, b_img)
-            else:
-                aug[lab] = f.mul(f.coerce(a_img), f.coerce(b_img))
-        kind = "algebra" if self.bimodule else "ground"
+            # ε(v)⊗ε(w), keyed by a product monomial two-sided and by the
+            # ground key one-sided
+            out = aug[lab] = {}
+            for am, ac in self.pm.complex.augmentation[v].items():
+                for bm, bc in self.pn.complex.augmentation[w].items():
+                    add_term(f, out, (am, bm) if self.bimodule else am,
+                             f.mul(ac, bc))
+        kind = RESOLVES_ALGEBRA if self.bimodule else RESOLVES_GROUND
         if name is None:
             name = "total(%s ⊗ %s)" % (self.pm.complex.name,
                                        self.pn.complex.name)
@@ -429,8 +429,7 @@ class TotalComplex:
         rng = random.Random(seed)
         monos = basis_up_to(self.product, degree_bound)
         coeffs = [f.one, f.coerce(2), f.neg(f.one)]
-        resolved = (AlgebraAsBimodule if self.bimodule
-                    else GroundModule)(self.product)
+        resolved = type(cplx.target)(self.product)
 
         def random_algebra_element():
             terms = {}
@@ -612,15 +611,10 @@ def present_over_twisted_algebra(tc, degree_bound=None, n_top=None):
             img = tc.complex.differentials[n][lab]
             dn[lab] = FreeElement(terms_c[n - 1], coords(n - 1, img))
         diffs.append(dn)
-    aug = {}
-    if tc.complex.aug_kind == "algebra":
-        for lab, img in tc.complex.augmentation.items():
-            aug[lab] = AlgebraElement(C, dict(img.terms))
-    else:
-        aug = dict(tc.complex.augmentation)
     name = "%s / twisted coordinates" % (tc.complex.name,)
     return ChainComplexSpec(
-        C, terms_c, diffs, augmentation=aug, aug_kind=tc.complex.aug_kind,
+        C, terms_c, diffs, augmentation=dict(tc.complex.augmentation),
+        aug_kind=tc.complex.aug_kind,
         complete_above=tc.complex.complete_above and top == tc.n_max,
         name=name)
 
@@ -660,15 +654,14 @@ def transport_complex(cplx, target, mono_map, label_map, name=None):
         diffs.append(dn)
     aug = None
     if cplx.augmentation is not None:
+        # ground keys are not monomials, so only algebra keys are renamed
+        rename = (mono_map if cplx.aug_kind == RESOLVES_ALGEBRA
+                  else lambda key: key)
         aug = {}
         for lab, img in cplx.augmentation.items():
-            if cplx.aug_kind == "algebra":
-                out = {}
-                for mono, c in img.terms.items():
-                    add_term(f, out, mono_map(mono), c)
-                aug[maps[0][lab]] = AlgebraElement(target, out)
-            else:
-                aug[maps[0][lab]] = img
+            out = aug[maps[0][lab]] = {}
+            for key, c in img.items():
+                add_term(f, out, rename(key), c)
     return ChainComplexSpec(
         target, terms, diffs, augmentation=aug, aug_kind=cplx.aug_kind,
         complete_above=cplx.complete_above,
@@ -709,8 +702,6 @@ def complexes_match(c1, c2):
     if same and a1 is not None:
         for lab in c1.terms[0].labels:
             v1, v2 = a1[lab], a2[lab]
-            if c1.aug_kind == "algebra":
-                v1, v2 = v1.terms, v2.terms
             rep.record(v1 == v2, lambda: ("augmentation", lab, v1, v2))
     return rep
 
@@ -782,13 +773,13 @@ class OreFreeForm:
                 img = tc.complex.apply_differential(n, gen)
                 dn[wl] = self.from_total(n - 1, img)
             diffs.append(dn)
-        aug = {(): self._f.one}
         cplx = ChainComplexSpec(
-            skew, terms, diffs, augmentation=aug, aug_kind="ground",
+            skew, terms, diffs, augmentation={(): {GROUND_KEY: self._f.one}},
+            aug_kind=RESOLVES_GROUND,
             complete_above=tc.complex.complete_above,
             name="%s(%s)" % (ONE_SIDED_KOSZUL, skew.name or skew))
         self.rebundled = ResolutionBundle(
-            cplx, ONE_SIDED_KOSZUL, RESOLVES_GROUND,
+            cplx, ONE_SIDED_KOSZUL,
             meta={"gen_count": len(skew.gens),
                   "built_from": tc.complex.name})
 

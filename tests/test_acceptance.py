@@ -23,9 +23,9 @@ from twistres.twist import (
     solvable_pair_twist, transposition_compat, triangular_action_twist,
     weyl_twist,
 )
-from twistres.complex import BIMODULE, LEFT_MODULE, ChainComplexSpec, \
-    ComplexError, DegreeRaisingError, FreeElement, FreeModuleTerm, \
-    TruncatedComplex, compose_check, exactness_report, truncate
+from twistres.complex import BIMODULE, GROUND_KEY, LEFT_MODULE, \
+    ChainComplexSpec, ComplexError, DegreeRaisingError, FreeElement, \
+    FreeModuleTerm, TruncatedComplex, compose_check, exactness_report, truncate
 from twistres.resolutions import (
     bar, check_lift_chain_map, check_lift_compat, crosscheck_koszul_lift,
     cyclic_periodic, lift_twist, one_sided_koszul_kx, ore_koszul,
@@ -371,7 +371,7 @@ def test_criterion_8_mutations_break_the_checks(monkeypatch):
         e0 = t0.generator("e0")
         stub = ChainComplexSpec(
             kz3, [t0, t1], [{}, {"e1": e0.left_mul(kz3.gen("g")) - e0}],
-            augmentation={"e0": 1}, aug_kind="ground", complete_above=False,
+            augmentation={"e0": {GROUND_KEY: 1}}, aug_kind="ground", complete_above=False,
             name="kZ3-stub")
         assert compose_check(stub).passed
         ground_act = GroundModule.act

@@ -18,8 +18,8 @@ from twistres import kernel
 from twistres.algebra import polynomial_algebra, weyl_algebra
 from twistres.cli import main
 from twistres.complex import (
-    LEFT_MODULE, ChainComplexSpec, FreeModuleTerm, TruncatedComplex,
-    exactness_report, truncate,
+    GROUND_KEY, LEFT_MODULE, ChainComplexSpec, FreeModuleTerm,
+    TruncatedComplex, exactness_report, truncate,
 )
 from twistres.homology import hochschild_cohomology
 from twistres.kernel import QQ, PrimeField, SparseMatrix
@@ -142,7 +142,8 @@ def test_ground_augmentation_keeps_no_zero_entry(field):
     t0 = FreeModuleTerm(alg, ["a", "b"], side=LEFT_MODULE)
     b_value = 0 if field is QQ else 3
     spec = ChainComplexSpec(alg, [t0], [{}], aug_kind="ground",
-                            augmentation={"a": 2, "b": b_value})
+                            augmentation={"a": {GROUND_KEY: 2},
+                                          "b": {GROUND_KEY: b_value}})
     tr = truncate(spec, 1)
     assert len(tr.bases[0]) == 4
     assert tr.aug_matrix.entries == {(0, tr.bases[0].index(((0,), "a"))): 2}

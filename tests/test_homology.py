@@ -19,7 +19,9 @@ from twistres.resolutions import (
 from twistres.twistprod import (
     koszul_pair_product, one_sided_twisted_product, ore_module_resolution,
 )
-from twistres.complex import BIMODULE, ChainComplexSpec, FreeModuleTerm
+from twistres.complex import (
+    BIMODULE, GROUND_KEY, LEFT_MODULE, ChainComplexSpec, FreeModuleTerm,
+)
 from twistres.homology import (
     CochainTruncation, HomologyError, algebra_is_graded, complex_is_graded,
     ext_over_augmented, hochschild_cohomology, tor_over_augmented,
@@ -47,6 +49,21 @@ def test_graded_detection():
     assert not algebra_is_graded(weyl_twist().product())
     assert complex_is_graded(poly_koszul(_kx()).complex)
     assert not complex_is_graded(ore_koszul(weyl_algebra()).complex)
+
+
+@pytest.mark.parametrize("degree, graded", [(0, True), (1, False)])
+def test_graded_detection_reads_ground_augmentations(degree, graded):
+    # a ground ε is read through the target's key degree like an algebra
+    # ε: nonzero on a label of internal degree 1 it lowers degree by one
+    kxy = polynomial_algebra(("x", "y"), name="k[x,y]")
+    assert complex_is_graded(poly_koszul(kxy, bimodule=False).complex)
+    kx = _kx()
+    t0 = FreeModuleTerm(kx, ("a",), side=LEFT_MODULE,
+                        internal_degree={"a": degree})
+    stub = ChainComplexSpec(kx, [t0], [{}],
+                            augmentation={"a": {GROUND_KEY: 1}},
+                            aug_kind="ground", name="stub")
+    assert complex_is_graded(stub) is graded
 
 
 def test_cochain_codifferentials_compose_to_zero():
@@ -103,7 +120,7 @@ def test_ground_coefficients_need_the_counit_on_both_sides():
     one = t0.generator("1")
     cplx = ChainComplexSpec(kx, [t0, t1],
                             [None, {"e": one.left_mul(x) + one.right_mul(x)}],
-                            augmentation={"1": kx.one()},
+                            augmentation={"1": kx.one().terms},
                             aug_kind="algebra", name="anticommutator")
     mat, cols, rows = CochainTruncation(cplx, "ground").matrix(0, 2)
     assert (cols, rows) == ([("1",)], [("e",)])

@@ -11,14 +11,15 @@ from twistres.algebra import (
     iterated_ore_algebra, polynomial_algebra, solvable_2dim_algebra,
     weyl_algebra,
 )
-from twistres.complex import FreeElement, compose_check, exactness_report, \
-    truncate
+from twistres.complex import GROUND_KEY, FreeElement, compose_check, \
+    exactness_report, truncate
 from twistres.twist import (
     flip_twist, ore_twist, solvable_pair_twist, triangular_action_twist,
     weyl_twist,
 )
 from twistres.resolutions import (
-    ONE_SIDED_KOSZUL, RESOLVES_GROUND, AugmentationError, bar,
+    ONE_SIDED_KOSZUL, RESOLVES_ALGEBRA, RESOLVES_GROUND, AugmentationError,
+    bar,
     cyclic_periodic, lift_twist, one_sided_koszul_kx, ore_koszul,
     poly_koszul,
 )
@@ -95,7 +96,7 @@ def test_weyl_total_frozen_differential():
         (((0,), (0,)), (1, 0, (0,), ()), ((0,), (1,))): Fraction(1),
     }
     aug = tc.complex.augmentation[(0, 0, (), ())]
-    assert aug.terms == {((0,), (0,)): Fraction(1)}
+    assert aug == {((0,), (0,)): Fraction(1)}
 
 
 def test_completeness_bookkeeping():
@@ -346,6 +347,27 @@ def test_one_sided_flip_product_shape():
     assert rep.passed and rep.aug_coker == 0
 
 
+def test_total_augmentation_multiplies_the_factor_values():
+    # ε(v)⊗ε(w) on the stage-0 label: with the factor augmentations scaled
+    # by 2 and 3 (still resolutions) both values show in the product
+    kx, ky = _kx(), _ky()
+    t = flip_twist(kx, ky)
+    pm = lift_twist(poly_koszul(kx), t, side="left")
+    pn = lift_twist(poly_koszul(ky), t, side="right")
+    pm.complex.augmentation = {(): {(0,): 2}}
+    pn.complex.augmentation = {(): {(0,): 3}}
+    tc = bimodule_twisted_product(pm, pn, t)
+    assert tc.complex.augmentation == {(0, 0, (), ()): {((0,), (0,)): 6}}
+    assert exactness_report(tc.complex, 3).passed
+    pm = lift_twist(one_sided_koszul_kx(kx), t, side="left")
+    pn = one_sided_koszul_kx(ky)
+    pm.complex.augmentation = {(): {GROUND_KEY: 2}}
+    pn.complex.augmentation = {(): {GROUND_KEY: 3}}
+    tc = one_sided_twisted_product(pm, pn)
+    assert tc.complex.augmentation == {(0, 0, (), ()): {GROUND_KEY: 6}}
+    assert exactness_report(tc.complex, 3).passed
+
+
 def test_one_sided_dropping_sign_breaks_square_zero():
     tsol = solvable_pair_twist()
     pm = lift_twist(one_sided_koszul_kx(tsol.a_spec), tsol, side="left")
@@ -429,6 +451,22 @@ def test_extension_rejects_wrong_shapes():
         ore_module_resolution(one_sided_koszul_kx(kx), t_bad)
     with pytest.raises(ProductError):
         ore_module_resolution(one_sided_koszul_kx(kx), {}, x_name="x")
+
+
+def test_bundles_read_what_they_resolve_off_their_complex():
+    from test_acceptance import _suite_products, _suite_resolutions
+    for bundle in _suite_resolutions():
+        assert bundle.resolved == bundle.complex.aug_kind
+        assert bundle.resolved in (RESOLVES_ALGEBRA, RESOLVES_GROUND)
+    t = flip_twist(_kx(), _ky())
+    lifted = lift_twist(poly_koszul(t.a_spec), t, side="left")
+    assert lifted.resolved == RESOLVES_ALGEBRA
+    totals = [tc for tc in _suite_products() if hasattr(tc, "ore_form")]
+    totals += iterated_ore_tower(("z", "y", "x"), {("x", "y"): "z"})[0]
+    assert len(totals) == 3
+    for tc in totals:
+        reb = tc.ore_form.rebundled
+        assert reb.resolved == reb.complex.aug_kind == RESOLVES_GROUND
 
 
 def test_tower_heisenberg():
