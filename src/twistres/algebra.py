@@ -506,6 +506,38 @@ def _enumerate_basis(spec, n):
     return pairs
 
 
+def leibniz_extension(spec, images):
+    """The derivation of ``spec`` with generator images ``images`` (index
+    -> AlgebraElement) on monomials, by the product rule
+    d(g_1..g_k) = sum_p g_1..g_(p-1) d(g_p) g_(p+1)..g_k, normal-ordered
+    through mono_mul: a memoized function monomial -> sparse dict
+    monomial -> scalar, whose results the caller must not mutate."""
+    f = spec.field
+    cache = {}
+
+    def derive(mono):
+        hit = cache.get(mono)
+        if hit is not None:
+            return hit
+        word = spec._word(mono)
+        out = {}
+        for pos, g in enumerate(word):
+            img = images.get(g)
+            if img is None:
+                continue
+            left = spec._exp(word[:pos])
+            right = spec._exp(word[pos + 1:])
+            for m, c in img.terms.items():
+                for lm, lc in spec.mono_mul(left, m).items():
+                    w = f.mul(c, lc)
+                    for rm, rc in spec.mono_mul(lm, right).items():
+                        add_term(f, out, rm, f.mul(w, rc))
+        cache[mono] = out
+        return out
+
+    return derive
+
+
 def filtration_degree(elem):
     """Max filtration degree over the support; errors on the zero element."""
     if not elem.terms:

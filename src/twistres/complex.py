@@ -330,6 +330,11 @@ class ChainComplexSpec:
             if aug_kind not in _TARGETS:
                 raise ComplexError("augmented complex needs aug_kind")
             self.target = _TARGETS[aug_kind](algebra)
+            for lab, value in augmentation.items():
+                if not isinstance(value, dict):
+                    raise ComplexError(
+                        "augmentation of %r is %r, not a dict over the keys "
+                        "of the resolved module" % (lab, value))
 
     @property
     def n_max(self):

@@ -4,7 +4,7 @@ Everything downstream reduces to ranks and kernel dimensions of sparse
 matrices over an exact field: either the rationals (elements are
 ``int`` when integral, else ``fractions.Fraction``) or a prime field F_p
 with p < 2^31 (elements are ints in [0, p)).  No floating point appears
-anywhere.
+in the field arithmetic.
 
 Over the rationals, elimination is fraction-free: rows are cleared to
 integers and kept gcd-reduced, so entries stay integral and exact while
@@ -13,14 +13,14 @@ updates, each followed by a gcd reduction).  Over F_p elimination is the
 straightforward one.  Every rank goes through one sparse elimination,
 run on each connected component of the matrix's row/column graph
 separately; each step pivots on the shortest row and, within it, on the
-column with the fewest entries.  Small dense solves and inverses share one
-Gauss-Jordan routine.
+column with the fewest entries.  Solves and inverses run on the same
+elimination, with tag columns that record each pivot row's combination.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, inf
 
 
 class KernelError(Exception):
@@ -238,7 +238,7 @@ class SparseMatrix:
     vector of the source.
     """
 
-    _reduced = None  # Gauss-Jordan transform, set by the first solve
+    _pivots = None  # the tagged elimination of m^T, set by the first solve
 
     def __init__(self, nrows, ncols, entries, field):
         self.nrows = nrows
@@ -367,7 +367,7 @@ class SparseMatrix:
         return out
 
     def rank(self):
-        return sum(_rank_sparse_rows(block, self.field)
+        return sum(len(_eliminate(block, self.field))
                    for block in _components(self._integer_rows()))
 
     def kernel_dim(self):
@@ -403,15 +403,20 @@ def _components(rows):
     return list(blocks.values())
 
 
-def _rank_sparse_rows(rows, field):
-    """Rank of a list of sparse rows by elimination; the one elimination
-    core behind every rank.
+def _eliminate(rows, field, tags=()):
+    """Eliminate a list of sparse rows; the one elimination core behind
+    every rank, solve and inverse.  Returns the pivots in the order taken,
+    each as (column, value, rest of the pivot row); the rank is their
+    number.
 
     Each step pivots on the shortest active row and, within it, on the
     column with the fewest entries among the active rows: a cheap form of
     the Markowitz rule (Markowitz, 1957) that keeps fill-in low on sparse
     rank problems over finite fields (Dumas & Villard, CASC 2002).  Rank
-    does not depend on the pivot order, so this only sets the cost.
+    does not depend on the pivot order, so this only sets the cost.  A
+    column in ``tags`` rides along with the row operations but is never
+    pivoted on (its count is infinite, so it is never the sparsest), and
+    a row left with only tags is set aside.
 
     rows: list of nonempty dicts col -> value (ints over Q, residues over
     F_p), consumed: each elimination updates a row in place.  Over F_p it
@@ -425,8 +430,11 @@ def _rank_sparse_rows(rows, field):
     for r in rows:
         for c in r:
             col_count[c] = col_count.get(c, 0) + 1
-    rank = 0
-    active = list(range(len(rows)))
+    tags = frozenset(tags)
+    for c in tags:
+        col_count[c] = inf
+    pivots = []
+    active = [i for i, r in enumerate(rows) if not tags.issuperset(r)]
     while active:
         ri = min(active, key=lambda i: len(rows[i]))
         prow = rows[ri]
@@ -435,9 +443,10 @@ def _rank_sparse_rows(rows, field):
         active.remove(ri)
         for c in prow:
             col_count[c] -= 1
-        rank += 1
+        pivots.append((pc, pv, prow))
         if modp:
             inv = pow(pv, -1, modp)
+        spent = []
         for oi in active:
             orow = rows[oi]
             ov = orow.pop(pc, None)
@@ -469,8 +478,11 @@ def _rank_sparse_rows(rows, field):
                 if g > 1:
                     for c in orow:
                         orow[c] //= g
-        active = [oi for oi in active if rows[oi]]
-    return rank
+            if tags.issuperset(orow):
+                spent.append(oi)
+        for oi in spent:
+            active.remove(oi)
+    return pivots
 
 
 def homology_dim(d_in, d_out):
@@ -487,69 +499,45 @@ def homology_dim(d_in, d_out):
     return d_out.kernel_dim() - d_in.rank()
 
 
-def _gauss_jordan(m):
-    """Gauss-Jordan on [m | I], once per matrix: (t, pivots), where t is
-    the transform that brings m to reduced row echelon form, as columns
-    (dicts row -> nonzero value), and pivots[i] is the column of m that
-    row i pivots on.  Pivots are only taken in m's own columns, so t . rhs
-    is what eliminating [m | rhs] would leave in its last column.
-    """
-    if m._reduced is not None:
-        return m._reduced
-    f = m.field
-    nc = m.ncols
-    width = nc + m.nrows
-    rows = [[f.zero] * width for _ in range(m.nrows)]
-    for (i, j), v in m.entries.items():
-        rows[i][j] = v
-    for i, row in enumerate(rows):
-        row[nc + i] = f.one
-    pivots = []
-    for c in range(nc):
-        r = len(pivots)
-        for piv in range(r, len(rows)):
-            if not f.is_zero(rows[piv][c]):
-                break
-        else:
-            continue
-        prow = rows[piv]
-        rows[r], rows[piv] = prow, rows[r]
-        inv = f.inv(prow[c])
-        support = [k for k in range(c, width) if not f.is_zero(prow[k])]
-        for k in support:
-            prow[k] = f.mul(inv, prow[k])
-        for row in rows:
-            fac = row[c]
-            if row is not prow and not f.is_zero(fac):
-                for k in support:
-                    row[k] = f.sub(row[k], f.mul(fac, prow[k]))
-        pivots.append(c)
-    t = [{} for _ in rows]
-    for i, row in enumerate(rows):
-        for k, col in enumerate(t, nc):
-            if not f.is_zero(row[k]):
-                col[i] = row[k]
-    m._reduced = (t, pivots)
-    return m._reduced
-
-
 def solve_dense(m, rhs):
-    """One exact solution x of  m . x = rhs  for a small SparseMatrix.
+    """The exact solution x of  m . x = rhs  for a SparseMatrix m whose
+    columns are independent.
 
     rhs is a dict row -> value; the result is a dict col -> value with zero
-    entries omitted (free variables, if any, are set to zero).  Returns None
-    if the system is inconsistent.  m is eliminated on its first solve only.
+    entries omitted.  Returns None if the system is inconsistent, and
+    raises NonInvertibleError if m's columns are dependent.
+
+    m is eliminated on its first solve only: the rows of m^T, column j
+    tagged with a 1 at column m.nrows + j, so every pivot row's real part
+    is m applied to its tag part.  Reducing rhs against the pivots in the
+    order taken leaves rhs - m . y real and -y tagged; it is consistent
+    exactly when no real entry is left, and then x = y.
     """
     f = m.field
-    t, pivots = _gauss_jordan(m)
+    n = m.nrows
+    if m._pivots is None:
+        entries = {(j, n + j): f.one for j in range(m.ncols)}
+        entries.update(((j, i), v) for (i, j), v in m.entries.items())
+        tagged = SparseMatrix._adopt(m.ncols, n + m.ncols, entries, f)
+        pivots = _eliminate(tagged._integer_rows(), f,
+                            range(n, n + m.ncols))
+        if len(pivots) < m.ncols:
+            raise NonInvertibleError(
+                "columns are dependent: rank %d < %d"
+                % (len(pivots), m.ncols))
+        m._pivots = [(pc, f.inv(pv), rest) for pc, pv, rest in pivots]
     reduced = {}
-    for k, v in rhs.items():
-        v = f.coerce(v)
-        for i, w in t[k].items():
-            add_term(f, reduced, i, f.mul(w, v))
-    if any(i >= len(pivots) for i in reduced):
+    for i, v in rhs.items():
+        add_term(f, reduced, i, f.coerce(v))
+    for pc, inv, rest in m._pivots:
+        v = reduced.pop(pc, None)
+        if v is not None:
+            fac = f.mul(v, inv)
+            for c, w in rest.items():
+                add_term(f, reduced, c, -fac * w)
+    if any(c < n for c in reduced):
         return None
-    return {c: reduced[i] for i, c in enumerate(pivots) if i in reduced}
+    return {c - n: f.neg(v) for c, v in reduced.items()}
 
 
 def invert_dense(m):
@@ -557,8 +545,4 @@ def invert_dense(m):
     (dicts row -> value).  Raises NonInvertibleError if singular."""
     if m.nrows != m.ncols:
         raise NonInvertibleError("not square")
-    t, pivots = _gauss_jordan(m)
-    if len(pivots) < m.nrows:
-        missing = next(c for c in range(m.nrows) if c not in pivots)
-        raise NonInvertibleError("singular at column %d" % missing)
-    return [dict(col) for col in t]
+    return [solve_dense(m, {i: m.field.one}) for i in range(m.nrows)]

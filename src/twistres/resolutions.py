@@ -29,7 +29,8 @@ from itertools import combinations, permutations
 from .kernel import CheckReport, SparseMatrix, add_term, solve_dense
 from .algebra import (
     POLYNOMIAL, ITERATED_ORE, CYCLIC_GROUP,
-    AlgebraElement, basis_up_to, cyclic_group_algebra, parse_element,
+    AlgebraElement, basis_up_to, cyclic_group_algebra, leibniz_extension,
+    parse_element,
 )
 from .complex import (
     BIMODULE, GROUND_KEY, LEFT_MODULE, RESOLVES_ALGEBRA, RESOLVES_GROUND,
@@ -904,9 +905,8 @@ class OreDerivationMaps:
 
     def __init__(self, bundle, images, label_images):
         self.bundle = bundle
-        self.images = images
         self._label_images = label_images
-        self._cache = {}
+        self._derive = leibniz_extension(bundle.algebra, images)
 
     def sigma(self, n, elem):
         return elem
@@ -919,34 +919,10 @@ class OreDerivationMaps:
         f = term.algebra.field
         out = {}
         for (l, lab), c in elem.terms.items():
-            for m, dc in self._derive(l).terms.items():
+            for m, dc in self._derive(l).items():
                 add_term(f, out, (m, lab), f.mul(dc, c))
         return FreeElement(term, out) + apply_label_images(
             elem, lambda lab: self._label_images[(n, lab)], term)
-
-    def _derive(self, mono):
-        return _derive_monomial(self.bundle.algebra, self.images,
-                                self._cache, mono)
-
-
-def _derive_monomial(spec, images, cache, mono):
-    """Extend generator images to a derivation on monomials by the product
-    rule, normal-ordering as it goes."""
-    hit = cache.get(mono)
-    if hit is not None:
-        return hit
-    f = spec.field
-    word = spec._word(mono)
-    out = spec.zero()
-    for pos, g in enumerate(word):
-        img = images.get(g)
-        if img is None or img.is_zero():
-            continue
-        left = spec.element({spec._exp(word[:pos]): f.one})
-        right = spec.element({spec._exp(word[pos + 1:]): f.one})
-        out = out + left * img * right
-    cache[mono] = out
-    return out
 
 
 def sigma_delta_chain_maps(bundle, delta_gens):

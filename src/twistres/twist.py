@@ -48,7 +48,8 @@ from .kernel import (
 from .algebra import (
     CYCLIC_GROUP, POLYNOMIAL, TWISTED_PRODUCT,
     AlgebraSpec, AlgebraElement, SpecMismatchError,
-    basis_up_to, cyclic_group_algebra, parse_element, polynomial_algebra,
+    basis_up_to, cyclic_group_algebra, leibniz_extension, parse_element,
+    polynomial_algebra,
 )
 # the module kinds live beside the free terms; _image_of is the linear
 # extension the compat checker reads
@@ -195,24 +196,7 @@ def ore_twist(a_spec, b_spec, delta_gens, name=None):
         else:
             val = a_spec.one().scale(val)
         images[idx] = val
-    delta_cache = {}
-
-    def delta_of_monomial(mono):
-        hit = delta_cache.get(mono)
-        if hit is not None:
-            return hit
-        out = {}
-        for i, e in enumerate(mono):
-            img = images.get(i)
-            if e == 0 or img is None:
-                continue
-            rest = tuple(v - 1 if j == i else v for j, v in enumerate(mono))
-            coeff = f.coerce(e)
-            for m, c in img.terms.items():
-                m2 = tuple(u + v for u, v in zip(m, rest))
-                add_term(f, out, m2, f.mul(coeff, c))
-        delta_cache[mono] = out
-        return out
+    delta_of_monomial = leibniz_extension(a_spec, images)
 
     b_one = (0,)
     holder = {}

@@ -14,12 +14,12 @@ import pytest
 from twistres import kernel, twist
 from twistres.kernel import QQ, PrimeField, SparseMatrix
 from twistres.algebra import (
-    cyclic_group_algebra, heisenberg_algebra, polynomial_algebra,
+    basis_up_to, cyclic_group_algebra, heisenberg_algebra, polynomial_algebra,
     solvable_2dim_algebra, weyl_algebra,
 )
 from twistres.twist import (
     LEFT_BIMODULE, AlgebraAsBimodule, GroundModule, check_bimodule_compat,
-    check_hexagon, flip_twist, ore_twist, self_bimodule_compat,
+    check_hexagon, custom_twist, flip_twist, ore_twist, self_bimodule_compat,
     solvable_pair_twist, transposition_compat, triangular_action_twist,
     weyl_twist,
 )
@@ -342,16 +342,19 @@ def test_criterion_8_mutations_break_the_checks(monkeypatch):
         assert not rep.passed and rep.rows[3] == (198, 30)
 
         # Q products that keep only the numerator of a non-integral result:
-        # the derivation delta(y) = y/2 then gives delta(y^2) = y^2 but
-        # delta(y) = y, so the Ore twist it defines breaks the hexagon
+        # the Ore twist with delta(y) = y/2, tabulated exactly up to degree
+        # 4 before the fault (tau(x^2 (x) y) carries 1/4), then fails the
+        # hexagon, whose sides multiply its half-integer values.  Built
+        # under the fault, the twist itself would be the valid one with
+        # delta(y) = y, since the product rule truncates y/2 on first use.
         monkeypatch.undo()
-
-        def half_solvable_twist():
-            ay = polynomial_algebra(("y",), name="k[y]")
-            bx = polynomial_algebra(("x",), name="k[x]")
-            return ore_twist(ay, bx, {"y": ay.element({(1,): Fraction(1, 2)})})
-
-        assert check_hexagon(half_solvable_twist(), 2).passed
+        ay = polynomial_algebra(("y",), name="k[y]")
+        bx = polynomial_algebra(("x",), name="k[x]")
+        half = ore_twist(ay, bx, {"y": ay.element({(1,): Fraction(1, 2)})})
+        tabulated = custom_twist(ay, bx, {
+            (b, a): half.monomial_rule(b, a)
+            for b in basis_up_to(bx, 4) for a in basis_up_to(ay, 4)})
+        assert check_hexagon(tabulated, 2).passed
         mul = kernel.RationalField.mul
 
         def numerator_only(field, a, b):
@@ -359,7 +362,7 @@ def test_criterion_8_mutations_break_the_checks(monkeypatch):
             return r.numerator if isinstance(r, Fraction) else r
 
         monkeypatch.setattr(kernel.RationalField, "mul", numerator_only)
-        assert not check_hexagon(half_solvable_twist(), 2).passed
+        assert not check_hexagon(tabulated, 2).passed
 
         # the ground field's action read as zero on a group element: the
         # augmentation of a one-sided complex over k[Z/3] then no longer

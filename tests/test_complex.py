@@ -188,6 +188,16 @@ def test_term_mismatch_raises():
         c1.terms[0].generator("1") + c2.terms[0].generator("1")
 
 
+def test_augmentation_value_must_be_a_dict():
+    # the scalar shape ε(1) = 1 is refused when the complex is built,
+    # naming the label, rather than failing later inside truncate
+    a = polynomial_algebra(("x",))
+    t0 = FreeModuleTerm(a, ["1"], LEFT_MODULE)
+    with pytest.raises(ComplexError, match="'1'"):
+        ChainComplexSpec(a, [t0], [{}], augmentation={"1": 1},
+                         aug_kind="ground")
+
+
 # -- differential tests against the per-key FreeElement assembly ---------------
 
 def reference_basis(term, n):

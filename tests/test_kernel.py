@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from twistres.kernel import (
     QQ, KernelError, PrimeField, SparseMatrix, CompositionNonzeroError,
@@ -309,11 +309,12 @@ def test_components_join_through_shared_columns():
 # ---------------------------------------------------------------- solving
 
 def test_solve_dense_consistent_and_inconsistent():
-    a = M([[1, 2, 0], [2, 4, 0], [0, 0, 3]])
-    sol = solve_dense(a, {0: 1, 1: 2, 2: 6})
-    assert sol == {0: 1, 2: 2}      # free column 1 is set to zero
+    a = M([[1, 0, 0], [2, 1, 0], [0, 0, 3], [1, 0, 0]])
+    assert solve_dense(a, {0: 1, 1: 2, 2: 6, 3: 1}) == {0: 1, 2: 2}
     assert solve_dense(a, {0: 1, 1: 3}) is None
     assert solve_dense(a, {}) == {}
+    with pytest.raises(NonInvertibleError):    # column 1 = 2 * column 0
+        solve_dense(M([[1, 2, 0], [2, 4, 0], [0, 0, 3]]), {0: 1, 1: 2, 2: 6})
 
 
 def test_solve_dense_mod_p():
@@ -323,8 +324,8 @@ def test_solve_dense_mod_p():
 
 
 def reference_solve(m, rhs):
-    """Gauss-Jordan on [m | rhs] for this one right-hand side, as
-    solve_dense did before it kept m's transform."""
+    """Dense Gauss-Jordan on [m | rhs] for this one right-hand side: the
+    reference that solve_dense and invert_dense are checked against."""
     f = m.field
     nc = m.ncols
     rows = [[f.zero] * (nc + 1) for _ in range(m.nrows)]
@@ -396,6 +397,12 @@ def linear_systems(draw):
 def test_solve_dense_matches_per_call_elimination(case):
     m, rhss = case
     f = m.field
+    if m.rank() < m.ncols:
+        event("dependent columns")
+        with pytest.raises(NonInvertibleError):
+            solve_dense(m, rhss[0])
+        return
+    event("independent columns")
     for rhs in rhss:
         sol = solve_dense(m, rhs)
         assert sol == reference_solve(m, rhs)
@@ -419,6 +426,34 @@ def test_invert_dense_roundtrip():
 def test_invert_dense_singular():
     with pytest.raises(NonInvertibleError):
         invert_dense(M([[1, 2], [2, 4]]))
+
+
+@st.composite
+def square_matrices(draw):
+    """A square m over Q or F_p; half the time its last row is a multiple
+    of its first, so it is singular."""
+    field = draw(st.sampled_from([QQ, GF2, GF3, PrimeField(7)]))
+    entries = fraction_entries if field is QQ else int_entries
+    n = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    if n > 1 and draw(st.booleans()):
+        c = draw(entries)
+        rows[-1] = [c * v for v in rows[0]]
+    return M(rows, field)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(square_matrices())
+def test_invert_dense_matches_reference_solve(m):
+    if m.rank() < m.nrows:
+        event("singular")
+        with pytest.raises(NonInvertibleError):
+            invert_dense(m)
+        return
+    event("invertible")
+    assert invert_dense(m) == [reference_solve(m, {i: 1})
+                               for i in range(m.nrows)]
 
 
 def test_invert_dense_mod_p_and_non_square():

@@ -229,6 +229,38 @@ def test_solvable_twist_matches_ore_normal_form():
             assert got == direct.terms
 
 
+def closed_form_derivation(spec, images, mono):
+    """delta(x^e) = sum_i e_i x^(e - 1_i) delta(x_i) on a commutative
+    polynomial algebra: the reference for the product-rule extension."""
+    f = spec.field
+    out = {}
+    for i, e in enumerate(mono):
+        img = images.get(i)
+        if e == 0 or img is None:
+            continue
+        rest = tuple(v - 1 if j == i else v for j, v in enumerate(mono))
+        for m, c in img.terms.items():
+            add_term(f, out, tuple(u + v for u, v in zip(m, rest)),
+                     f.mul(f.coerce(e), c))
+    return out
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ore_twist(polynomial_algebra(("a", "b", "c")),
+                      polynomial_algebra(("x",)),
+                      {"a": "b^2 + c", "b": "a*c", "c": "a^2*b - 3"}),
+    lambda: ore_twist(polynomial_algebra(("a", "b"), field=PrimeField(3)),
+                      polynomial_algebra(("x",), field=PrimeField(3)),
+                      {"a": "b^2", "b": "a - 1"}),
+    weyl_twist, solvable_pair_twist,
+], ids=["nonlinear", "nonlinear-f3", "weyl", "solvable-pair"])
+def test_ore_derivation_matches_closed_form(make):
+    t = make()
+    for mono in basis_up_to(t.a_spec, 5):
+        assert t.delta_of_monomial(mono) == closed_form_derivation(
+            t.a_spec, t.delta_images, mono)
+
+
 # -- graded twists preserve bidegree ------------------------------------------
 
 
