@@ -240,7 +240,7 @@ class AlgebraSpec:
                             add_term(f, step, mm, f.mul(c, cm))
                     out = step
         else:
-            out = self._twisted_mono_mul(m1, m2)
+            out = crossed_mono_mul(self.twist, m1, m2)
         self._mul_cache[key] = out
         return out
 
@@ -306,17 +306,6 @@ class AlgebraSpec:
             memo[key] = out
         return memo[top]
 
-    def _twisted_mono_mul(self, m1, m2):
-        (a1, b1), (a2, b2) = m1, m2
-        f = self.field
-        crossed = self.twist.monomial_rule(b1, a2)
-        out = {}
-        for (am, bm), c in crossed.items():
-            for aa, ac in self.left.mono_mul(a1, am).items():
-                for bb, bc in self.right.mono_mul(bm, b2).items():
-                    add_term(f, out, (aa, bb), f.mul(c, f.mul(ac, bc)))
-        return out
-
     def __repr__(self):
         if self.name:
             return self.name
@@ -325,6 +314,22 @@ class AlgebraSpec:
         if self.variant == TWISTED_PRODUCT:
             return "(%r⊗%r)" % (self.left, self.right)
         return "%s<%s>" % (self.variant, ",".join(self.gens))
+
+
+def crossed_mono_mul(t, m1, m2):
+    """(a (x) b)(a' (x) b') = a tau(b (x) a') b' on monomial pairs
+    m1 = (a, b), m2 = (a', b') of A (x)_tau B, tau the twist ``t``, as a
+    dict (a_mono, b_mono) -> scalar.  Not memoized: the twisted product's
+    ``mono_mul`` keeps it in the algebra's memo, ``twist.check_hexagon``
+    in a memo that lasts for the one check."""
+    (a1, b1), (a2, b2) = m1, m2
+    f = t.field
+    out = {}
+    for (am, bm), c in t.monomial_rule(b1, a2).items():
+        for aa, ac in t.a_spec.mono_mul(a1, am).items():
+            for bb, bc in t.b_spec.mono_mul(bm, b2).items():
+                add_term(f, out, (aa, bb), f.mul(c, f.mul(ac, bc)))
+    return out
 
 
 class AlgebraElement:

@@ -33,8 +33,17 @@ free term, ``AlgebraAsBimodule``, ``GroundModule``, all defined in
 ``complex.py`` and re-exported here -- has the one action
 ``act(l, key, r)`` on basis keys, which is all the checker reads.
 
-Memo caches are append-only dicts; recomputation is idempotent, so
-concurrent readers are safe.
+Memos come in two lifetimes.  Shared memos live as long as the object
+that owns them and serve every consumer: the lift memo
+``CompatMap._cache`` (pair -> image), the twist memo ``TwistMap._cache``
+(monomial pair -> tau image) and the algebra memos of ``AlgebraSpec``
+(products, Ore steps, bases).  They are append-only dicts;
+recomputation is idempotent, so concurrent readers are safe.  Check
+memos live for one call: the pure-tensor ``products`` of
+``check_hexagon``, and the ``acts`` and lift-image misses of
+``check_bimodule_compat``.  The compat check reads the lift memo and
+writes nothing to it, except what a rule itself stores by calling its
+own map's ``pair_rule``; it still fills the twist and algebra memos.
 """
 
 from __future__ import annotations
@@ -48,8 +57,8 @@ from .kernel import (
 from .algebra import (
     CYCLIC_GROUP, POLYNOMIAL, TWISTED_PRODUCT,
     AlgebraSpec, AlgebraElement, SpecMismatchError,
-    basis_up_to, cyclic_group_algebra, leibniz_extension, parse_element,
-    polynomial_algebra,
+    basis_up_to, crossed_mono_mul, cyclic_group_algebra, leibniz_extension,
+    parse_element, polynomial_algebra,
 )
 # the module kinds live beside the free terms; _image_of is the linear
 # extension the compat checker reads
@@ -329,7 +338,8 @@ def hexagon_sides(t, b, b2, a, a2, products=None):
     (b, b', a, a'), each as a dict (a_mono, b_mono) -> scalar.
 
     ``products`` memoizes the pure-tensor products (a_l (x) b_l)(a_r (x) b_r)
-    the right side is summed from, keyed on the four monomials; a check
+    the right side is summed from (``algebra.crossed_mono_mul``, the
+    product rule of A (x)_tau B), keyed on the four monomials; a check
     passes one dict for all of its tuples (None: a fresh one)."""
     f = t.field
     if products is None:
@@ -348,21 +358,11 @@ def hexagon_sides(t, b, b2, a, a2, products=None):
                 key = (a_l, b_l, a_r, b_r)
                 prod = products.get(key)
                 if prod is None:
-                    prod = products[key] = _pure_product(t, *key)
+                    prod = products[key] = crossed_mono_mul(
+                        t, (a_l, b_l), (a_r, b_r))
                 for pair, c in prod.items():
                     add_term(f, rhs, pair, f.mul(c123, c))
     return lhs, rhs
-
-
-def _pure_product(t, a_l, b_l, a_r, b_r):
-    """(a_l (x) b_l)(a_r (x) b_r) = a_l tau(b_l (x) a_r) b_r in A (x)_tau B."""
-    f = t.field
-    out = {}
-    for (a4, b4), c4 in t.monomial_rule(b_l, a_r).items():
-        for am, ac in t.a_spec.mono_mul(a_l, a4).items():
-            for bm, bc in t.b_spec.mono_mul(b4, b_r).items():
-                add_term(f, out, (am, bm), f.mul(c4, f.mul(ac, bc)))
-    return out
 
 
 def _format_pairs(t, pairs):
@@ -490,6 +490,12 @@ class CompatMap:
     * ``right-of-bimodule``: tau_mod: N (x) A -> A (x) N, N a bimodule
       over B; rule(key, a_mono) -> dict (a_mono', key') -> scalar.
     * ``one-sided``: same shape as left, M only a left module over A.
+
+    ``image(x, y)`` computes the reduced image of one pair; ``pair_rule``
+    reads it through ``_cache``, the memo shared by every consumer that
+    lives as long as the map (construction, total-complex assembly,
+    ``check_lift_chain_map``, the crosscheck).  ``check_bimodule_compat``
+    only reads that memo and keeps its own misses for the one call.
     """
 
     def __init__(self, kind, twist, module, rule, name=""):
@@ -502,26 +508,28 @@ class CompatMap:
         self._rule = rule
         self._cache = {}
 
-    def pair_rule(self, x, y):
-        """rule on one (monomial, key) or (key, monomial) pair, memoized
-        with zeros dropped and scalars reduced (so it equals the bilinear
-        extension on that pair); unit conditions are built in."""
-        hit = self._cache.get((x, y))
-        if hit is not None:
-            return hit
+    def image(self, x, y):
+        """rule on one (monomial, key) or (key, monomial) pair, not
+        memoized: zeros dropped and scalars reduced (so it equals the
+        bilinear extension on that pair); unit conditions are built in."""
         f = self.twist.field
         if self.kind in (LEFT_BIMODULE, ONE_SIDED):
             unit = x == self.twist.b_spec.one_monomial()
         else:
             unit = y == self.twist.a_spec.one_monomial()
         if unit:
-            out = {(y, x): f.one}
-        else:
-            out = {}
-            for pair, v in self._rule(x, y).items():
-                add_term(f, out, pair, v)
-        self._cache[(x, y)] = out
+            return {(y, x): f.one}
+        out = {}
+        for pair, v in self._rule(x, y).items():
+            add_term(f, out, pair, v)
         return out
+
+    def pair_rule(self, x, y):
+        """``image(x, y)`` through the map's shared memo."""
+        hit = self._cache.get((x, y))
+        if hit is None:
+            hit = self._cache[(x, y)] = self.image(x, y)
+        return hit
 
     def apply(self, vec_pairs):
         """Bilinear extension on a dict of input pairs -> scalar."""
@@ -580,17 +588,35 @@ def check_bimodule_compat(c, degree_bound):
     (b, a, m) outside the a' loop.  Right module side: a1 moved across n
     and then across b (acting on the left), once per (b, n) and a1; per
     (b', a) only tau(b' (x) a) and the right action remain (exact, as the
-    right action is linear).  Actions l.key.r on single basis keys are
-    memoized for this one call.  An lhs whose acted element is one key
-    with coefficient one is the memoized rule image itself, only read.
-    The input tuple of an equation is formatted only when violated."""
+    right action is linear).  Rule images are read from the map's shared
+    memo; a miss is computed by ``c.image`` and kept, with the actions
+    l.key.r on single basis keys, in memos that last for this one call,
+    so the check leaves the shared memo as it found it (a rule that calls
+    ``c.pair_rule`` itself still stores what it reads).  An lhs whose
+    acted element is one key with coefficient one is a rule image itself,
+    only read.  The input tuple of an equation is formatted only when
+    violated."""
     t = c.twist
     f = t.field
     mod = c.module
     report = CheckReport("compat(%s, %s, deg<=%d)"
                          % (c.name, c.kind, degree_bound), " tuples")
     mkeys = mod.basis(degree_bound)
+    shared = c._cache
+    images = {}
     acts = {}
+
+    def rule(x, y):
+        """c.pair_rule(x, y) without writing to the shared memo: a pair
+        the shared memo misses is computed once and kept in ``images``,
+        which therefore holds only such pairs and is read first."""
+        key = (x, y)
+        hit = images.get(key)
+        if hit is None:
+            hit = shared.get(key)
+            if hit is None:
+                hit = images[key] = c.image(x, y)
+        return hit
 
     def act(l, key, r):
         """mod.act(l, key, r), memoized for this call."""
@@ -603,7 +629,7 @@ def check_bimodule_compat(c, degree_bound):
         bs = basis_up_to(t.b_spec, degree_bound)
         as_ = basis_up_to(t.a_spec, degree_bound)
         for m in mkeys:
-            lhs = c.pair_rule(t.b_spec.one_monomial(), m)
+            lhs = rule(t.b_spec.one_monomial(), m)
             report.record_equation(f, "unit", "inputs",
                                    lambda: (mod.format_key(m),), lhs,
                                    {(m, t.b_spec.one_monomial()): f.one})
@@ -612,10 +638,10 @@ def check_bimodule_compat(c, degree_bound):
             for b2 in bs:
                 for m in mkeys:
                     lhs = _image_of(f, t.b_spec.mono_mul(b, b2),
-                                    lambda bm: c.pair_rule(bm, m))
+                                    lambda bm: rule(bm, m))
                     rhs = {}
-                    for (m1, b1), c1 in c.pair_rule(b2, m).items():
-                        for (m2, b2b), c2 in c.pair_rule(b, m1).items():
+                    for (m1, b1), c1 in rule(b2, m).items():
+                        for (m2, b2b), c2 in rule(b, m1).items():
                             w = f.mul(c1, c2)
                             for bm, bc in t.b_spec.mono_mul(b2b, b1).items():
                                 add_term(f, rhs, (m2, bm), f.mul(w, bc))
@@ -632,11 +658,11 @@ def check_bimodule_compat(c, degree_bound):
                 for m in mkeys:
                     moved = {}
                     for (a1, b1), c1 in tau.items():
-                        for (m1, b2b), c2 in c.pair_rule(b1, m).items():
+                        for (m1, b2b), c2 in rule(b1, m).items():
                             add_term(f, moved, (a1, m1, b2b), f.mul(c1, c2))
                     for a2 in rights:
                         lhs = _image_of(f, act(a, m, a2),
-                                        lambda k: c.pair_rule(b, k))
+                                        lambda k: rule(b, k))
                         rhs = {}
                         for (a1, m1, b2b), w in moved.items():
                             moves = ({(None, b2b): f.one} if a2 is None
@@ -660,7 +686,7 @@ def check_bimodule_compat(c, degree_bound):
     as_ = basis_up_to(t.a_spec, degree_bound)
     bs = basis_up_to(t.b_spec, degree_bound)
     for m in mkeys:
-        lhs = c.pair_rule(m, t.a_spec.one_monomial())
+        lhs = rule(m, t.a_spec.one_monomial())
         report.record_equation(f, "unit", "inputs",
                                lambda: (mod.format_key(m),), lhs,
                                {(t.a_spec.one_monomial(), m): f.one})
@@ -669,10 +695,10 @@ def check_bimodule_compat(c, degree_bound):
         for a in as_:
             for a2 in as_:
                 lhs = _image_of(f, t.a_spec.mono_mul(a, a2),
-                                lambda am: c.pair_rule(m, am))
+                                lambda am: rule(m, am))
                 rhs = {}
-                for (a1, m1), c1 in c.pair_rule(m, a).items():
-                    for (a2b, m2), c2 in c.pair_rule(m1, a2).items():
+                for (a1, m1), c1 in rule(m, a).items():
+                    for (a2b, m2), c2 in rule(m1, a2).items():
                         w = f.mul(c1, c2)
                         for am, ac in t.a_spec.mono_mul(a1, a2b).items():
                             add_term(f, rhs, (am, m2), f.mul(w, ac))
@@ -688,13 +714,13 @@ def check_bimodule_compat(c, degree_bound):
             for b2 in bs:
                 acted = act(b, m, b2)
                 for a in as_:
-                    lhs = _image_of(f, acted, lambda k: c.pair_rule(k, a))
+                    lhs = _image_of(f, acted, lambda k: rule(k, a))
                     rhs = {}
                     for (a1, b1), c1 in t.monomial_rule(b2, a).items():
                         mv = moved.get(a1)
                         if mv is None:
                             mv = moved[a1] = {}
-                            for (a2v, m2), c2 in c.pair_rule(m, a1).items():
+                            for (a2v, m2), c2 in rule(m, a1).items():
                                 for (a3, b3), c3 in \
                                         t.monomial_rule(b, a2v).items():
                                     w = f.mul(c2, c3)

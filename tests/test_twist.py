@@ -15,6 +15,7 @@ from twistres.algebra import (
 )
 from twistres.complex import BIMODULE, LEFT_MODULE, FreeModuleTerm
 from twistres.kernel import QQ, CheckReport, PrimeField, add_term
+from twistres.resolutions import lift_twist, poly_koszul
 from twistres.twist import (
     LEFT_BIMODULE, ONE_SIDED, RIGHT_BIMODULE,
     AlgebraAsBimodule, GroundModule, MissingRuleError,
@@ -625,12 +626,19 @@ def _suite_lift_maps():
             for cm in (getattr(bundle, "lifts", None) or {}).values()]
 
 
-def _assert_matches_reference(c, degree_bound):
-    ref = reference_check_bimodule_compat(c, degree_bound)
+def _assert_matches_reference(ref_map, c, degree_bound):
+    """The checker on ``c`` against the reference on ``ref_map``, a second
+    copy of ``c`` from the same factory: first on ``c`` as built, so the
+    checker computes its own misses, then on ``c`` with its shared memo
+    filled by the reference, which the checker reads and never changes."""
+    ref = reference_check_bimodule_compat(ref_map, degree_bound)
+    expected = (ref.checked, ref.violations)
+    rep = check_bimodule_compat(c, degree_bound)
+    assert (rep.checked, rep.violations) == expected, c
+    reference_check_bimodule_compat(c, degree_bound)
     images = {pair: dict(image) for pair, image in c._cache.items()}
     rep = check_bimodule_compat(c, degree_bound)
-    assert (rep.checked, rep.violations) == (ref.checked, ref.violations), c
-    # the lhs may be a memoized rule image: it is read, never changed
+    assert (rep.checked, rep.violations) == expected, c
     assert all(c._cache[pair] == image for pair, image in images.items())
     return rep
 
@@ -638,9 +646,9 @@ def _assert_matches_reference(c, degree_bound):
 @pytest.mark.parametrize("maps", [_self_compat_maps, _transposition_maps,
                                   _suite_lift_maps])
 def test_compat_matches_reference(maps):
-    for c in maps():
-        for degree_bound in (1, 2):
-            _assert_matches_reference(c, degree_bound)
+    for degree_bound in (1, 2):
+        for ref_map, c in zip(maps(), maps()):
+            _assert_matches_reference(ref_map, c, degree_bound)
 
 
 def test_compat_matches_reference_on_general_lhs(monkeypatch):
@@ -655,8 +663,40 @@ def test_compat_matches_reference_on_general_lhs(monkeypatch):
         return image_of(f, vec, image)
 
     monkeypatch.setattr(twist, "_image_of", recording)
-    outcomes = [_assert_matches_reference(c, 2).passed
-                for c in _general_lhs_maps()]
+    outcomes = [_assert_matches_reference(ref_map, c, 2).passed
+                for ref_map, c in zip(_general_lhs_maps(), _general_lhs_maps())]
     # only the sign module under the x -> -x action fails
     assert outcomes == [True] * 6 + [False]
     assert seen == {"several terms", "one key, coefficient not one"}
+
+
+# -- the lift memo: shared with every consumer, only read by the check ---------
+
+
+def test_compat_check_leaves_the_lift_memo_as_it_found_it():
+    # the closed-form Koszul left rule reaches b^m through its own map's
+    # pair_rule, so those lifts store the images their rule reads
+    lifts = [c for c in _suite_lift_maps() if "koszul-left" not in c.name]
+    assert len(lifts) == 22
+    for c in lifts:
+        reference_check_bimodule_compat(c, 1)
+        before = dict(c._cache)
+        assert check_bimodule_compat(c, 2).passed, c
+        assert c._cache.keys() == before.keys(), c
+        assert all(c._cache[pair] is image for pair, image in before.items())
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_compat_check_reads_a_planted_lift_image(side):
+    # the planting of test_check_reports._corrupted_lift: one lift image
+    # of the moved generator across the stage-1 generator, scaled by 2
+    t = weyl_twist()
+    bundle = lift_twist(poly_koszul(t.a_spec if side == "left" else t.b_spec),
+                        t, side=side)
+    term = bundle.complex.terms[1]
+    gen = next(iter(term.generator(term.labels[0]).terms))
+    lift = bundle.lifts[1]
+    pair = ((1,), gen) if side == "left" else (gen, (1,))
+    assert check_bimodule_compat(lift, 2).passed
+    lift._cache[pair] = {k: 2 * v for k, v in lift.image(*pair).items()}
+    assert not check_bimodule_compat(lift, 2).passed
