@@ -237,7 +237,7 @@ class AlgebraSpec:
                     step = {}
                     for m, c in out.items():
                         for mm, cm in self._times_gen(m, j).items():
-                            add_term(f, step, mm, f.mul(c, cm))
+                            add_term(f, step, mm, c * cm)
                     out = step
         else:
             out = crossed_mono_mul(self.twist, m1, m2)
@@ -300,7 +300,7 @@ class AlgebraSpec:
                 dc = f.coerce(dc)
                 if any(dm):
                     for n, c in memo[(u, dm.index(1))].items():
-                        add_term(f, out, n, f.mul(dc, c))
+                        add_term(f, out, n, dc * c)
                 else:
                     add_term(f, out, u, dc)
             memo[key] = out
@@ -328,7 +328,7 @@ def crossed_mono_mul(t, m1, m2):
     for (am, bm), c in t.monomial_rule(b1, a2).items():
         for aa, ac in t.a_spec.mono_mul(a1, am).items():
             for bb, bc in t.b_spec.mono_mul(bm, b2).items():
-                add_term(f, out, (aa, bb), f.mul(c, f.mul(ac, bc)))
+                add_term(f, out, (aa, bb), c * ac * bc)
     return out
 
 
@@ -376,7 +376,7 @@ class AlgebraElement:
             for m2, c2 in other.terms.items():
                 c = f.mul(c1, c2)
                 for m, cm in self.spec.mono_mul(m1, m2).items():
-                    add_term(f, out, m, f.mul(c, cm))
+                    add_term(f, out, m, c * cm)
         return AlgebraElement(self.spec, out)
 
     def __rmul__(self, scalar):
@@ -536,7 +536,7 @@ def leibniz_extension(spec, images):
                 for lm, lc in spec.mono_mul(left, m).items():
                     w = f.mul(c, lc)
                     for rm, rc in spec.mono_mul(lm, right).items():
-                        add_term(f, out, rm, f.mul(w, rc))
+                        add_term(f, out, rm, w * rc)
         cache[mono] = out
         return out
 

@@ -148,7 +148,7 @@ class FreeModuleTerm:
                 add_term(f, out, (m, lab), c)
                 continue
             for m2, c2 in rights.items():
-                add_term(f, out, (m, lab, m2), f.mul(c, c2))
+                add_term(f, out, (m, lab, m2), c * c2)
         return out
 
     def format_key(self, key):
@@ -188,7 +188,7 @@ class AlgebraAsBimodule:
                 add_term(f, out, m, c)
                 continue
             for m2, c2 in alg.mono_mul(m, r).items():
-                add_term(f, out, m2, f.mul(c, c2))
+                add_term(f, out, m2, c * c2)
         return out
 
 
@@ -230,7 +230,7 @@ def image_of(f, vec, image):
     out = {}
     for k, v in vec.items():
         for pair, w in image(k).items():
-            add_term(f, out, pair, f.mul(v, w))
+            add_term(f, out, pair, v * w)
     return out
 
 
@@ -372,14 +372,14 @@ def apply_label_images(elem, image, target):
                 for m, cm in mul(l, l2).items():
                     wm = f.mul(w, cm)
                     for m2, cm2 in rights.items():
-                        add_term(f, out, (m, lab2, m2), f.mul(wm, cm2))
+                        add_term(f, out, (m, lab2, m2), wm * cm2)
     else:
         for (l, lab), c in elem.terms.items():
             for k2, c2 in image(lab).terms.items():
                 w = f.mul(c, c2)
                 rest = k2[1:]
                 for m, cm in mul(l, k2[0]).items():
-                    add_term(f, out, (m,) + rest, f.mul(w, cm))
+                    add_term(f, out, (m,) + rest, w * cm)
     return FreeElement(target, out)
 
 

@@ -253,7 +253,7 @@ class CochainTruncation:
                         ci = col_index[(lab, m)]
                         for m2, c2 in act(l, m, r).items():
                             add_term(f, entries, (row_index[(mu, m2)], ci),
-                                     f.mul(c, c2))
+                                     c * c2)
         # add_term leaves every entry reduced and nonzero
         mat = SparseMatrix._adopt(len(rows), len(cols), entries, f)
         self._mats[key] = (mat, cols, rows)
@@ -277,7 +277,7 @@ class CochainTruncation:
             acc = {}
             for mid, v1 in column:
                 for i, v2 in m2_by_col.get(mid, ()):
-                    add_term(f, acc, i, f.mul(v2, v1))
+                    add_term(f, acc, i, v2 * v1)
             if acc:
                 return False
         return True

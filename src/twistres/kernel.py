@@ -110,7 +110,10 @@ def add_term(field, out, key, value):
     """out[key] += value in a sparse dict key -> scalar, dropping zeros.
 
     The one accumulate of the package, specialised by field: residues are
-    reduced mod p, and over Q an integral Fraction sum becomes an int."""
+    reduced mod p, and over Q an integral Fraction sum becomes an int.
+    Since the stored sum is reduced here, callers pass raw products
+    (``c1 * c2``, not ``field.mul(c1, c2)``); ``value`` need not be
+    reduced, only an int or Fraction of the field's kind."""
     p = field.characteristic
     acc = out.get(key, 0) + value
     if p:
@@ -310,7 +313,7 @@ class SparseMatrix:
         acc = {}
         for (i, k), u in self.entries.items():
             for j, v in by_col.get(k, ()):
-                add_term(f, acc, (i, j), f.mul(u, v))
+                add_term(f, acc, (i, j), u * v)
         return SparseMatrix._adopt(self.nrows, other.ncols, acc, f)
 
     def is_zero(self):

@@ -201,7 +201,7 @@ def bar(spec, n_max, middle_cutoff=None, reduced=False):
                         raise CutoffError(
                             "middle-degree cutoff %d cannot hold %r"
                             % (middle_cutoff, newmids))
-                    add_term(f, img, (unit, newmids, unit), f.mul(sign, c))
+                    add_term(f, img, (unit, newmids, unit), sign * c)
             sign = f.neg(sign)
             add_term(f, img, (unit, mids[:-1], mids[-1]), sign)
             dn[mids] = FreeElement(tgt, img)
@@ -419,7 +419,7 @@ def _bar_left_rule(t, term, reduced):
     f = t.field
     unit = t.a_spec.one_monomial()
 
-    def rule(b_mono, key):
+    def rule(b_mono, key, lookup):
         l, mids, r = key
         factors = (l,) + tuple(mids) + (r,)
         state = {((), b_mono): f.one}
@@ -427,7 +427,7 @@ def _bar_left_rule(t, term, reduced):
             new = {}
             for (built, bcur), c in state.items():
                 for (am, bm), cc in t.monomial_rule(bcur, fac).items():
-                    add_term(f, new, (built + (am,), bm), f.mul(c, cc))
+                    add_term(f, new, (built + (am,), bm), c * cc)
             state = new
         out = {}
         for (built, bfin), c in state.items():
@@ -449,7 +449,7 @@ def _bar_right_rule(t, term, reduced):
     f = t.field
     unit = t.b_spec.one_monomial()
 
-    def rule(key, a_mono):
+    def rule(key, a_mono, lookup):
         b0, mids, b1 = key
         factors = (b0,) + tuple(mids) + (b1,)
         state = {((), a_mono): f.one}
@@ -457,7 +457,7 @@ def _bar_right_rule(t, term, reduced):
             new = {}
             for (built, acur), c in state.items():
                 for (am, bm), cc in t.monomial_rule(fac, acur).items():
-                    add_term(f, new, (built + (bm,), am), f.mul(c, cc))
+                    add_term(f, new, (built + (bm,), am), c * cc)
             state = new
         out = {}
         for (built, afin), c in state.items():
@@ -511,17 +511,18 @@ def _wedge_derivative(f, dbar, w):
     return out
 
 
-def _koszul_left_rule(t, alg, bimodule, holder):
+def _koszul_left_rule(t, alg, bimodule):
     """Closed-form lift of an Ore-type twist over a wedge resolution:
     the moved generator passes through untouched, plus correction terms
     applying the derivation to each coefficient and (linearized) to each
-    wedge slot; higher powers by splitting off one generator at a time."""
+    wedge slot; higher powers by splitting off one generator at a time,
+    whose images the rule reads through its caller's ``lookup``."""
     f = t.field
     delta_of_monomial, dbar = _delta_data(t, alg)
     one_b = (1,)
     zero_b = (0,)
 
-    def rule(b_mono, key):
+    def rule(b_mono, key, lookup):
         m = b_mono[0]
         out = {}
         if m == 1:
@@ -540,10 +541,9 @@ def _koszul_left_rule(t, alg, bimodule, holder):
                 k2 = (l, w2, r) if bimodule else (l, w2)
                 add_term(f, out, (k2, zero_b), c)
             return out
-        cm = holder["cm"]
-        for (k1, b1), c in cm.pair_rule((m - 1,), key).items():
-            for (k2, b2), c2 in cm.pair_rule((1,), k1).items():
-                add_term(f, out, (k2, (b1[0] + b2[0],)), f.mul(c, c2))
+        for (k1, b1), c in lookup((m - 1,), key).items():
+            for (k2, b2), c2 in lookup((1,), k1).items():
+                add_term(f, out, (k2, (b1[0] + b2[0],)), c * c2)
         return out
 
     return rule
@@ -555,12 +555,12 @@ def _koszul_right_rule(t):
     no correction), so only the two coefficients conjugate, right to left."""
     f = t.field
 
-    def rule(key, a_mono):
+    def rule(key, a_mono, lookup):
         b0, w, b1 = key
         out = {}
         for (a1, c1m), c1 in t.monomial_rule(b1, a_mono).items():
             for (a3, c0m), c3 in t.monomial_rule(b0, a1).items():
-                add_term(f, out, (a3, (c0m, w, c1m)), f.mul(c1, c3))
+                add_term(f, out, (a3, (c0m, w, c1m)), c1 * c3)
         return out
 
     return rule
@@ -570,11 +570,17 @@ def _skew_right_rule(t, alg):
     """Move a group element across a wedge key over the acted-on polynomial
     algebra: the inverse group element acts diagonally on both coefficients
     and on every wedge slot (through the linearized action, with resorting
-    signs)."""
+    signs).
+
+    The image of a key is built from its three factor images: the two
+    coefficients through the twist's memoized group action, the wedge
+    through ``wedges``, a memo (exponent, wedge) -> image kept for the life
+    of the lift, so at most group order x number of wedges entries."""
     f = t.field
     act = t.group_action
     order = t.group_order
     gen_monos = [_gen_mono(alg, i) for i in range(len(alg.gens))]
+    wedges = {}
 
     def act_wedge(e, w):
         states = {(): f.one}
@@ -590,7 +596,7 @@ def _skew_right_rule(t, alg):
                     k = mono.index(1)
                     if k in slots:
                         continue
-                    add_term(f, new, slots + (k,), f.mul(c, ci))
+                    add_term(f, new, slots + (k,), c * ci)
             states = new
         out = {}
         for slots, c in states.items():
@@ -601,15 +607,19 @@ def _skew_right_rule(t, alg):
             add_term(f, out, w2, c if sgn > 0 else f.neg(c))
         return out
 
-    def rule(key, e):
+    def rule(key, e, lookup):
         b0, w, b1 = key
         inv = (order - e) % order
+        wimg = wedges.get((inv, w))
+        if wimg is None:
+            wimg = wedges[(inv, w)] = act_wedge(inv, w)
+        right = act(inv, b1)
         out = {}
         for m0, c0 in act(inv, b0).items():
-            for w2, cw in act_wedge(inv, w).items():
-                for m1, c1 in act(inv, b1).items():
-                    add_term(f, out, (e, (m0, w2, m1)),
-                         f.mul(f.mul(c0, cw), c1))
+            for w2, cw in wimg.items():
+                c = f.mul(c0, cw)
+                for m1, c1 in right.items():
+                    add_term(f, out, (e, (m0, w2, m1)), c * c1)
         return out
 
     return rule
@@ -624,7 +634,9 @@ def _periodic_left_rules(bundle, t):
     The embedding is built degree by degree with the standard extra
     degeneracy (prepend the left coefficient as a new first middle factor,
     killing unit left coefficients); images that cannot be written in the
-    translates of the embedded generator raise RestrictionError."""
+    translates of the embedded generator raise RestrictionError.  The
+    translates g^a . mu_n . g^b are kept in ``translates``, a memo
+    (n, a, b) -> terms for the life of the lift: p^2 entries per degree."""
     spec = bundle.algebra
     f = spec.field
     p = bundle.meta["p"]
@@ -653,6 +665,14 @@ def _periodic_left_rules(bundle, t):
             x = x + mu[n - 1].act(l, r).scale(c)
         mu.append(degeneracy(x, n - 1))
 
+    translates = {}
+
+    def translate(n, a, b):
+        hit = translates.get((n, a, b))
+        if hit is None:
+            hit = translates[(n, a, b)] = mu[n].act(a, b).terms
+        return hit
+
     solvers = {}
 
     def solver(n):
@@ -662,7 +682,7 @@ def _periodic_left_rules(bundle, t):
         cols = []
         for a in range(p):
             for b in range(p):
-                cols.append(((a, b), mu[n].act(a, b).terms))
+                cols.append(((a, b), translate(n, a, b)))
         rows = {}
         for _, terms in cols:
             for k in terms:
@@ -681,10 +701,10 @@ def _periodic_left_rules(bundle, t):
     def make_rule(n):
         lab = "e%d" % n
 
-        def rule(s_mono, key):
+        def rule(s_mono, key, lookup):
             ga, _lab, gb = key
             lifted = bar_cms[n].apply(
-                {(s_mono, k): c for k, c in mu[n].act(ga, gb).terms.items()})
+                {(s_mono, k): c for k, c in translate(n, ga, gb).items()})
             groups = {}
             for (bk, s2), c in lifted.items():
                 groups.setdefault(s2, {})[bk] = c
@@ -759,14 +779,10 @@ def lift_twist(bundle, t, side="left"):
                     "flip twist; got %r" % (t.kind,))
             if len(t.b_spec.gens) != 1:
                 raise ResolutionError("the moved factor must be k[x]")
+            rule = _koszul_left_rule(t, bundle.algebra, not one_sided)
             for n in range(bundle.n_max + 1):
-                holder = {}
-                rule = _koszul_left_rule(t, bundle.algebra,
-                                         not one_sided, holder)
-                cm = CompatMap(kind, t, cplx.terms[n], rule,
-                               name="%s-left-%d" % (fam, n))
-                holder["cm"] = cm
-                lifts[n] = cm
+                lifts[n] = CompatMap(kind, t, cplx.terms[n], rule,
+                                     name="%s-left-%d" % (fam, n))
         else:
             if t.kind in (ORE, FLIP):
                 rule = _koszul_right_rule(t)
@@ -830,7 +846,7 @@ def check_lift_chain_map(bundle, degree_bound):
                         img = cplx.apply_differential(
                             n, FreeElement(term, {k2: f.one}))
                         for k3, c3 in img.terms.items():
-                            add_term(f, rhs, (k3, b2), f.mul(c, c3))
+                            add_term(f, rhs, (k3, b2), c * c3)
                 else:
                     lhs = bundle.lifts[n - 1].apply(
                         {(k, mono): c for k, c in d_img.terms.items()})
@@ -840,7 +856,7 @@ def check_lift_chain_map(bundle, degree_bound):
                         img = cplx.apply_differential(
                             n, FreeElement(term, {k2: f.one}))
                         for k3, c3 in img.terms.items():
-                            add_term(f, rhs, (a2, k3), f.mul(c, c3))
+                            add_term(f, rhs, (a2, k3), c * c3)
                 report.record_equation(f, "square", "where",
                                        lambda: (n, lab, mono), lhs, rhs)
     term0 = cplx.terms[0]
@@ -854,17 +870,17 @@ def check_lift_chain_map(bundle, degree_bound):
                     lhs = {}
                     for (k2, b2), c in pairs.items():
                         for am, ac in aug(k2).items():
-                            add_term(f, lhs, (am, b2), f.mul(c, ac))
+                            add_term(f, lhs, (am, b2), c * ac)
                     rhs = {}
                     for am, ac in aug(genkey).items():
                         for (a2, b2), c2 in t.monomial_rule(mono, am).items():
-                            add_term(f, rhs, (a2, b2), f.mul(ac, c2))
+                            add_term(f, rhs, (a2, b2), ac * c2)
                 else:
                     # the ground field: one key, so only its scalar is kept
                     lhs = {}
                     for (k2, b2), c in pairs.items():
                         for s in aug(k2).values():
-                            add_term(f, lhs, b2, f.mul(c, s))
+                            add_term(f, lhs, b2, c * s)
                     rhs = {}
                     for s in aug(genkey).values():
                         add_term(f, rhs, mono, s)
@@ -873,11 +889,11 @@ def check_lift_chain_map(bundle, degree_bound):
                 lhs = {}
                 for (a2, k2), c in pairs.items():
                     for bm, bc in aug(k2).items():
-                        add_term(f, lhs, (a2, bm), f.mul(c, bc))
+                        add_term(f, lhs, (a2, bm), c * bc)
                 rhs = {}
                 for bm, bc in aug(genkey).items():
                     for (a2, b2), c2 in t.monomial_rule(bm, mono).items():
-                        add_term(f, rhs, (a2, b2), f.mul(bc, c2))
+                        add_term(f, rhs, (a2, b2), bc * c2)
             report.record_equation(f, "augmentation", "where",
                                    lambda: (0, lab, mono), lhs, rhs)
     return report
@@ -920,7 +936,7 @@ class OreDerivationMaps:
         out = {}
         for (l, lab), c in elem.terms.items():
             for m, dc in self._derive(l).items():
-                add_term(f, out, (m, lab), f.mul(dc, c))
+                add_term(f, out, (m, lab), dc * c)
         return FreeElement(term, out) + apply_label_images(
             elem, lambda lab: self._label_images[(n, lab)], term)
 
@@ -1058,7 +1074,7 @@ def crosscheck_koszul_lift(bundle, n_bound=2, degree_bound=2):
                 rebuilt = {}
                 for (k2, b2), c in candidate.items():
                     for bk, bc in embed(k2).terms.items():
-                        add_term(f, rebuilt, (bk, b2), f.mul(c, bc))
+                        add_term(f, rebuilt, (bk, b2), c * bc)
                 if rebuilt != bar_side:
                     raise RestrictionError(
                         "bar-side image of %r (moved %r) does not project "

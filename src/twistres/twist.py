@@ -42,8 +42,13 @@ recomputation is idempotent, so concurrent readers are safe.  Check
 memos live for one call: the pure-tensor ``products`` of
 ``check_hexagon``, and the ``acts`` and lift-image misses of
 ``check_bimodule_compat``.  The compat check reads the lift memo and
-writes nothing to it, except what a rule itself stores by calling its
-own map's ``pair_rule``; it still fills the twist and algebra memos.
+writes nothing to it; it still fills the twist and algebra memos.  Two
+lift rules keep memos of their factor images for the life of the lift
+(as long as the bundle that carries it): the skew right lift keeps the
+wedge action per (group exponent, wedge), at most group order x number
+of wedges entries, and the periodic left lift keeps the translates
+g^a . mu_n . g^b of the embedded generator per (n, a, b), p^2 entries
+per degree.
 """
 
 from __future__ import annotations
@@ -223,7 +228,7 @@ def ore_twist(a_spec, b_spec, delta_gens, name=None):
         for (am, bm), c in first.items():
             for (am2, bm2), c2 in t.monomial_rule((1,), am).items():
                 key = (am2, (bm2[0] + bm[0],))
-                add_term(f, out, key, f.mul(c, c2))
+                add_term(f, out, key, c * c2)
         return out
 
     t = TwistMap(a_spec, b_spec, ORE, rule, name=name or "ore")
@@ -320,7 +325,7 @@ def apply_twist(t, b_elem, a_elem):
         for am, ac in a_elem.terms.items():
             w = f.mul(bc, ac)
             for pair, c in t.monomial_rule(bm, am).items():
-                add_term(f, out, pair, f.mul(w, c))
+                add_term(f, out, pair, w * c)
     return AlgebraElement(prod, out)
 
 
@@ -349,7 +354,7 @@ def hexagon_sides(t, b, b2, a, a2, products=None):
         for am, ac in t.a_spec.mono_mul(a, a2).items():
             w = f.mul(bc, ac)
             for pair, c in t.monomial_rule(bm, am).items():
-                add_term(f, lhs, pair, f.mul(w, c))
+                add_term(f, lhs, pair, w * c)
     rhs = {}
     for (a1, b1), c1 in t.monomial_rule(b2, a).items():
         for (a_l, b_l), c2 in t.monomial_rule(b, a1).items():
@@ -361,7 +366,7 @@ def hexagon_sides(t, b, b2, a, a2, products=None):
                     prod = products[key] = crossed_mono_mul(
                         t, (a_l, b_l), (a_r, b_r))
                 for pair, c in prod.items():
-                    add_term(f, rhs, pair, f.mul(c123, c))
+                    add_term(f, rhs, pair, c123 * c)
     return lhs, rhs
 
 
@@ -491,11 +496,16 @@ class CompatMap:
       over B; rule(key, a_mono) -> dict (a_mono', key') -> scalar.
     * ``one-sided``: same shape as left, M only a left module over A.
 
-    ``image(x, y)`` computes the reduced image of one pair; ``pair_rule``
-    reads it through ``_cache``, the memo shared by every consumer that
-    lives as long as the map (construction, total-complex assembly,
-    ``check_lift_chain_map``, the crosscheck).  ``check_bimodule_compat``
-    only reads that memo and keeps its own misses for the one call.
+    The rule takes a third argument, ``lookup(x', y')``: the caller's
+    image of another pair, which a rule built by recursion (the
+    Koszul-left lift, b^m through b^(m-1) and b) reads instead of this
+    map's memo.  ``image(x, y, lookup)`` computes the reduced image of
+    one pair; ``pair_rule`` reads it through ``_cache``, the memo shared
+    by every consumer that lives as long as the map (construction,
+    total-complex assembly, ``check_lift_chain_map``, the crosscheck),
+    and is its own lookup.  ``scoped_rule(images)`` is the lookup of
+    ``check_bimodule_compat``: it only reads that memo and keeps its
+    misses, recursive ones included, in the caller's dict.
     """
 
     def __init__(self, kind, twist, module, rule, name=""):
@@ -508,10 +518,11 @@ class CompatMap:
         self._rule = rule
         self._cache = {}
 
-    def image(self, x, y):
+    def image(self, x, y, lookup):
         """rule on one (monomial, key) or (key, monomial) pair, not
-        memoized: zeros dropped and scalars reduced (so it equals the
-        bilinear extension on that pair); unit conditions are built in."""
+        memoized, reading other pairs through ``lookup``: zeros dropped
+        and scalars reduced (so it equals the bilinear extension on that
+        pair); unit conditions are built in."""
         f = self.twist.field
         if self.kind in (LEFT_BIMODULE, ONE_SIDED):
             unit = x == self.twist.b_spec.one_monomial()
@@ -520,16 +531,38 @@ class CompatMap:
         if unit:
             return {(y, x): f.one}
         out = {}
-        for pair, v in self._rule(x, y).items():
+        for pair, v in self._rule(x, y, lookup).items():
             add_term(f, out, pair, v)
         return out
 
     def pair_rule(self, x, y):
-        """``image(x, y)`` through the map's shared memo."""
+        """``image(x, y, ...)`` through the map's shared memo, reading
+        the pairs a recursive rule needs through ``pair_rule`` as well."""
         hit = self._cache.get((x, y))
         if hit is None:
-            hit = self._cache[(x, y)] = self.image(x, y)
+            hit = self._cache[(x, y)] = self.image(x, y, self.pair_rule)
         return hit
+
+    def scoped_rule(self, images):
+        """A lookup like ``pair_rule`` that never writes to the shared
+        memo: a pair it misses is computed once and kept in ``images``,
+        which therefore holds only such pairs and is read first.  A miss
+        recurses through a new lookup on the same ``images``; a lookup
+        that named itself would be a reference cycle, keeping ``images``
+        alive after the caller is done until the cyclic collector runs."""
+        shared = self._cache
+
+        def lookup(x, y):
+            key = (x, y)
+            hit = images.get(key)
+            if hit is None:
+                hit = shared.get(key)
+                if hit is None:
+                    hit = images[key] = self.image(
+                        x, y, self.scoped_rule(images))
+            return hit
+
+        return lookup
 
     def apply(self, vec_pairs):
         """Bilinear extension on a dict of input pairs -> scalar."""
@@ -537,7 +570,7 @@ class CompatMap:
         out = {}
         for (x, y), c in vec_pairs.items():
             for pair, v in self.pair_rule(x, y).items():
-                add_term(f, out, pair, f.mul(c, v))
+                add_term(f, out, pair, c * v)
         return out
 
     def __repr__(self):
@@ -548,7 +581,7 @@ def self_bimodule_compat(t):
     """A as a bimodule over itself, moved by tau itself."""
     mod = AlgebraAsBimodule(t.a_spec)
 
-    def rule(b_mono, key):
+    def rule(b_mono, key, lookup):
         return {((m, bm)): c for (m, bm), c in t.monomial_rule(b_mono, key).items()}
 
     return CompatMap(LEFT_BIMODULE, t, mod, rule, name="%s-on-itself" % t.name)
@@ -557,7 +590,8 @@ def self_bimodule_compat(t):
 def self_right_bimodule_compat(t):
     """B as a bimodule over itself, moved across A by tau itself."""
     mod = AlgebraAsBimodule(t.b_spec)
-    return CompatMap(RIGHT_BIMODULE, t, mod, t.monomial_rule,
+    return CompatMap(RIGHT_BIMODULE, t, mod,
+                     lambda key, a_mono, lookup: t.monomial_rule(key, a_mono),
                      name="%s-on-itself-right" % t.name)
 
 
@@ -565,7 +599,7 @@ def transposition_compat(t, module, kind=ONE_SIDED):
     """The plain flip b (x) m -> m (x) b (or n (x) a -> a (x) n)."""
     f = t.field
 
-    def rule(x, y):
+    def rule(x, y, lookup):
         return {(y, x): f.one}
 
     return CompatMap(kind, t, module, rule, name="transposition")
@@ -589,34 +623,20 @@ def check_bimodule_compat(c, degree_bound):
     and then across b (acting on the left), once per (b, n) and a1; per
     (b', a) only tau(b' (x) a) and the right action remain (exact, as the
     right action is linear).  Rule images are read from the map's shared
-    memo; a miss is computed by ``c.image`` and kept, with the actions
+    memo; a miss is computed by ``c.image`` (a recursive rule reading
+    through the same lookup, ``c.scoped_rule``) and kept, with the actions
     l.key.r on single basis keys, in memos that last for this one call,
-    so the check leaves the shared memo as it found it (a rule that calls
-    ``c.pair_rule`` itself still stores what it reads).  An lhs whose
-    acted element is one key with coefficient one is a rule image itself,
-    only read.  The input tuple of an equation is formatted only when
-    violated."""
+    so the check leaves the shared memo as it found it.  An lhs whose acted element is one key
+    with coefficient one is a rule image itself, only read.  The input
+    tuple of an equation is formatted only when violated."""
     t = c.twist
     f = t.field
     mod = c.module
     report = CheckReport("compat(%s, %s, deg<=%d)"
                          % (c.name, c.kind, degree_bound), " tuples")
     mkeys = mod.basis(degree_bound)
-    shared = c._cache
-    images = {}
+    rule = c.scoped_rule({})
     acts = {}
-
-    def rule(x, y):
-        """c.pair_rule(x, y) without writing to the shared memo: a pair
-        the shared memo misses is computed once and kept in ``images``,
-        which therefore holds only such pairs and is read first."""
-        key = (x, y)
-        hit = images.get(key)
-        if hit is None:
-            hit = shared.get(key)
-            if hit is None:
-                hit = images[key] = c.image(x, y)
-        return hit
 
     def act(l, key, r):
         """mod.act(l, key, r), memoized for this call."""
@@ -644,7 +664,7 @@ def check_bimodule_compat(c, degree_bound):
                         for (m2, b2b), c2 in rule(b, m1).items():
                             w = f.mul(c1, c2)
                             for bm, bc in t.b_spec.mono_mul(b2b, b1).items():
-                                add_term(f, rhs, (m2, bm), f.mul(w, bc))
+                                add_term(f, rhs, (m2, bm), w * bc)
                     report.record_equation(
                         f, "product-side", "inputs",
                         lambda: (t.b_spec.format_monomial(b),
@@ -659,7 +679,7 @@ def check_bimodule_compat(c, degree_bound):
                     moved = {}
                     for (a1, b1), c1 in tau.items():
                         for (m1, b2b), c2 in rule(b1, m).items():
-                            add_term(f, moved, (a1, m1, b2b), f.mul(c1, c2))
+                            add_term(f, moved, (a1, m1, b2b), c1 * c2)
                     for a2 in rights:
                         lhs = _image_of(f, act(a, m, a2),
                                         lambda k: rule(b, k))
@@ -670,8 +690,7 @@ def check_bimodule_compat(c, degree_bound):
                             for (a3, b3), c3 in moves.items():
                                 w3 = f.mul(w, c3)
                                 for k, kc in act(a1, m1, a3).items():
-                                    add_term(f, rhs, (k, b3),
-                                             f.mul(w3, kc))
+                                    add_term(f, rhs, (k, b3), w3 * kc)
                         report.record_equation(
                             f, "module-side", "inputs",
                             lambda: (t.b_spec.format_monomial(b),
@@ -701,7 +720,7 @@ def check_bimodule_compat(c, degree_bound):
                     for (a2b, m2), c2 in rule(m1, a2).items():
                         w = f.mul(c1, c2)
                         for am, ac in t.a_spec.mono_mul(a1, a2b).items():
-                            add_term(f, rhs, (am, m2), f.mul(w, ac))
+                            add_term(f, rhs, (am, m2), w * ac)
                 report.record_equation(
                     f, "product-side", "inputs",
                     lambda: (mod.format_key(m),
@@ -725,12 +744,11 @@ def check_bimodule_compat(c, degree_bound):
                                         t.monomial_rule(b, a2v).items():
                                     w = f.mul(c2, c3)
                                     for k, kc in act(b3, m2, None).items():
-                                        add_term(f, mv, (a3, k),
-                                                 f.mul(w, kc))
+                                        add_term(f, mv, (a3, k), w * kc)
                         for (a3, k), v in mv.items():
                             w = f.mul(c1, v)
                             for k2, kc in act(None, k, b1).items():
-                                add_term(f, rhs, (a3, k2), f.mul(w, kc))
+                                add_term(f, rhs, (a3, k2), w * kc)
                     report.record_equation(
                         f, "module-side", "inputs",
                         lambda: (t.b_spec.format_monomial(b),

@@ -254,7 +254,7 @@ class TwistedBicomplex:
                 else:
                     bl, w2 = key
                     nk = ((a_one, bl), (i, j - 1, v, w2))
-                add_term(f, out, nk, f.mul(sgn, c))
+                add_term(f, out, nk, sgn * c)
         elem = FreeElement(tgt, out)
         self._v_cache[label] = elem
         return elem
@@ -296,7 +296,7 @@ class TwistedBicomplex:
             for am, ac in self.pm.complex.augmentation[v].items():
                 for bm, bc in self.pn.complex.augmentation[w].items():
                     add_term(f, out, (am, bm) if self.bimodule else am,
-                             f.mul(ac, bc))
+                             ac * bc)
         kind = RESOLVES_ALGEBRA if self.bimodule else RESOLVES_GROUND
         if name is None:
             name = "total(%s ⊗ %s)" % (self.pm.complex.name,
@@ -374,7 +374,7 @@ class TotalComplex:
                     for al3, ca in aspec.mono_mul(am, mk2[0]).items():
                         nk = ((al3, bl2), lab) + (
                             ((mk2[2], key[2][1]),) if bic.bimodule else ())
-                        add_term(f, keys, nk, f.mul(c3, ca))
+                        add_term(f, keys, nk, c3 * ca)
         if r is None:
             return keys
         am, bm = r
@@ -388,7 +388,7 @@ class TotalComplex:
                     c3 = f.mul(c2, ca)
                     for br3, cb in bspec.mono_mul(br2, bm).items():
                         nk = ((lcoef[0], bl2), (i, j, v, w2), (ar2, br3))
-                        add_term(f, out, nk, f.mul(c3, cb))
+                        add_term(f, out, nk, c3 * cb)
         return out
 
     def act_left(self, u, elem):
@@ -415,7 +415,7 @@ class TotalComplex:
                 base = f.mul(uc, c)
                 moved = act(m, key, None) if left else act(None, key, m)
                 for k2, c2 in moved.items():
-                    add_term(f, out, k2, f.mul(base, c2))
+                    add_term(f, out, k2, base * c2)
         return out
 
     def action_commutes_report(self, degree_bound=3, samples=20, seed=0):
@@ -794,7 +794,7 @@ class OreFreeForm:
         for (u, wl), c in elem.terms.items():
             gen, = term.generator(self._to_block[wl]).terms
             for key, c2 in tc.act((u[:-1], (u[-1],)), gen, None).items():
-                add_term(f, out, key, f.mul(c, c2))
+                add_term(f, out, key, c * c2)
         return FreeElement(term, out)
 
     def from_total(self, n, elem):
@@ -803,7 +803,7 @@ class OreFreeForm:
         out = {}
         for key, c in elem.terms.items():
             for k2, c2 in self._from_key(n, key).items():
-                add_term(f, out, k2, f.mul(c, c2))
+                add_term(f, out, k2, c * c2)
         return FreeElement(self.terms[n], out)
 
     def _from_key(self, n, key):
@@ -827,7 +827,7 @@ class OreFreeForm:
             for (r2, v2), c2 in self.maps.delta(i, src).terms.items():
                 ckey = ((r2, (m - 1,)), (i, j, v2, w))
                 for k3, c3 in self._from_key(n, ckey).items():
-                    add_term(f, result, k3, f.neg(f.mul(c2, c3)))
+                    add_term(f, result, k3, -c2 * c3)
         self._memo[(n, key)] = result
         return result
 

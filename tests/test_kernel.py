@@ -558,3 +558,55 @@ def test_add_term_over_prime_fields(p, terms):
     ref = _reference_accumulate(terms, lambda acc: acc % p)
     assert list(out.items()) == list(ref.items())
     assert all(type(v) is int and 0 < v < p for v in out.values())
+
+
+# -- add_term reduces its own value, so callers pass raw products
+
+def test_add_term_stores_an_unreduced_product_over_f3_reduced():
+    out = {}
+    add_term(GF3, out, "k", 2 * 2)
+    assert out == {"k": 1}
+    add_term(GF3, out, "j", 2 * 2 * 2)
+    assert list(out.items()) == [("k", 1), ("j", 2)]
+
+
+def test_add_term_drops_a_cancelling_pair_of_products():
+    for f in (QQ, GF3):
+        out = {}
+        add_term(f, out, "k", 2 * 5)
+        add_term(f, out, "k", -5 * 2)
+        assert out == {}
+    out = {}
+    add_term(GF3, out, "k", 2 * 1)
+    add_term(GF3, out, "k", 2 * 2)
+    assert out == {}
+
+
+def test_add_term_stores_an_integral_fraction_product_over_q_as_int():
+    out = {}
+    add_term(QQ, out, "k", Fraction(2, 3) * Fraction(3, 2))
+    assert out == {"k": 1} and type(out["k"]) is int
+    add_term(QQ, out, "k", Fraction(1, 2) * 3)
+    assert out == {"k": Fraction(5, 2)}
+    add_term(QQ, out, "k", Fraction(1, 4) * 2)
+    assert out == {"k": 3} and type(out["k"]) is int
+
+
+def _exactly(d):
+    """A dict's items in order, each value with its type."""
+    return [(k, type(v), v) for k, v in d.items()]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(data=st.data(), p=st.sampled_from((0, 2, 3, 7)))
+def test_add_term_of_a_raw_product_equals_add_term_of_the_reduced_one(data, p):
+    f = QQ if p == 0 else PrimeField(p)
+    scalars = rationals if p == 0 else st.integers(0, p - 1)
+    terms = data.draw(st.lists(st.tuples(st.integers(0, 3), scalars, scalars),
+                               max_size=14))
+    raw, reduced = {}, {}
+    for k, a, b in terms:
+        a, b = f.coerce(a), f.coerce(b)
+        add_term(f, raw, k, a * b)
+        add_term(f, reduced, k, f.mul(a, b))
+        assert _exactly(raw) == _exactly(reduced)

@@ -1,11 +1,13 @@
 """Resolution builders: frozen small differentials, d.d = 0, exactness
 windows, and the attached factor-moving lifts with their checks."""
 
+from itertools import combinations, permutations
+
 import pytest
 
-from twistres.kernel import QQ, PrimeField
+from twistres.kernel import QQ, PrimeField, add_term
 from twistres.algebra import (
-    polynomial_algebra, cyclic_group_algebra, weyl_algebra,
+    basis_up_to, polynomial_algebra, cyclic_group_algebra, weyl_algebra,
     solvable_2dim_algebra, heisenberg_algebra, parse_element,
 )
 from twistres.complex import (
@@ -399,6 +401,93 @@ def test_periodic_left_lift_checks():
         assert check_lift_chain_map(per, 2).passed
         reports = check_lift_compat(per, 2)
         assert all(r.passed for r in reports.values())
+
+
+def _reference_skew_right_image(t, key, e):
+    """The skew right lift of g^e across key = b0 (x) w (x) b1, recomputed
+    without memos: g^-e acts on both coefficients and on the wedge of
+    linear forms w, expanded by minors (the determinant of the rows S of
+    the action's matrix on the slots of w gives the coefficient of x_S)."""
+    f = t.field
+    order = t.group_order
+    if e == 0:
+        return {(0, key): 1}
+    inv = (order - e) % order
+    b0, w, b1 = key
+    ngens = len(b0)
+    cols = []
+    for i in w:
+        gen = tuple(int(j == i) for j in range(ngens))
+        cols.append({mono.index(1): c
+                     for mono, c in t.group_action(inv, gen).items()})
+    wedge = {}
+    for rows in combinations(range(ngens), len(w)):
+        det = 0
+        for perm in permutations(range(len(w))):
+            sign = (-1) ** sum(perm[i] > perm[j]
+                               for i in range(len(perm))
+                               for j in range(i + 1, len(perm)))
+            term = sign
+            for col, row in zip(cols, (rows[k] for k in perm)):
+                term *= col.get(row, 0)
+            det += term
+        if det % f.characteristic:
+            wedge[rows] = det % f.characteristic
+    out = {}
+    for m0, c0 in t.group_action(inv, b0).items():
+        for w2, cw in wedge.items():
+            for m1, c1 in t.group_action(inv, b1).items():
+                k = (e, (m0, w2, m1))
+                v = (out.get(k, 0) + c0 * cw * c1) % f.characteristic
+                if v:
+                    out[k] = v
+                else:
+                    out.pop(k, None)
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_skew_right_lift_matches_the_unmemoized_wedge_action(p):
+    # a fresh lift, so its wedge memo fills while the images are read: each
+    # wedge is asked for under every group exponent
+    t = triangular_action_twist(p)
+    kz = lift_twist(poly_koszul(t.b_spec), t, side="right")
+    checked = 0
+    for n, lift in kz.lifts.items():
+        for key in kz.complex.terms[n].basis(4):
+            for e in range(p):
+                assert lift.pair_rule(key, e) == \
+                    _reference_skew_right_image(t, key, e), (n, key, e)
+                checked += 1
+    assert checked == p * sum(len(kz.complex.terms[n].basis(4))
+                              for n in kz.lifts)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_periodic_left_lift_matches_fresh_translates(p):
+    # each image, written back in the bar resolution through fresh
+    # translates mu_n.act(a, b), is the bar lift of the fresh embedded key
+    t = triangular_action_twist(p)
+    f = t.field
+    per = lift_twist(cyclic_periodic(p, 4, spec=t.a_spec), t, side="left")
+    mu = per.meta["bar_embedding"]
+    bar_lifts = lift_twist(bar(t.a_spec, 4, middle_cutoff=0, reduced=True),
+                           t, side="left").lifts
+    s_monos = [m for m in basis_up_to(t.b_spec, 2) if any(m)]
+    for n in range(5):
+        for ga in range(p):
+            for gb in range(p):
+                key = (ga, "e%d" % n, gb)
+                for s in s_monos:
+                    image = per.lifts[n].pair_rule(s, key)
+                    embedded = {}
+                    for ((a, _lab, b), s2), c in image.items():
+                        for k, v in mu[n].act(a, b).terms.items():
+                            add_term(f, embedded, (k, s2), c * v)
+                    expected = bar_lifts[n].apply(
+                        {(s, k): v
+                         for k, v in mu[n].act(ga, gb).terms.items()})
+                    assert embedded == expected, (n, key, s)
 
 
 def test_periodic_lift_wrong_shape():

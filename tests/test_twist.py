@@ -674,10 +674,10 @@ def test_compat_matches_reference_on_general_lhs(monkeypatch):
 
 
 def test_compat_check_leaves_the_lift_memo_as_it_found_it():
-    # the closed-form Koszul left rule reaches b^m through its own map's
-    # pair_rule, so those lifts store the images their rule reads
-    lifts = [c for c in _suite_lift_maps() if "koszul-left" not in c.name]
-    assert len(lifts) == 22
+    # the closed-form Koszul left rule reaches b^m through the check's own
+    # lookup, so it stores nothing in the lift memo either
+    lifts = _suite_lift_maps()
+    assert len(lifts) == 30
     for c in lifts:
         reference_check_bimodule_compat(c, 1)
         before = dict(c._cache)
@@ -698,5 +698,5 @@ def test_compat_check_reads_a_planted_lift_image(side):
     lift = bundle.lifts[1]
     pair = ((1,), gen) if side == "left" else (gen, (1,))
     assert check_bimodule_compat(lift, 2).passed
-    lift._cache[pair] = {k: 2 * v for k, v in lift.image(*pair).items()}
+    lift._cache[pair] = {k: 2 * v for k, v in lift.image(*pair, lift.pair_rule).items()}
     assert not check_bimodule_compat(lift, 2).passed
