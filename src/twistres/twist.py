@@ -491,21 +491,21 @@ class CompatMap:
     """A rule moving algebra factors across a module.
 
     * ``left-of-bimodule``: tau_mod: B (x) M -> M (x) B, M a bimodule
-      over A; rule(b_mono, key) -> dict (key', b_mono') -> scalar.
+      over A; rule(b_mono, key, lookup) -> dict (key', b_mono') -> scalar.
     * ``right-of-bimodule``: tau_mod: N (x) A -> A (x) N, N a bimodule
-      over B; rule(key, a_mono) -> dict (a_mono', key') -> scalar.
+      over B; rule(key, a_mono, lookup) -> dict (a_mono', key') -> scalar.
     * ``one-sided``: same shape as left, M only a left module over A.
 
-    The rule takes a third argument, ``lookup(x', y')``: the caller's
-    image of another pair, which a rule built by recursion (the
-    Koszul-left lift, b^m through b^(m-1) and b) reads instead of this
-    map's memo.  ``image(x, y, lookup)`` computes the reduced image of
-    one pair; ``pair_rule`` reads it through ``_cache``, the memo shared
-    by every consumer that lives as long as the map (construction,
-    total-complex assembly, ``check_lift_chain_map``, the crosscheck),
-    and is its own lookup.  ``scoped_rule(images)`` is the lookup of
-    ``check_bimodule_compat``: it only reads that memo and keeps its
-    misses, recursive ones included, in the caller's dict.
+    ``lookup(x', y')`` is the caller's image of another pair, which a
+    rule built by recursion (the Koszul-left lift, b^m through b^(m-1)
+    and b) reads instead of this map's memo.  ``image(x, y, lookup)``
+    computes the reduced image of one pair; ``pair_rule`` reads it
+    through ``_cache``, the memo shared by every consumer that lives as
+    long as the map (construction, total-complex assembly,
+    ``check_lift_chain_map``, the crosscheck), and is its own lookup.
+    ``scoped_rule(images)`` is the lookup of ``check_bimodule_compat``:
+    it only reads that memo and keeps its misses, recursive ones
+    included, in the caller's dict.
     """
 
     def __init__(self, kind, twist, module, rule, name=""):
@@ -626,9 +626,10 @@ def check_bimodule_compat(c, degree_bound):
     memo; a miss is computed by ``c.image`` (a recursive rule reading
     through the same lookup, ``c.scoped_rule``) and kept, with the actions
     l.key.r on single basis keys, in memos that last for this one call,
-    so the check leaves the shared memo as it found it.  An lhs whose acted element is one key
-    with coefficient one is a rule image itself, only read.  The input
-    tuple of an equation is formatted only when violated."""
+    so the check leaves the shared memo as it found it.  An lhs whose
+    acted element is one key with coefficient one is a rule image itself,
+    only read.  The input tuple of an equation is formatted only when
+    violated."""
     t = c.twist
     f = t.field
     mod = c.module

@@ -452,15 +452,15 @@ def test_skew_right_lift_matches_the_unmemoized_wedge_action(p):
     # wedge is asked for under every group exponent
     t = triangular_action_twist(p)
     kz = lift_twist(poly_koszul(t.b_spec), t, side="right")
-    checked = 0
+    sums = 0
     for n, lift in kz.lifts.items():
         for key in kz.complex.terms[n].basis(4):
             for e in range(p):
-                assert lift.pair_rule(key, e) == \
-                    _reference_skew_right_image(t, key, e), (n, key, e)
-                checked += 1
-    assert checked == p * sum(len(kz.complex.terms[n].basis(4))
-                              for n in kz.lifts)
+                image = lift.pair_rule(key, e)
+                assert image == _reference_skew_right_image(t, key, e), \
+                    (n, key, e)
+                sums += len(image) > 1
+    assert sums  # the action mixes slots, so some images have several terms
 
 
 @pytest.mark.parametrize("p", [2, 3])
