@@ -151,6 +151,21 @@ def _resolve_ground_source(source):
     return cplx
 
 
+def _trusted_top(cplx, n_top):
+    """The last stage to report: ``n_top``, by default the trustworthy top.
+    A truncated resolution (``complete_above`` false) cannot be trusted at
+    its top stage, whose cohomology sees no next differential; asking for
+    it, or beyond, raises HomologyError."""
+    top = cplx.n_max if cplx.complete_above else cplx.n_max - 1
+    if n_top is None:
+        return top
+    if n_top > top and not cplx.complete_above:
+        raise HomologyError(
+            "stage %d beyond the truncated resolution's trustworthy top %d"
+            % (n_top, top))
+    return n_top
+
+
 # Coboundaries are counted from sources up to _SLACK degrees above the
 # window, and filtered counts are rechecked _SLACK degrees higher.  2 is
 # the largest degree drop of one commutation in the shipped algebras
@@ -185,9 +200,6 @@ class CochainTruncation:
             self.raises.append(shift)
         self._mats = {}
         self._bases = {}
-
-    def computable_top(self):
-        return self.top if self.cplx.complete_above else self.top - 1
 
     def basis(self, n, cutoff):
         """Ordered cochain basis at stage n: (label, monomial) for
@@ -258,29 +270,6 @@ class CochainTruncation:
         mat = SparseMatrix._adopt(len(rows), len(cols), entries, f)
         self._mats[key] = (mat, cols, rows)
         return self._mats[key]
-
-    def compose_zero_check(self, n, cutoff):
-        """Consecutive codifferentials compose to zero: verified on the
-        matrices whose cutoffs line up exactly."""
-        shift = self.raises[n + 1] if n + 1 <= self.top else 0
-        m1, cols1, rows1 = self.matrix(n, cutoff)
-        m2, cols2, rows2 = self.matrix(n + 1, cutoff + shift)
-        assert rows1 == cols2
-        f = self.field
-        by_col = {}
-        for (i, j), v in m1.entries.items():
-            by_col.setdefault(j, []).append((i, v))
-        m2_by_col = {}
-        for (i, j), v in m2.entries.items():
-            m2_by_col.setdefault(j, []).append((i, v))
-        for j, column in by_col.items():
-            acc = {}
-            for mid, v1 in column:
-                for i, v2 in m2_by_col.get(mid, ()):
-                    add_term(f, acc, i, v2 * v1)
-            if acc:
-                return False
-        return True
 
     # -- windowed dimensions ------------------------------------------
 
@@ -374,13 +363,7 @@ def hochschild_cohomology(source, n_top=None, cutoff=8, coeff=SELF_COEFF):
     (disagreement flags, never raises)."""
     cplx = _resolve_algebra_source(source)
     co = CochainTruncation(cplx, coeff=coeff)
-    computable = co.computable_top()
-    if n_top is None:
-        n_top = computable
-    if n_top > computable and not cplx.complete_above:
-        raise HomologyError(
-            "stage %d beyond the truncated resolution's trustworthy top %d"
-            % (n_top, computable))
+    n_top = _trusted_top(cplx, n_top)
     recheck = cutoff + _SLACK
     rep = CohomologyReport(cplx.name, coeff, cutoff, recheck, co.graded)
     for n in range(n_top + 1):
@@ -427,13 +410,7 @@ def _collapse_dims(cplx, n_top, transpose):
     f = cplx.algebra.field
     sizes, mats = _reduced_matrices(cplx)
     top = len(cplx.terms) - 1
-    computable = top if cplx.complete_above else top - 1
-    if n_top is None:
-        n_top = computable
-    if n_top > computable and not cplx.complete_above:
-        raise HomologyError(
-            "stage %d beyond the truncated resolution's trustworthy top %d"
-            % (n_top, computable))
+    n_top = _trusted_top(cplx, n_top)
     dims = []
     for n in range(n_top + 1):
         if n > top:

@@ -17,7 +17,10 @@ Families
 Each builder returns a :class:`ResolutionBundle`: a ChainComplexSpec plus
 bookkeeping (family tag, what is resolved, and - after ``lift_twist`` -
 per-degree CompatMaps that move the other tensor factor across the
-resolution).  ``check_lift_chain_map`` / ``check_lift_compat`` verify that
+resolution).  Every lift is a rule on keys: the bar lifts iterate the
+twist over the tensor factors, the wedge lifts are closed forms, and the
+periodic lift is the skew twist's group action, by the group degree each
+key carries.  ``check_lift_chain_map`` / ``check_lift_compat`` verify that
 attached lifts commute with the differentials and satisfy the module
 compatibility equations; ``crosscheck_koszul_lift`` replays the closed-form
 wedge lift inside the reduced bar complex (symmetrize, move the factor
@@ -26,7 +29,7 @@ across, project back) and compares.
 
 from itertools import combinations, permutations
 
-from .kernel import CheckReport, SparseMatrix, add_term, solve_dense
+from .kernel import CheckReport, add_term
 from .algebra import (
     POLYNOMIAL, ITERATED_ORE, CYCLIC_GROUP,
     AlgebraElement, basis_up_to, cyclic_group_algebra, leibniz_extension,
@@ -625,112 +628,33 @@ def _skew_right_rule(t, alg):
     return rule
 
 
-def _periodic_left_rules(bundle, t):
-    """Lift a skew twist over the two-periodic resolution of k[Z/p] by
-    embedding it into the reduced bar resolution, moving the polynomial
-    factor across there, and expressing the image back in the embedded
-    generators.
+def _periodic_left_rule(cplx, t):
+    """Move a polynomial monomial across the two-periodic resolution of
+    k[Z/p] by the twist's group action:
+    tau_n(s (x) g^a e g^b) = g^a e g^b (x) g^-(a + eps(e) + b) . s.
 
-    The embedding is built degree by degree with the standard extra
-    degeneracy (prepend the left coefficient as a new first middle factor,
-    killing unit left coefficients); images that cannot be written in the
-    translates of the embedded generator raise RestrictionError.  The
-    translates g^a . mu_n . g^b are kept in ``translates``, a memo
-    (n, a, b) -> terms for the life of the lift: p^2 entries per degree."""
-    spec = bundle.algebra
-    f = spec.field
-    p = bundle.meta["p"]
-    nb = bundle.n_max
-    barb = bar(spec, nb, middle_cutoff=0, reduced=True)
-    bterms = barb.complex.terms
-    bar_cms = {n: CompatMap(LEFT_BIMODULE, t, bterms[n],
-                            _bar_left_rule(t, bterms[n], True),
-                            name="bar-left-%d" % n)
-               for n in range(nb + 1)}
-    unit = spec.one_monomial()
+    eps(e) in Z/p is the group degree of the generator e, read off the
+    differential: degree-0 generators have degree 0, and each key
+    g^a e' g^b of d(e) gives a + eps(e') + b.  A differential that is not
+    homogeneous for this grading raises RestrictionError."""
+    p = t.group_order
+    act = t.group_action
+    eps = dict.fromkeys(cplx.terms[0].labels, 0)
+    for n in range(1, cplx.n_max + 1):
+        for lab, img in cplx.differentials[n].items():
+            degrees = {(a + eps[lab2] + b) % p for a, lab2, b in img.terms}
+            if len(degrees) > 1:
+                raise RestrictionError(
+                    "d(%s) in degree %d is not homogeneous in the group "
+                    "grading; the group action does not lift" % (lab, n))
+            eps[lab] = next(iter(degrees), 0)
 
-    def degeneracy(elem, n):
-        out = {}
-        for (l, mids, r), c in elem.terms.items():
-            if l == unit:
-                continue
-            out[(unit, (l,) + mids, r)] = c
-        return FreeElement(bterms[n + 1], out)
+    def rule(s_mono, key, lookup):
+        a, lab, b = key
+        return {(key, m): c
+                for m, c in act(-(a + eps[lab] + b) % p, s_mono).items()}
 
-    mu = [FreeElement(bterms[0], {(unit, (), unit): f.one})]
-    for n in range(1, nb + 1):
-        dgen = bundle.complex.differentials[n]["e%d" % n]
-        x = bterms[n - 1].zero()
-        for (l, _lab, r), c in dgen.terms.items():
-            x = x + mu[n - 1].act(l, r).scale(c)
-        mu.append(degeneracy(x, n - 1))
-
-    translates = {}
-
-    def translate(n, a, b):
-        hit = translates.get((n, a, b))
-        if hit is None:
-            hit = translates[(n, a, b)] = mu[n].act(a, b).terms
-        return hit
-
-    solvers = {}
-
-    def solver(n):
-        hit = solvers.get(n)
-        if hit is not None:
-            return hit
-        cols = []
-        for a in range(p):
-            for b in range(p):
-                cols.append(((a, b), translate(n, a, b)))
-        rows = {}
-        for _, terms in cols:
-            for k in terms:
-                rows.setdefault(k, len(rows))
-        entries = [(rows[k], j, v)
-                   for j, (_, terms) in enumerate(cols)
-                   for k, v in terms.items()]
-        mat = SparseMatrix(len(rows), len(cols), entries, f)
-        if mat.rank() != p * p:
-            raise ResolutionError(
-                "translates of the embedded generator are dependent in "
-                "degree %d" % n)
-        solvers[n] = (mat, rows, [ab for ab, _ in cols])
-        return solvers[n]
-
-    def make_rule(n):
-        lab = "e%d" % n
-
-        def rule(s_mono, key, lookup):
-            ga, _lab, gb = key
-            lifted = bar_cms[n].apply(
-                {(s_mono, k): c for k, c in translate(n, ga, gb).items()})
-            groups = {}
-            for (bk, s2), c in lifted.items():
-                groups.setdefault(s2, {})[bk] = c
-            mat, rows, col_ab = solver(n)
-            out = {}
-            for s2, vec in groups.items():
-                rhs = {}
-                for k, c in vec.items():
-                    if k not in rows:
-                        raise RestrictionError(
-                            "lifted image leaves the embedded periodic "
-                            "subcomplex in degree %d" % n)
-                    rhs[rows[k]] = c
-                sol = solve_dense(mat, rhs)
-                if sol is None:
-                    raise RestrictionError(
-                        "lifted image leaves the embedded periodic "
-                        "subcomplex in degree %d" % n)
-                for j, c in sol.items():
-                    a, b = col_ab[j]
-                    add_term(f, out, ((a, lab, b), s2), c)
-            return out
-
-        return rule
-
-    return {n: make_rule(n) for n in range(nb + 1)}, mu
+    return rule
 
 
 def lift_twist(bundle, t, side="left"):
@@ -743,8 +667,8 @@ def lift_twist(bundle, t, side="left"):
       derivation corrections on coefficients and slots);
     * wedge families, right: coefficient conjugation (Ore/flip twists) or
       the diagonal inverse group action (skew twists);
-    * cyclic-periodic, left: restriction of the bar lift along the standard
-      embedding.
+    * cyclic-periodic, left: the inverse group action on the moved factor,
+      by the group degree of the key (skew twists).
 
     Returns a new bundle carrying the lifts."""
     if side not in ("left", "right"):
@@ -799,13 +723,10 @@ def lift_twist(bundle, t, side="left"):
             raise ResolutionError(
                 "the two-periodic resolution takes left lifts of skew "
                 "twists only")
-        rules, mu = _periodic_left_rules(bundle, t)
-        for n, rule in rules.items():
+        rule = _periodic_left_rule(cplx, t)
+        for n in range(bundle.n_max + 1):
             lifts[n] = CompatMap(kind, t, cplx.terms[n], rule,
                                  name="%s-left-%d" % (fam, n))
-        out = bundle.with_lifts(t, side, lifts)
-        out.meta["bar_embedding"] = mu
-        return out
     else:
         raise ResolutionError("no lift recipe for family %r" % (fam,))
     return bundle.with_lifts(t, side, lifts)

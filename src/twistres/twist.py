@@ -42,13 +42,12 @@ recomputation is idempotent, so concurrent readers are safe.  Check
 memos live for one call: the pure-tensor ``products`` of
 ``check_hexagon``, and the ``acts`` and lift-image misses of
 ``check_bimodule_compat``.  The compat check reads the lift memo and
-writes nothing to it; it still fills the twist and algebra memos.  Two
-lift rules keep memos of their factor images for the life of the lift
-(as long as the bundle that carries it): the skew right lift keeps the
-wedge action per (group exponent, wedge), at most group order x number
-of wedges entries, and the periodic left lift keeps the translates
-g^a . mu_n . g^b of the embedded generator per (n, a, b), p^2 entries
-per degree.
+writes nothing to it; it still fills the twist and algebra memos.  One
+lift rule keeps a memo of its factor images for the life of the lift (as
+long as the bundle that carries it): the skew right lift keeps the wedge
+action per (group exponent, wedge), at most group order x number of
+wedges entries.  The periodic left lift is the skew twist's group
+action itself and reads only the twist's memo of it.
 """
 
 from __future__ import annotations
@@ -100,7 +99,11 @@ class TwistMap:
 
     ``monomial_rule(b_mono, a_mono)`` returns a dict
     (a_mono, b_mono) -> scalar describing tau(b (x) a) in A (x) B.
-    Unit conditions are built in and cannot be overridden.
+    Unit conditions are built in and cannot be overridden.  The rule is
+    called as ``rule(b_mono, a_mono, lookup)``, where ``lookup`` is
+    ``monomial_rule`` itself: a rule built by recursion (the Ore twist,
+    x^m through x^(m-1) and x) reads other pairs through it, so the rule
+    holds no reference to its twist.
     """
 
     def __init__(self, a_spec, b_spec, kind, rule, name=""):
@@ -133,7 +136,8 @@ class TwistMap:
             out = {(a_mono, b_mono): f.one}
         else:
             out = {}
-            for pair, v in self._rule(b_mono, a_mono).items():
+            for pair, v in self._rule(b_mono, a_mono,
+                                      self.monomial_rule).items():
                 add_term(f, out, pair, v)
         self._cache[key] = out
         return out
@@ -164,7 +168,7 @@ class TwistMap:
 
 
 def _table_rule(table, field, base=None):
-    def rule(b_mono, a_mono):
+    def rule(b_mono, a_mono, lookup):
         hit = table.get((b_mono, a_mono))
         if hit is not None:
             return {pair: field.coerce(c) for pair, c in hit.items()}
@@ -179,7 +183,7 @@ def flip_twist(a_spec, b_spec, name=None):
     """The identity-like twist tau(b (x) a) = a (x) b."""
     f = a_spec.field
 
-    def rule(b_mono, a_mono):
+    def rule(b_mono, a_mono, lookup):
         return {(a_mono, b_mono): f.one}
 
     return TwistMap(a_spec, b_spec, FLIP, rule, name=name or "flip")
@@ -213,20 +217,17 @@ def ore_twist(a_spec, b_spec, delta_gens, name=None):
     delta_of_monomial = leibniz_extension(a_spec, images)
 
     b_one = (0,)
-    holder = {}
 
-    def rule(b_mono, a_mono):
+    def rule(b_mono, a_mono, lookup):
         m = b_mono[0]
         if m == 1:
             out = {(a_mono, (1,)): f.one}
             for dm, dc in delta_of_monomial(a_mono).items():
                 add_term(f, out, (dm, b_one), dc)
             return out
-        t = holder["twist"]
-        first = t.monomial_rule((m - 1,), a_mono)
         out = {}
-        for (am, bm), c in first.items():
-            for (am2, bm2), c2 in t.monomial_rule((1,), am).items():
+        for (am, bm), c in lookup((m - 1,), a_mono).items():
+            for (am2, bm2), c2 in lookup((1,), am).items():
                 key = (am2, (bm2[0] + bm[0],))
                 add_term(f, out, key, c * c2)
         return out
@@ -234,7 +235,6 @@ def ore_twist(a_spec, b_spec, delta_gens, name=None):
     t = TwistMap(a_spec, b_spec, ORE, rule, name=name or "ore")
     t.delta_of_monomial = delta_of_monomial
     t.delta_images = images
-    holder["twist"] = t
     return t
 
 
@@ -293,7 +293,7 @@ def skew_group_twist(group_spec, poly_spec, action, name=None):
         act_cache[key] = elem.terms
         return elem.terms
 
-    def keyed_rule(b_mono, a_mono):
+    def keyed_rule(b_mono, a_mono, lookup):
         return {((a_mono, m)): c for m, c in act((n - a_mono) % n, b_mono).items()}
 
     t = TwistMap(group_spec, poly_spec, SKEW_GROUP, keyed_rule,

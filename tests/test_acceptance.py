@@ -11,7 +11,7 @@ from math import comb
 
 import pytest
 
-from twistres import kernel, twist
+from twistres import kernel, resolutions, twist
 from twistres.kernel import QQ, PrimeField, SparseMatrix
 from twistres.algebra import (
     basis_up_to, cyclic_group_algebra, heisenberg_algebra, polynomial_algebra,
@@ -386,6 +386,24 @@ def test_criterion_8_mutations_break_the_checks(monkeypatch):
 
         monkeypatch.setattr(GroundModule, "act", unit_only)
         assert not compose_check(stub).passed
+
+        # the periodic left lift with the generator's group degree left
+        # out of the exponent: g^-(a + b) . s in place of g^-(a + eps + b) . s
+        monkeypatch.undo()
+        t3 = triangular_action_twist(3)
+        periodic = cyclic_periodic(3, 4, spec=t3.a_spec)
+        assert check_lift_chain_map(lift_twist(periodic, t3), 2).passed
+
+        def without_degree(cplx, t):
+            def rule(s_mono, key, lookup):
+                a, _lab, b = key
+                return {(key, m): c for m, c in
+                        t.group_action(-(a + b) % 3, s_mono).items()}
+            return rule
+
+        monkeypatch.setattr(resolutions, "_periodic_left_rule",
+                            without_degree)
+        assert not check_lift_chain_map(lift_twist(periodic, t3), 2).passed
 
 
 def test_criterion_9_full_preset_suite_is_deterministic():

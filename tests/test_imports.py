@@ -1,11 +1,14 @@
-"""Every name a package module imports is used in it (or exported)."""
+"""Every name a package module imports is used in it (or exported), and
+every function the package defines is referenced by the package, the
+bench or the demos (or is listed as test-only API)."""
 
 import ast
 import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "twistres"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "twistres"
 
 # names a module imports only so that callers can import them from it
 REEXPORTS = {"twist.py": {"AlgebraAsBimodule", "GroundModule"}}
@@ -49,3 +52,73 @@ def test_detector_sees_unused_and_used_names():
 def test_module_uses_every_import(path):
     source = path.read_text(encoding="utf-8")
     assert unused_imports(source, REEXPORTS.get(path.name, ())) == []
+
+
+# functions and methods that only the tests call; which of these a user
+# needs as API is still open, and this list must not grow
+TEST_ONLY_API = {
+    "apply_twist", "bijective_on_truncation", "invert_twist",
+    "self_bimodule_compat", "self_right_bimodule_compat",
+    "transposition_compat", "normalize", "filtration_degree",
+    "parse_config", "reduce_bar_element", "OreDerivationMaps.sigma",
+    "SparseMatrix.from_rows", "SparseMatrix.identity",
+}
+
+
+def unreferenced_defs(package_sources, other_sources=()):
+    """Qualified names (``f`` or ``Class.method``) of the module-level
+    functions and the non-dunder methods defined in ``package_sources``
+    whose name no Name or Attribute node of any source reads."""
+    package = [ast.parse(source) for source in package_sources]
+    refs = set()
+    for tree in package + [ast.parse(source) for source in other_sources]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                refs.add(node.attr)
+    defs = []
+    for tree in package:
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defs.append((node.name, node.name))
+            elif isinstance(node, ast.ClassDef):
+                defs += [("%s.%s" % (node.name, sub.name), sub.name)
+                         for sub in node.body
+                         if isinstance(sub, ast.FunctionDef)
+                         and not (sub.name.startswith("__")
+                                  and sub.name.endswith("__"))]
+    return sorted(q for q, name in defs if name not in refs)
+
+
+def test_reference_detector_flags_an_uncalled_def():
+    package = ("def called():\n"
+               "    return helper()\n"
+               "def helper():\n"
+               "    return 1\n"
+               "def uncalled():\n"
+               "    return 2\n"
+               "class K:\n"
+               "    def __init__(self):\n"
+               "        self.used()\n"
+               "    def used(self):\n"
+               "        pass\n"
+               "    def unused(self):\n"
+               "        pass\n")
+    assert unreferenced_defs([package]) == ["K.unused", "called", "uncalled"]
+    assert unreferenced_defs([package], ["called(); x.unused\n"]) == [
+        "uncalled"]
+
+
+def _read(paths):
+    return [p.read_text(encoding="utf-8") for p in sorted(paths)]
+
+
+def test_every_package_function_is_referenced_outside_the_tests():
+    flagged = unreferenced_defs(
+        _read(SRC.glob("*.py")),
+        _read((ROOT / "bench").rglob("*.py")) + _read(
+            (ROOT / "demos").rglob("*.py")))
+    assert sorted(set(flagged) - TEST_ONLY_API) == []
+    # a listed name that gained a caller leaves the list
+    assert sorted(TEST_ONLY_API - set(flagged)) == []

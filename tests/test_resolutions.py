@@ -11,7 +11,8 @@ from twistres.algebra import (
     solvable_2dim_algebra, heisenberg_algebra, parse_element,
 )
 from twistres.complex import (
-    CutoffError, FreeElement, compose_check, exactness_report,
+    BIMODULE, ChainComplexSpec, CutoffError, FreeElement, FreeModuleTerm,
+    compose_check, exactness_report,
 )
 from twistres.twist import (
     flip_twist, ore_twist, weyl_twist, solvable_pair_twist,
@@ -20,7 +21,8 @@ from twistres.twist import (
 from twistres.resolutions import (
     BAR, REDUCED_BAR, POLY_KOSZUL, ORE_KOSZUL, ONE_SIDED_KOSZUL,
     CYCLIC_PERIODIC, RESOLVES_ALGEBRA, RESOLVES_GROUND,
-    AugmentationError, ChainMapError, ResolutionError, RestrictionError,
+    AugmentationError, ChainMapError, ResolutionBundle, ResolutionError,
+    RestrictionError,
     bar, poly_koszul, ore_koszul, one_sided_koszul_kx, cyclic_periodic,
     lift_twist, check_lift_chain_map, check_lift_compat,
     sigma_delta_chain_maps, sort_wedge, reduce_bar_element, wedge_to_bar,
@@ -463,16 +465,49 @@ def test_skew_right_lift_matches_the_unmemoized_wedge_action(p):
     assert sums  # the action mixes slots, so some images have several terms
 
 
+def _through(mu, d_gen, term):
+    """mu applied to d(e) = sum of c.g^l e' g^r: sum of c.g^l mu g^r."""
+    out = term.zero()
+    for (l, _lab, r), c in d_gen.terms.items():
+        out = out + mu.act(l, r).scale(c)
+    return out
+
+
+def _bar_embedding(bundle):
+    """The embedding mu_n of the two-periodic resolution of k[Z/p] into the
+    reduced bar resolution, built degree by degree with the extra
+    degeneracy (prepend the left coefficient as a new first middle
+    factor, killing unit left coefficients): mu_n(e_n) is the degeneracy
+    of mu_(n-1) applied to d(e_n).  Returns the reduced bar bundle and
+    [mu_0, ..., mu_n_max]."""
+    spec = bundle.algebra
+    barb = bar(spec, bundle.n_max, middle_cutoff=0, reduced=True)
+    bterms = barb.complex.terms
+    unit = spec.one_monomial()
+    mu = [bterms[0].generator(())]
+    for n in range(1, bundle.n_max + 1):
+        x = _through(mu[n - 1], bundle.complex.differentials[n]["e%d" % n],
+                     bterms[n - 1])
+        mu.append(FreeElement(bterms[n], {
+            (unit, (l,) + mids, r): c
+            for (l, mids, r), c in x.terms.items() if l != unit}))
+    return barb, mu
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_periodic_left_lift_matches_fresh_translates(p):
-    # each image, written back in the bar resolution through fresh
-    # translates mu_n.act(a, b), is the bar lift of the fresh embedded key
+    # each image, written back in the bar resolution through the
+    # translates mu_n.act(a, b), is the bar lift of the embedded key
     t = triangular_action_twist(p)
     f = t.field
     per = lift_twist(cyclic_periodic(p, 4, spec=t.a_spec), t, side="left")
-    mu = per.meta["bar_embedding"]
-    bar_lifts = lift_twist(bar(t.a_spec, 4, middle_cutoff=0, reduced=True),
-                           t, side="left").lifts
+    barb, mu = _bar_embedding(per)
+    for n in range(1, 5):
+        # mu is a chain map: d(mu_n(e_n)) = mu_(n-1)(d(e_n))
+        assert barb.complex.apply_differential(n, mu[n]) == _through(
+            mu[n - 1], per.complex.differentials[n]["e%d" % n],
+            barb.complex.terms[n - 1])
+    bar_lifts = lift_twist(barb, t, side="left").lifts
     s_monos = [m for m in basis_up_to(t.b_spec, 2) if any(m)]
     for n in range(5):
         for ga in range(p):
@@ -488,6 +523,24 @@ def test_periodic_left_lift_matches_fresh_translates(p):
                         {(s, k): v
                          for k, v in mu[n].act(ga, gb).terms.items()})
                     assert embedded == expected, (n, key, s)
+
+
+def test_periodic_lift_needs_a_homogeneous_differential():
+    # d(e1) = g.e0 - e0 mixes group degrees 1 and 0, so no single power of
+    # g moves the polynomial factor across e1
+    t = triangular_action_twist(3)
+    kg = t.a_spec
+    terms = [FreeModuleTerm(kg, [lab], BIMODULE, {lab: 0})
+             for lab in ("e0", "e1")]
+    e0 = terms[0].generator("e0")
+    cplx = ChainComplexSpec(kg, terms,
+                            [{}, {"e1": e0.left_mul(kg.gen("g")) - e0}],
+                            augmentation={"e0": {kg.one_monomial(): 1}},
+                            aug_kind=RESOLVES_ALGEBRA, complete_above=False,
+                            name="inhomogeneous")
+    bundle = ResolutionBundle(cplx, CYCLIC_PERIODIC)
+    with pytest.raises(RestrictionError):
+        lift_twist(bundle, t, side="left")
 
 
 def test_periodic_lift_wrong_shape():

@@ -1,7 +1,9 @@
 """Twisting maps: oracles for the rules, hexagon checks, inversion,
 twisted multiplication, and module compatibility."""
 
+import gc
 import hashlib
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -260,6 +262,27 @@ def test_ore_derivation_matches_closed_form(make):
     for mono in basis_up_to(t.a_spec, 5):
         assert t.delta_of_monomial(mono) == closed_form_derivation(
             t.a_spec, t.delta_images, mono)
+
+
+@pytest.mark.parametrize("make", [
+    weyl_twist, solvable_pair_twist, flip_xy,
+    lambda: triangular_action_twist(3),
+], ids=["weyl", "solvable-pair", "flip", "skew-p3"])
+def test_twist_is_freed_with_its_last_reference(make):
+    # with the cyclic collector off, only reference counting frees the
+    # twist and its memo: a rule that reached back to its own twist (the
+    # Ore recursion through x^(m-1)) would keep both alive
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        t = make()
+        assert check_hexagon(t, 3).passed
+        ref = weakref.ref(t)
+        del t
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # -- graded twists preserve bidegree ------------------------------------------
