@@ -23,9 +23,12 @@ dimensions inside the faithful window: degree <= N - s, where s is the
 maximal filtration-degree drop any differential exhibits (computed from
 the actual structure constants).  Inside the window, "cycle" and
 "boundary" counts match the infinite complex, so zero means exact.
-Every count comes from ``TruncatedComplex.rank_on``: a graded truncation
-is ranked block by block, one rank per degree block of each map, and
-every windowed or per-degree count is a sum of those block ranks.
+A graded truncation is ranked block by block (``TruncatedComplex.rank_on``),
+one rank per degree block of each map, and every windowed or per-degree
+count is a sum of those block ranks.  On a filtered truncation a cycle
+count ranks d restricted to the window's columns, and a boundary count
+dim(im d ∩ F_w) comes from one elimination of d that takes the rows
+above the window first (``SparseMatrix.meet_dim``).
 """
 
 from __future__ import annotations
@@ -437,7 +440,7 @@ class TruncatedComplex:
         # no map raises degree, so a zero drop means every entry of every
         # map preserves degree
         self.graded = self.max_drop == 0
-        self._ranks = {}  # rank_on memo: n -> block ranks, or a restriction
+        self._ranks = {}  # graded rank_on memo: n -> block ranks
 
     def _assemble(self, n, image, rows, row_degrees):
         """The matrix of d_n (n = 0: the augmentation) from the image of
@@ -466,9 +469,9 @@ class TruncatedComplex:
     def rank_on(self, n, row_ok, col_ok):
         """Rank of d_n (n = 0: the augmentation; 0 where there is no map)
         on the rows and columns whose degrees pass row_ok and col_ok.
-        Graded truncations answer from per-degree block ranks; filtered
-        ones rank each restriction once."""
-        if n > self.spec.n_max or (n == 0 and self.aug_matrix is None):
+        Graded truncations answer from per-degree block ranks, filtered
+        ones rank the restriction."""
+        if self._absent(n):
             return 0
         if self.graded:
             if n not in self._ranks:
@@ -476,13 +479,24 @@ class TruncatedComplex:
             return sum(r for d, r in self._ranks[n].items()
                        if row_ok(d) and col_ok(d))
         m, row_degs, col_degs = self._map(n)
-        key = (n, frozenset(filter(row_ok, set(row_degs))),
-               frozenset(filter(col_ok, set(col_degs))))
-        if key not in self._ranks:
-            self._ranks[key] = m.restrict(
-                rows=[i for i, d in enumerate(row_degs) if d in key[1]],
-                cols=[j for j, d in enumerate(col_degs) if d in key[2]]).rank()
-        return self._ranks[key]
+        return m.restrict(
+            rows=[i for i, d in enumerate(row_degs) if row_ok(d)],
+            cols=[j for j, d in enumerate(col_degs) if col_ok(d)]).rank()
+
+    def _image_in_window(self, n, window):
+        """dim( im(d_n) intersected with the degree<=window part of its
+        target ): the sum of the blocks' ranks up to the window on a
+        graded truncation, else ``SparseMatrix.meet_dim``."""
+        if self._absent(n):
+            return 0
+        if self.graded:
+            return self.rank_on(n, lambda e: e <= window, _every)
+        m, row_degs, _ = self._map(n)
+        return m.meet_dim([i for i, e in enumerate(row_degs) if e <= window])
+
+    def _absent(self, n):
+        """Whether there is no d_n (n = 0: no augmentation)."""
+        return n > self.spec.n_max or (n == 0 and self.aug_matrix is None)
 
     def _map(self, n):
         """d_n with the degrees of its rows and of its columns."""
@@ -515,9 +529,8 @@ class TruncatedComplex:
 
     def boundary_dim_in_window(self, n, window=None):
         """dim( im(d_{n+1}) intersected with the degree<=window part )."""
-        d = self.window if window is None else window
-        return (self.rank_on(n + 1, _every, _every)
-                - self.rank_on(n + 1, lambda e: e > d, _every))
+        return self._image_in_window(
+            n + 1, self.window if window is None else window)
 
     def cycle_dim_in_window(self, n, window=None):
         d = self.window if window is None else window
@@ -531,10 +544,8 @@ class TruncatedComplex:
         """Windowed dim of target / im(augmentation)."""
         if self.aug_matrix is None:
             return None
-        d = self.window
-        image = (self.rank_on(0, _every, _every)
-                 - self.rank_on(0, lambda e: e > d, _every))
-        return self.target_dim_in_window() - image
+        return (self.target_dim_in_window()
+                - self._image_in_window(0, self.window))
 
     def target_dim_in_window(self):
         if self.target_basis is None:

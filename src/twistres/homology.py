@@ -200,6 +200,8 @@ class CochainTruncation:
             self.raises.append(shift)
         self._mats = {}
         self._bases = {}
+        # l·m·r images, shared by the matrices at every cutoff
+        self._acts = {}
 
     def basis(self, n, cutoff):
         """Ordered cochain basis at stage n: (label, monomial) for
@@ -258,12 +260,16 @@ class CochainTruncation:
                                  (row_index[(mu,)], col_index[(lab,)]), c)
         else:
             act = AlgebraAsBimodule(self.alg).act
+            acts = self._acts
             monos = basis_up_to(self.alg, cutoff)
             for mu, img in self.cplx.differentials[n + 1].items():
                 for (l, lab, r), c in img.terms.items():
                     for m in monos:
                         ci = col_index[(lab, m)]
-                        for m2, c2 in act(l, m, r).items():
+                        image = acts.get((l, m, r))
+                        if image is None:
+                            image = acts[(l, m, r)] = act(l, m, r)
+                        for m2, c2 in image.items():
                             add_term(f, entries, (row_index[(mu, m2)], ci),
                                      c * c2)
         # add_term leaves every entry reduced and nonzero
@@ -282,14 +288,10 @@ class CochainTruncation:
         if n == 0:
             return kernel
         prev, pcols, prows = self.matrix(n - 1, cutoff + _SLACK)
-        total = prev.rank()
-        if self.coeff == GROUND_COEFF:
-            high = []
-        else:
-            high = [i for i, row in enumerate(prows)
-                    if self.alg.monomial_degree(row[1]) > cutoff]
-        inside = total - prev.restrict(rows=high).rank()
-        return kernel - inside
+        inside = [i for i, row in enumerate(prows)
+                  if self.coeff == GROUND_COEFF
+                  or self.alg.monomial_degree(row[1]) <= cutoff]
+        return kernel - prev.meet_dim(inside)
 
     def degree_slice_dim(self, n, t, cutoff):
         """Exact dimension of the degree-t slice at stage n (graded

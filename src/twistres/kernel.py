@@ -15,10 +15,14 @@ run on each connected component of the matrix's row/column graph
 separately; each step pivots on the shortest row and, within it, on the
 column with the fewest entries.  Solves and inverses run on the same
 elimination, with tag columns that record each pivot row's combination.
+A windowed count dim(im M ∩ span of some rows) runs it once too, taking
+the other rows first (``SparseMatrix.meet_dim``).  A matrix memoizes its
+rank, so a second rank or kernel dimension eliminates nothing.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, inf
 
@@ -238,10 +242,13 @@ class SparseMatrix:
 
     Entries are stored as a dict (row, col) -> nonzero scalar.  The matrix
     acts on column vectors: column j holds the image of the j-th basis
-    vector of the source.
+    vector of the source.  ``entries`` must not be mutated after
+    construction: the rank and the solve pivots are memoized on the
+    matrix, and elimination works on copies of its rows.
     """
 
     _pivots = None  # the tagged elimination of m^T, set by the first solve
+    _rank = None  # set by the first rank, or by the first meet_dim
 
     def __init__(self, nrows, ncols, entries, field):
         self.nrows = nrows
@@ -343,46 +350,83 @@ class SparseMatrix:
     # -- rank ----------------------------------------------------------------
 
     def _integer_rows(self):
-        """Rows as dicts col -> int, denominators cleared, gcd-reduced."""
+        """Every row, in order, as a dict col -> value (empty for a zero
+        row); over Q denominators cleared and gcd-reduced, so the values
+        are ints."""
         rows = [dict() for _ in range(self.nrows)]
         for (i, j), v in self.entries.items():
             rows[i][j] = v
+        if self.field.characteristic:
+            return rows
         out = []
         for row in rows:
-            if not row:
-                continue
-            if self.field.characteristic == 0:
-                lcm = 1
-                for v in row.values():
-                    if v.__class__ is not int:
-                        d = v.denominator
-                        lcm = lcm * d // gcd(lcm, d)
-                ints = row if lcm == 1 else {j: int(v * lcm)
-                                             for j, v in row.items()}
-                g = 0
-                for v in ints.values():
-                    g = gcd(g, v)
-                if g > 1:
-                    ints = {j: v // g for j, v in ints.items()}
-                out.append(ints)
-            else:
-                out.append(row)
+            lcm = 1
+            for v in row.values():
+                if v.__class__ is not int:
+                    d = v.denominator
+                    lcm = lcm * d // gcd(lcm, d)
+            ints = row if lcm == 1 else {j: int(v * lcm)
+                                         for j, v in row.items()}
+            g = 0
+            for v in ints.values():
+                g = gcd(g, v)
+            if g > 1:
+                ints = {j: v // g for j, v in ints.items()}
+            out.append(ints)
         return out
 
     def rank(self):
-        return sum(len(_eliminate(block, self.field))
-                   for block in _components(self._integer_rows()))
+        if self._rank is None:
+            self._rank = sum(len(_eliminate(block, self.field))
+                             for block in _components(self._integer_rows()))
+        return self._rank
 
     def kernel_dim(self):
         return self.ncols - self.rank()
 
+    def meet_dim(self, low_rows):
+        """dim(im M ∩ span of the row basis vectors listed in low_rows): the
+        windowed count rank(M) - rank(M on the other, "high", rows).
+
+        One elimination takes the high rows first, so every low row is
+        reduced against their pivots in the order taken, and the pivots
+        then taken among the low rows number the count: the row-subset
+        rank profile of Gaussian elimination (Dumas, Pernet & Sultan,
+        ISSAC 2015).  All the pivots together give rank(M), which is
+        memoized; once rank(M) is known, only the high rows are ranked."""
+        low = set(low_rows)
+        if not low.issubset(range(self.nrows)):
+            raise KernelError("meet_dim: a row index out of range")
+        if not low:
+            return 0
+        if len(low) == self.nrows:
+            return self.rank()
+        high = [i for i in range(self.nrows) if i not in low]
+        if self._rank is not None:
+            return self._rank - self.restrict(rows=high).rank()
+        rows = self._integer_rows()
+        ahead = [rows[i] for i in high]
+        first = {id(r) for r in ahead}
+        rank = meet = 0
+        for block in _components(
+                ahead + [r for i, r in enumerate(rows) if i in low]):
+            # _components keeps the row order, so each block's high rows
+            # lead it
+            pivots = _eliminate(block, self.field,
+                                first=sum(id(r) in first for r in block))
+            rank += len(pivots)
+            meet += sum(id(rest) not in first for _, _, rest in pivots)
+        self._rank = rank
+        return meet
+
 
 def _components(rows):
-    """Split nonempty rows (dicts col -> value) into the connected
-    components of the row/column graph, where a row meets each column it
-    has an entry in.  Elimination never carries one component's columns
-    into another, so a matrix's rank is the sum of its components' ranks.
-    Graded matrices split into their degree blocks this way."""
+    """Split the nonempty rows among rows (dicts col -> value) into the
+    connected components of the row/column graph, where a row meets each
+    column it has an entry in; each component keeps the rows' order.
+    Elimination never carries one component's columns into another, so a
+    matrix's rank is the sum of its components' ranks.  Graded matrices
+    split into their degree blocks this way."""
     parent = {}
 
     def find(c):
@@ -393,6 +437,7 @@ def _components(rows):
             parent[c], c = root, parent[c]
         return root
 
+    rows = [r for r in rows if r]
     for row in rows:
         cols = iter(row)
         first = find(next(cols))
@@ -406,7 +451,7 @@ def _components(rows):
     return list(blocks.values())
 
 
-def _eliminate(rows, field, tags=()):
+def _eliminate(rows, field, tags=(), first=0):
     """Eliminate a list of sparse rows; the one elimination core behind
     every rank, solve and inverse.  Returns the pivots in the order taken,
     each as (column, value, rest of the pivot row); the rank is their
@@ -419,7 +464,9 @@ def _eliminate(rows, field, tags=()):
     does not depend on the pivot order, so this only sets the cost.  A
     column in ``tags`` rides along with the row operations but is never
     pivoted on (its count is infinite, so it is never the sparsest), and
-    a row left with only tags is set aside.
+    a row left with only tags is set aside.  The rows ``rows[:first]`` are
+    pivoted on before any other, so the pivots taken from them come first
+    and number their rank.
 
     rows: list of nonempty dicts col -> value (ints over Q, residues over
     F_p), consumed: each elimination updates a row in place.  Over F_p it
@@ -439,7 +486,11 @@ def _eliminate(rows, field, tags=()):
     pivots = []
     active = [i for i, r in enumerate(rows) if not tags.issuperset(r)]
     while active:
-        ri = min(active, key=lambda i: len(rows[i]))
+        # active stays in row order: while a leading row is left, pivot
+        # among the leading rows only
+        pool = (active if active[0] >= first
+                else active[:bisect_left(active, first)])
+        ri = min(pool, key=lambda i: len(rows[i]))
         prow = rows[ri]
         pc = min(prow, key=col_count.__getitem__)
         pv = prow.pop(pc)

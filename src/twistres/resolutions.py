@@ -110,11 +110,10 @@ class ResolutionBundle:
     the companion factor across that term; ``lift_side`` records whether the
     moved factor enters from the left or the right."""
 
-    def __init__(self, complex, family, meta=None,
-                 twist=None, lift_side=None, lifts=None):
+    def __init__(self, complex, family, twist=None, lift_side=None,
+                 lifts=None):
         self.complex = complex
         self.family = family
-        self.meta = dict(meta or {})
         self.twist = twist
         self.lift_side = lift_side
         self.lifts = lifts or {}
@@ -133,8 +132,8 @@ class ResolutionBundle:
         return self.complex.n_max
 
     def with_lifts(self, twist, side, lifts):
-        return ResolutionBundle(self.complex, self.family, self.meta, twist,
-                                side, lifts)
+        return ResolutionBundle(self.complex, self.family, twist, side,
+                                lifts)
 
     def __repr__(self):
         tail = ", lifted-%s" % self.lift_side if self.lifts else ""
@@ -214,8 +213,7 @@ def bar(spec, n_max, middle_cutoff=None, reduced=False):
     cplx = ChainComplexSpec(spec, terms, diffs, augmentation=aug,
                             aug_kind=RESOLVES_ALGEBRA, complete_above=False,
                             name=name)
-    return ResolutionBundle(cplx, REDUCED_BAR if reduced else BAR,
-                            meta={"middle_cutoff": middle_cutoff})
+    return ResolutionBundle(cplx, REDUCED_BAR if reduced else BAR)
 
 
 def reduce_bar_element(elem, reduced_term):
@@ -359,7 +357,7 @@ def _wedge_bundle(spec, bimodule, family, delta=None):
     cplx = ChainComplexSpec(spec, terms, diffs,
                             augmentation={(): {key: spec.field.one}},
                             aug_kind=kind, complete_above=True, name=name)
-    return ResolutionBundle(cplx, family, meta={"gen_count": len(spec.gens)})
+    return ResolutionBundle(cplx, family)
 
 
 def one_sided_koszul_kx(spec):
@@ -408,7 +406,7 @@ def cyclic_periodic(p, n_max, spec=None):
     cplx = ChainComplexSpec(spec, terms, diffs, augmentation=aug,
                             aug_kind=RESOLVES_ALGEBRA, complete_above=False,
                             name=name)
-    return ResolutionBundle(cplx, CYCLIC_PERIODIC, meta={"p": p})
+    return ResolutionBundle(cplx, CYCLIC_PERIODIC)
 
 
 # ---------------------------------------------------------------------------

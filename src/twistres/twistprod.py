@@ -778,10 +778,7 @@ class OreFreeForm:
             aug_kind=RESOLVES_GROUND,
             complete_above=tc.complex.complete_above,
             name="%s(%s)" % (ONE_SIDED_KOSZUL, skew.name or skew))
-        self.rebundled = ResolutionBundle(
-            cplx, ONE_SIDED_KOSZUL,
-            meta={"gen_count": len(skew.gens),
-                  "built_from": tc.complex.name})
+        self.rebundled = ResolutionBundle(cplx, ONE_SIDED_KOSZUL)
 
     # -- the two directions ----------------------------------------------
 

@@ -405,6 +405,44 @@ def test_criterion_8_mutations_break_the_checks(monkeypatch):
                             without_degree)
         assert not check_lift_chain_map(lift_twist(periodic, t3), 2).passed
 
+        # the windowed count with the low rows left unreduced against the
+        # high rows' pivots: each filtered boundary count then ranks the
+        # low rows alone, and the Weyl resolution stops looking exact
+        monkeypatch.undo()
+        assert exactness_report(cplx, 4).passed
+        eliminate = kernel._eliminate
+
+        def unreduced(rows, field, tags=(), first=0):
+            return (eliminate(rows[:first], field, tags)
+                    + eliminate(rows[first:], field, tags))
+
+        monkeypatch.setattr(kernel, "_eliminate", unreduced)
+        assert not exactness_report(cplx, 4).passed
+
+        # the meet ignoring the memoized rank(M): the Hochschild table is
+        # unchanged, but every meet on a ranked matrix eliminates all of
+        # it again rather than its high rows only
+        monkeypatch.undo()
+        fed = []
+
+        def counting(rows, field, tags=(), first=0):
+            fed.append(len(rows))
+            return eliminate(rows, field, tags, first)
+
+        monkeypatch.setattr(kernel, "_eliminate", counting)
+        assert hochschild_cohomology(bundle, cutoff=6).dims == hh
+        with_memo = sum(fed)
+        fed.clear()
+        meet = SparseMatrix.meet_dim
+
+        def memo_ignored(m, low_rows):
+            m._rank = None
+            return meet(m, low_rows)
+
+        monkeypatch.setattr(SparseMatrix, "meet_dim", memo_ignored)
+        assert hochschild_cohomology(bundle, cutoff=6).dims == hh
+        assert sum(fed) > with_memo
+
 
 def test_criterion_9_full_preset_suite_is_deterministic():
     with _criterion(9, "byte-identical same-seed reports", 120):

@@ -50,9 +50,9 @@ def _record(monkeypatch):
 
     eliminate = kernel._eliminate
 
-    def recording_eliminate(rows, field, tags=()):
+    def recording_eliminate(rows, field, tags=(), first=0):
         seen["blocks"].append(([dict(r) for r in rows], field, tags))
-        return eliminate(rows, field, tags)
+        return eliminate(rows, field, tags, first)
 
     monkeypatch.setattr(SparseMatrix, "_adopt", classmethod(recording_adopt))
     monkeypatch.setattr(TruncatedComplex, "__init__", recording_init)

@@ -447,17 +447,23 @@ def test_basis_up_to_is_ordered_by_monomial_key(spec):
 # rank_on against the per-query restrictions it replaced
 
 
+def _copy(m):
+    """m as a new matrix, so the references rank without filling the
+    truncation's own matrices' rank memo."""
+    return SparseMatrix._adopt(m.nrows, m.ncols, dict(m.entries), m.field)
+
+
 def _ref_outgoing(tc, n):
     if n == 0:
         if tc.aug_matrix is not None:
-            return tc.aug_matrix
+            return _copy(tc.aug_matrix)
         return SparseMatrix.zero(0, len(tc.bases[0]), tc.field)
-    return tc.matrices[n]
+    return _copy(tc.matrices[n])
 
 
 def _ref_incoming(tc, n):
     if n + 1 <= tc.spec.n_max:
-        return tc.matrices[n + 1]
+        return _copy(tc.matrices[n + 1])
     return SparseMatrix.zero(len(tc.bases[n]), 0, tc.field)
 
 
@@ -484,9 +490,10 @@ def ref_augmentation_cokernel(tc):
     if tc.aug_matrix is None:
         return None
     d = tc.window
-    r1 = tc.aug_matrix.rank()
+    aug = _copy(tc.aug_matrix)
+    r1 = aug.rank()
     high = [i for i, dg in enumerate(tc.target_degrees) if dg > d]
-    r2 = tc.aug_matrix.restrict(rows=high).rank()
+    r2 = aug.restrict(rows=high).rank()
     free = sum(1 for dg in tc.target_degrees if dg <= d)
     return free - (r1 - r2)
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
+from twistres import kernel
 from twistres.kernel import (
     QQ, KernelError, PrimeField, SparseMatrix, CompositionNonzeroError,
     NonInvertibleError, _components, add_term, homology_dim, invert_dense, solve_dense,
@@ -304,6 +305,132 @@ def test_components_join_through_shared_columns():
     rows = [{0: 1}, {0: 1, 5: 1}, {5: 2}, {3: 1}]
     blocks = sorted(_components(rows), key=len)
     assert blocks == [[{3: 1}], [{0: 1}, {0: 1, 5: 1}, {5: 2}]]
+
+
+# ------------------------------------- meet_dim: windowed counts, rank memo
+
+MEET_FIELDS = {
+    "QQ": (QQ, fraction_entries),
+    "F2": (GF2, int_entries),
+    "F3": (GF3, int_entries),
+    "F2^31-1": (PrimeField(2**31 - 1), int_entries),
+}
+
+
+@st.composite
+def meet_cases(draw, entries):
+    """(nrows, ncols, cells, low): a sparse matrix, possibly with no rows or
+    columns and with zero rows, and the set of its low rows, possibly none
+    or all of them."""
+    nrows = draw(st.integers(0, 9))
+    ncols = draw(st.integers(0, 9))
+    cells = {}
+    if nrows and ncols:
+        cells = draw(st.dictionaries(
+            st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1)),
+            entries, max_size=nrows * ncols))
+        zero_rows = draw(st.sets(st.integers(0, nrows - 1), max_size=3))
+        cells = {k: v for k, v in cells.items() if k[0] not in zero_rows}
+    low = draw(st.one_of(st.just(set()), st.just(set(range(nrows))),
+                         st.sets(st.integers(0, max(nrows - 1, 0)))
+                         if nrows else st.just(set())))
+    return nrows, ncols, cells, low
+
+
+@pytest.mark.parametrize("name", sorted(MEET_FIELDS))
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_meet_dim_is_rank_minus_rank_of_the_high_rows(name, data):
+    field, entries = MEET_FIELDS[name]
+    nrows, ncols, cells, low = data.draw(meet_cases(entries))
+
+    def fresh():
+        return SparseMatrix(nrows, ncols, [(i, j, v) for (i, j), v
+                                           in cells.items()], field)
+
+    high = [i for i in range(nrows) if i not in low]
+    full = fresh().rank()
+    want = full - fresh().restrict(rows=high).rank()
+    cold = fresh()
+    assert cold.meet_dim(low) == want
+    if low and high:  # a real split eliminates once and memoizes rank(M)
+        assert cold._rank == full
+    assert cold.meet_dim(low) == want
+    assert cold.rank() == full
+    warm = fresh()
+    warm.rank()
+    assert warm.meet_dim(sorted(low)) == want
+    event("low rows: %s" % ("none" if not low else "all" if not high
+                            else "some"))
+    event("zero rows: %s" % any(
+        all(r != i for r, _ in cells) for i in range(nrows)))
+    event("count %s" % ("0" if want == 0 else ">0"))
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, PrimeField(2**31 - 1)],
+                         ids=repr)
+def test_meet_dim_pivots_on_the_high_rows_first(field):
+    # rows 0 and 2 (high) span the plane, so the low row 1 adds nothing;
+    # the shortest-row rule alone would pivot on row 1 first and count 1
+    a = M([[-1, 1], [1, 0], [1, 2]], field)
+    assert a.meet_dim([1]) == 0
+    assert a.rank() == 2
+
+
+def test_meet_dim_rejects_a_row_out_of_range():
+    with pytest.raises(KernelError):
+        M([[1, 0], [0, 1]]).meet_dim([2])
+
+
+def _counting_eliminate(monkeypatch):
+    """Count the rows every elimination is handed, call by call."""
+    calls = []
+    eliminate = kernel._eliminate
+
+    def counting(rows, field, tags=(), first=0):
+        calls.append(len(rows))
+        return eliminate(rows, field, tags, first)
+
+    monkeypatch.setattr(kernel, "_eliminate", counting)
+    return calls
+
+
+@pytest.mark.parametrize("field", [QQ, GF3], ids=repr)
+def test_a_second_rank_or_kernel_dim_eliminates_nothing(monkeypatch, field):
+    calls = _counting_eliminate(monkeypatch)
+    a = M([[1, 2, 0], [2, 4, 0], [0, 1, 1]], field)
+    assert a.rank() == 2
+    first = len(calls)
+    assert first > 0
+    assert a.rank() == 2 and a.kernel_dim() == 1
+    b = M([[1, 2, 0], [2, 4, 0], [0, 1, 1]], field)
+    assert b.kernel_dim() == 1 and b.rank() == 2
+    assert len(calls) == 2 * first
+
+
+def test_a_warm_meet_eliminates_only_the_high_rows(monkeypatch):
+    # rows 0-3 low, rows 4 and 5 high; the memo answers rank(M)
+    a = M([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1],
+           [1, 1, 0, 0], [0, 0, 1, 1]])
+    assert a.rank() == 4
+    calls = _counting_eliminate(monkeypatch)
+    assert a.meet_dim(range(4)) == 2
+    assert sum(calls) == 2
+
+
+@pytest.mark.parametrize("field", [QQ, GF3, PrimeField(2**31 - 1)],
+                         ids=repr)
+def test_rank_and_meet_leave_the_entries_untouched(field):
+    h = Fraction(1, 2)
+    rows = [[h, Fraction(1, 7), 0, 4], [3 * h, 1, 0, 12], [0, 0, 0, 0],
+            [6, 0, 9, 3], [0, 2, 0, 1]]
+    a = M(rows, field)
+    before = [(k, type(v), v) for k, v in a.entries.items()]
+    assert a.meet_dim([0, 2, 4]) == M(rows, field).rank() - M(
+        rows, field).restrict(rows=[1, 3]).rank()
+    a.rank()
+    a.kernel_dim()
+    assert [(k, type(v), v) for k, v in a.entries.items()] == before
 
 
 # ---------------------------------------------------------------- solving
