@@ -9,7 +9,8 @@ Four variants share one element type:
   i < j, where each delta_j(x_i) is a constant plus a linear combination
   of x_1..x_{j-1} (the filtered condition).  Construction also checks
   that every overlap x_k x_j x_i resolves, so the ordered monomials are a
-  basis (PBW), and products are built one generator at a time;
+  basis (PBW), and products are built one generator at a time, from the
+  longest prefix of the right factor whose product is already memoized;
 * ``twisted-product`` -- A (x)_tau B; monomials are (A-monomial,
   B-monomial) pairs kept in left-normal form, with every B*A crossing
   routed through the twisting map.
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .kernel import QQ, add_term
+from .kernel import QQ, add_term, reduce_sums
 
 
 class AlgebraError(Exception):
@@ -220,7 +221,9 @@ class AlgebraSpec:
     # -- monomial multiplication ----------------------------------------------
 
     def mono_mul(self, m1, m2):
-        """Normal form of m1 * m2 as a dict monomial -> scalar."""
+        """Normal form of m1 * m2 as a dict monomial -> scalar, memoized
+        (an iterated-Ore product memoizes each prefix it passes through,
+        see ``_ore_mul``); the caller must not mutate it."""
         key = (m1, m2)
         hit = self._mul_cache.get(key)
         if hit is not None:
@@ -230,18 +233,43 @@ class AlgebraSpec:
         elif self.variant == CYCLIC_GROUP:
             out = {(m1 + m2) % self.order: self.field.one}
         elif self.variant == ITERATED_ORE:
-            f = self.field
-            out = {m1: f.one}
-            for j, e in enumerate(m2):
-                for _ in range(e):
-                    step = {}
-                    for m, c in out.items():
-                        for mm, cm in self._times_gen(m, j).items():
-                            add_term(f, step, mm, c * cm)
-                    out = step
+            out = self._ore_mul(m1, m2)
         else:
             out = crossed_mono_mul(self.twist, m1, m2)
         self._mul_cache[key] = out
+        return out
+
+    def _ore_mul(self, m1, m2):
+        """m1 * m2 from the longest prefix of m2 whose product with m1 is
+        memoized.
+
+        Appending the last, highest letter x_j of a normal word keeps it
+        normal, so m2 = p x_j for p = m2 less one x_j, and m1 m2 = (m1 p) x_j.
+        The walk back strips last letters until (m1, p) is in the memo (or
+        p is 1); the walk forward appends them one ``_times_gen`` step at a
+        time and memoizes each product on the way."""
+        f = self.field
+        cache = self._mul_cache
+        steps = []
+        p = m2
+        while True:
+            j = _last_letter(p)
+            if j < 0:
+                out = {m1: f.one}
+                break
+            steps.append((p, j))
+            p = p[:j] + (p[j] - 1,) + p[j + 1:]
+            out = cache.get((m1, p))
+            if out is not None:
+                break
+        times_gen = self._times_gen
+        for p, j in reversed(steps):
+            acc = {}
+            get = acc.get
+            for m, c in out.items():
+                for mm, cm in times_gen(m, j).items():
+                    acc[mm] = get(mm, 0) + c * cm
+            out = cache[(m1, p)] = reduce_sums(f, acc)
         return out
 
     @staticmethod
@@ -314,6 +342,14 @@ class AlgebraSpec:
         if self.variant == TWISTED_PRODUCT:
             return "(%r⊗%r)" % (self.left, self.right)
         return "%s<%s>" % (self.variant, ",".join(self.gens))
+
+
+def _last_letter(mono):
+    """Index of the last generator of a normal monomial, -1 for 1."""
+    j = len(mono) - 1
+    while j >= 0 and not mono[j]:
+        j -= 1
+    return j
 
 
 def crossed_mono_mul(t, m1, m2):

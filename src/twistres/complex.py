@@ -35,7 +35,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from .kernel import CheckReport, SparseMatrix, add_term, record_value
+from .kernel import (
+    CheckReport, SparseMatrix, add_term, record_value, reduce_sums,
+)
 from .algebra import AlgebraElement, basis_up_to
 
 BIMODULE = "bimodule"
@@ -135,24 +137,24 @@ class FreeModuleTerm:
 
     def act(self, l, key, r):
         """l·key·r on one basis key, for monomials l, r of the algebra
-        (None: no factor on that side), as a dict key -> scalar."""
+        (None: no factor on that side), as a dict key -> scalar.  The keys
+        (m, lab, m2) of l·kl and kr·r are distinct, so each raw product is
+        only reduced (``reduce_sums``)."""
         a = self.algebra
-        f = a.field
+        one = a.field.one
         if self.side == BIMODULE:
             kl, lab, kr = key
-            rights = {kr: f.one} if r is None else a.mono_mul(kr, r)
+            rights = {kr: one} if r is None else a.mono_mul(kr, r)
         elif r is not None:
             raise ComplexError("right action on a one-sided term")
         else:
-            (kl, lab), rights = key, None
-        out = {}
-        for m, c in ({kl: f.one} if l is None else a.mono_mul(l, kl)).items():
-            if rights is None:
-                add_term(f, out, (m, lab), c)
-                continue
-            for m2, c2 in rights.items():
-                add_term(f, out, (m, lab, m2), c * c2)
-        return out
+            kl, lab = key
+        lefts = {kl: one} if l is None else a.mono_mul(l, kl)
+        if self.side != BIMODULE:
+            return {(m, lab): c for m, c in lefts.items()}
+        return reduce_sums(a.field, {(m, lab, m2): c * c2
+                                     for m, c in lefts.items()
+                                     for m2, c2 in rights.items()})
 
     def format_key(self, key):
         a = self.algebra
@@ -181,18 +183,19 @@ class AlgebraAsBimodule:
 
     def act(self, l, key, r):
         """l·key·r for monomials l, r (None: no factor on that side), as a
-        dict monomial -> scalar."""
+        new dict monomial -> scalar: the products (l·key)·r of the
+        memoized ``mono_mul``, summed raw per monomial and reduced once."""
         alg = self.algebra
-        f = alg.field
-        lefts = {key: f.one} if l is None else alg.mono_mul(l, key)
-        out = {}
+        mul = alg.mono_mul
+        lefts = {key: alg.field.one} if l is None else mul(l, key)
+        if r is None:
+            return dict(lefts)
+        acc = {}
+        get = acc.get
         for m, c in lefts.items():
-            if r is None:
-                add_term(f, out, m, c)
-                continue
-            for m2, c2 in alg.mono_mul(m, r).items():
-                add_term(f, out, m2, c * c2)
-        return out
+            for m2, c2 in mul(m, r).items():
+                acc[m2] = get(m2, 0) + c * c2
+        return reduce_sums(alg.field, acc)
 
 
 class GroundModule:
@@ -230,11 +233,12 @@ def image_of(f, vec, image):
         (k, v), = vec.items()
         if v == f.one:
             return image(k)
-    out = {}
+    acc = {}
+    get = acc.get
     for k, v in vec.items():
         for pair, w in image(k).items():
-            add_term(f, out, pair, v * w)
-    return out
+            acc[pair] = get(pair, 0) + v * w
+    return reduce_sums(f, acc)
 
 
 class FreeElement:
@@ -345,8 +349,8 @@ class ChainComplexSpec:
 
     def apply_differential(self, n, elem):
         """d_n applied to an element of term n."""
-        return apply_label_images(elem, self.differentials[n].__getitem__,
-                                  self.terms[n - 1])
+        return FreeElement(self.terms[n - 1], apply_label_images(
+            elem.term, elem.terms, self.differentials[n].__getitem__))
 
     def augmentation_image(self, key):
         """l·ε(lab)·r for one key l⊗[lab]⊗r (or l⊗[lab]) of term 0, read
@@ -360,30 +364,36 @@ class ChainComplexSpec:
 _TARGETS = {RESOLVES_ALGEBRA: AlgebraAsBimodule, RESOLVES_GROUND: GroundModule}
 
 
-def apply_label_images(elem, image, target):
-    """Each key l⊗[lab]⊗r (or l⊗[lab]) of elem goes to l·image(lab)·r in
-    the term target, summed into one dict.  The truncation's hot path, so
-    the products are read inline rather than through ``act``."""
-    f = elem.term.algebra.field
-    mul = elem.term.algebra.mono_mul
-    out = {}
-    if elem.term.side == BIMODULE:
-        for (l, lab, r), c in elem.terms.items():
+def apply_label_images(term, vec, image):
+    """Each key l⊗[lab]⊗r (or l⊗[lab]) of the sparse vector vec over term
+    goes to l·image(lab)·r, image(lab) an element of the target term; the
+    raw products are summed per target key and reduced once
+    (``reduce_sums``), and the result is a new dict target key -> scalar.
+    The truncation takes each column from here, so it reads the memoized
+    ``mono_mul`` products itself rather than going through ``act``."""
+    alg = term.algebra
+    mul = alg.mono_mul
+    acc = {}
+    get = acc.get
+    if term.side == BIMODULE:
+        for (l, lab, r), c in vec.items():
             for (l2, lab2, r2), c2 in image(lab).terms.items():
-                w = f.mul(c, c2)
+                w = c * c2
                 rights = mul(r2, r)
                 for m, cm in mul(l, l2).items():
-                    wm = f.mul(w, cm)
+                    wm = w * cm
                     for m2, cm2 in rights.items():
-                        add_term(f, out, (m, lab2, m2), wm * cm2)
+                        k = (m, lab2, m2)
+                        acc[k] = get(k, 0) + wm * cm2
     else:
-        for (l, lab), c in elem.terms.items():
+        for (l, lab), c in vec.items():
             for k2, c2 in image(lab).terms.items():
-                w = f.mul(c, c2)
+                w = c * c2
                 rest = k2[1:]
                 for m, cm in mul(l, k2[0]).items():
-                    add_term(f, out, (m,) + rest, w * cm)
-    return FreeElement(target, out)
+                    k = (m,) + rest
+                    acc[k] = get(k, 0) + w * cm
+    return reduce_sums(alg.field, acc)
 
 
 def compose_check(c):
@@ -423,10 +433,10 @@ class TruncatedComplex:
         self.matrices = [None]
         self.max_drop = 0
         for n in range(1, spec.n_max + 1):
-            term = spec.terms[n]
+            term, labels = spec.terms[n], spec.differentials[n].__getitem__
             self.matrices.append(self._assemble(
-                n, lambda key: spec.apply_differential(
-                    n, FreeElement(term, {key: f.one})).terms,
+                n, (apply_label_images(term, {key: f.one}, labels)
+                    for key in self.bases[n]),
                 self.bases[n - 1], self.key_degrees[n - 1]))
         self.aug_matrix = None
         self.target_basis = None
@@ -435,32 +445,38 @@ class TruncatedComplex:
             self.target_degrees = [spec.target.key_degree(m)
                                    for m in self.target_basis]
             self.aug_matrix = self._assemble(
-                0, spec.augmentation_image, self.target_basis,
-                self.target_degrees)
+                0, map(spec.augmentation_image, self.bases[0]),
+                self.target_basis, self.target_degrees)
         # no map raises degree, so a zero drop means every entry of every
         # map preserves degree
         self.graded = self.max_drop == 0
         self._ranks = {}  # graded rank_on memo: n -> block ranks
 
-    def _assemble(self, n, image, rows, row_degrees):
-        """The matrix of d_n (n = 0: the augmentation) from the image of
-        each key of term n, a dict over the keys rows.  Every image comes
-        out of add_term (reduced, nonzero, one value per key), so the
-        assembled dict is adopted unchecked."""
-        index = {k: i for i, k in enumerate(rows)}
+    def _assemble(self, n, columns, rows, row_degrees):
+        """The matrix of d_n (n = 0: the augmentation) from ``columns``,
+        the image of each key of term n in basis order as a dict over the
+        keys rows (``apply_label_images``, ``augmentation_image``).  Every
+        column is already reduced (nonzero, one value per key), so the
+        assembled dict is adopted unchecked, and a term that cancelled
+        above the cutoff is gone before the degree check sees it."""
+        index = {k: i for i, k in enumerate(rows)}.get
         entries = {}
-        for j, (key, src_deg) in enumerate(zip(self.bases[n],
-                                               self.key_degrees[n])):
-            for k, v in image(key).items():
+        drop = self.max_drop
+        for j, (key, src_deg, column) in enumerate(zip(
+                self.bases[n], self.key_degrees[n], columns)):
+            for k, v in column.items():
                 # a key missing from the rows lies above the cutoff, so
                 # above src_deg
-                i = index.get(k)
-                if i is None or row_degrees[i] > src_deg:
+                i = index(k)
+                d = -1 if i is None else src_deg - row_degrees[i]
+                if d < 0:
                     raise DegreeRaisingError(
                         "%s raises degree on %r"
                         % ("d_%d" % n if n else "augmentation", key))
-                self.max_drop = max(self.max_drop, src_deg - row_degrees[i])
+                if d > drop:
+                    drop = d
                 entries[(i, j)] = v
+        self.max_drop = drop
         return SparseMatrix._adopt(len(rows), len(self.bases[n]), entries,
                                    self.field)
 

@@ -35,7 +35,7 @@ from .complex import (
     BIMODULE, RESOLVES_ALGEBRA, RESOLVES_GROUND, AlgebraAsBimodule,
     ChainComplexSpec, GroundModule,
 )
-from .kernel import SparseMatrix, add_term, homology_dim
+from .kernel import SparseMatrix, homology_dim, reduce_sums
 from .twist import FLIP, SKEW_GROUP, ORE
 
 __all__ = [
@@ -248,7 +248,9 @@ class CochainTruncation:
         shift = self.raises[n + 1]
         rows = self.basis(n + 1, cutoff + shift)
         row_index = {r: i for i, r in enumerate(rows)}
-        entries = {}
+        # raw sums per entry, reduced once: nonzero and reduced to adopt
+        acc = {}
+        get = acc.get
         if self.coeff == GROUND_COEFF:
             # epsilon(l)·[lab]·epsilon(r), each counit 0 or 1; the ground
             # field is commutative, so epsilon(r) is read as a left action
@@ -256,8 +258,8 @@ class CochainTruncation:
             for mu, img in self.cplx.differentials[n + 1].items():
                 for (l, lab, r), c in img.terms.items():
                     if eps(l, lab, None) and eps(r, lab, None):
-                        add_term(f, entries,
-                                 (row_index[(mu,)], col_index[(lab,)]), c)
+                        ij = (row_index[(mu,)], col_index[(lab,)])
+                        acc[ij] = get(ij, 0) + c
         else:
             act = AlgebraAsBimodule(self.alg).act
             acts = self._acts
@@ -270,10 +272,9 @@ class CochainTruncation:
                         if image is None:
                             image = acts[(l, m, r)] = act(l, m, r)
                         for m2, c2 in image.items():
-                            add_term(f, entries, (row_index[(mu, m2)], ci),
-                                     c * c2)
-        # add_term leaves every entry reduced and nonzero
-        mat = SparseMatrix._adopt(len(rows), len(cols), entries, f)
+                            ij = (row_index[(mu, m2)], ci)
+                            acc[ij] = get(ij, 0) + c * c2
+        mat = SparseMatrix._adopt(len(rows), len(cols), reduce_sums(f, acc), f)
         self._mats[key] = (mat, cols, rows)
         return self._mats[key]
 
@@ -399,12 +400,15 @@ def _reduced_matrices(cplx):
     for n in range(1, len(cplx.terms)):
         src = {lab: i for i, lab in enumerate(cplx.terms[n].labels)}
         tgt = {lab: i for i, lab in enumerate(cplx.terms[n - 1].labels)}
-        entries = {}
+        acc = {}
+        get = acc.get
         for lab, img in cplx.differentials[n].items():
             for (l, lab2), c in img.terms.items():
                 if eps(l, lab2, None):
-                    add_term(f, entries, (tgt[lab2], src[lab]), c)
-        mats.append(SparseMatrix._adopt(sizes[n - 1], sizes[n], entries, f))
+                    ij = (tgt[lab2], src[lab])
+                    acc[ij] = get(ij, 0) + c
+        mats.append(SparseMatrix._adopt(sizes[n - 1], sizes[n],
+                                        reduce_sums(f, acc), f))
     return sizes, mats
 
 

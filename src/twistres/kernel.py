@@ -113,8 +113,9 @@ def _integral(r):
 def add_term(field, out, key, value):
     """out[key] += value in a sparse dict key -> scalar, dropping zeros.
 
-    The one accumulate of the package, specialised by field: residues are
-    reduced mod p, and over Q an integral Fraction sum becomes an int.
+    The term-by-term accumulate of the package, specialised by field:
+    residues are reduced mod p, and over Q an integral Fraction sum becomes
+    an int (``reduce_sums`` reduces a whole raw sum once instead).
     Since the stored sum is reduced here, callers pass raw products
     (``c1 * c2``, not ``field.mul(c1, c2)``); ``value`` need not be
     reduced, only an int or Fraction of the field's kind."""
@@ -128,6 +129,29 @@ def add_term(field, out, key, value):
         out[key] = acc
     else:
         out.pop(key, None)
+
+
+def reduce_sums(field, sums):
+    """A new dict of the raw sums key -> scalar, each reduced once: mod p,
+    or an integral Q value as an int; zero sums are dropped.
+
+    The other accumulate of the package, for a sum built in one pass: the
+    caller adds raw products into ``sums`` (``acc[k] = acc.get(k, 0) +
+    c1 * c2``) and reduces the whole dict here, rather than reducing each
+    term through ``add_term``."""
+    p = field.characteristic
+    out = {}
+    if p:
+        for key, v in sums.items():
+            v %= p
+            if v:
+                out[key] = v
+        return out
+    for key, v in sums.items():
+        if v:
+            out[key] = (v.numerator if v.__class__ is Fraction
+                        and v.denominator == 1 else v)
+    return out
 
 
 def record_value(field, v):

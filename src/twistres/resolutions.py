@@ -856,8 +856,8 @@ class OreDerivationMaps:
         for (l, lab), c in elem.terms.items():
             for m, dc in self._derive(l).items():
                 add_term(f, out, (m, lab), dc * c)
-        return FreeElement(term, out) + apply_label_images(
-            elem, lambda lab: self._label_images[(n, lab)], term)
+        return FreeElement(term, out) + FreeElement(term, apply_label_images(
+            term, elem.terms, lambda lab: self._label_images[(n, lab)]))
 
 
 def sigma_delta_chain_maps(bundle, delta_gens):

@@ -56,7 +56,7 @@ import random
 
 from .kernel import (
     QQ, CheckReport, PrimeField, NonInvertibleError, SparseMatrix, add_term,
-    invert_dense,
+    invert_dense, reduce_sums,
 )
 from .algebra import (
     CYCLIC_GROUP, POLYNOMIAL, TWISTED_PRODUCT,
@@ -135,10 +135,9 @@ class TwistMap:
         elif a_mono == self.a_spec.one_monomial():
             out = {(a_mono, b_mono): f.one}
         else:
-            out = {}
-            for pair, v in self._rule(b_mono, a_mono,
-                                      self.monomial_rule).items():
-                add_term(f, out, pair, v)
+            # a rule returns a dict, so its keys are distinct already
+            out = reduce_sums(f, self._rule(b_mono, a_mono,
+                                            self.monomial_rule))
         self._cache[key] = out
         return out
 
@@ -323,7 +322,7 @@ def apply_twist(t, b_elem, a_elem):
     out = {}
     for bm, bc in b_elem.terms.items():
         for am, ac in a_elem.terms.items():
-            w = f.mul(bc, ac)
+            w = bc * ac
             for pair, c in t.monomial_rule(bm, am).items():
                 add_term(f, out, pair, w * c)
     return AlgebraElement(prod, out)
@@ -359,7 +358,7 @@ def hexagon_sides(t, b, b2, a, a2, products=None):
     for (a1, b1), c1 in t.monomial_rule(b2, a).items():
         for (a_l, b_l), c2 in t.monomial_rule(b, a1).items():
             for (a_r, b_r), c3 in t.monomial_rule(b1, a2).items():
-                c123 = f.mul(c1, f.mul(c2, c3))
+                c123 = c1 * c2 * c3
                 key = (a_l, b_l, a_r, b_r)
                 prod = products.get(key)
                 if prod is None:
@@ -530,10 +529,8 @@ class CompatMap:
             unit = y == self.twist.a_spec.one_monomial()
         if unit:
             return {(y, x): f.one}
-        out = {}
-        for pair, v in self._rule(x, y, lookup).items():
-            add_term(f, out, pair, v)
-        return out
+        # a rule returns a dict, so its keys are distinct already
+        return reduce_sums(f, self._rule(x, y, lookup))
 
     def pair_rule(self, x, y):
         """``image(x, y, ...)`` through the map's shared memo, reading

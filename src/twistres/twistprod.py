@@ -268,12 +268,12 @@ class TwistedBicomplex:
                 i, j = lab[0], lab[1]
                 if i < 1 or j < 1:
                     continue
+                v, h = self.vertical_image(lab), self.horizontal_image(lab)
+                hv = apply_label_images(v.term, v.terms, self.horizontal_image)
+                vh = apply_label_images(h.term, h.terms, self.vertical_image)
                 tgt = self.terms[n - 2]
-                hv = apply_label_images(self.vertical_image(lab),
-                                        self.horizontal_image, tgt)
-                vh = apply_label_images(self.horizontal_image(lab),
-                                        self.vertical_image, tgt)
-                rep.record(not (hv + vh).terms, lambda: (n, lab))
+                rep.record(not (FreeElement(tgt, hv) + FreeElement(tgt, vh)),
+                           lambda: (n, lab))
         return rep
 
     # -- assembly -------------------------------------------------------

@@ -11,7 +11,8 @@ from math import comb
 
 import pytest
 
-from twistres import kernel, resolutions, twist
+from twistres import algebra, homology, kernel, resolutions, twist
+from twistres import complex as complex_
 from twistres.kernel import QQ, PrimeField, SparseMatrix
 from twistres.algebra import (
     basis_up_to, cyclic_group_algebra, heisenberg_algebra, polynomial_algebra,
@@ -341,12 +342,14 @@ def test_criterion_8_mutations_break_the_checks(monkeypatch):
         rep = kunneth_degree0_check(skew, truncate(skew.complex, 3))
         assert not rep.passed and rep.rows[3] == (198, 30)
 
-        # Q products that keep only the numerator of a non-integral result:
-        # the Ore twist with delta(y) = y/2, tabulated exactly up to degree
-        # 4 before the fault (tau(x^2 (x) y) carries 1/4), then fails the
-        # hexagon, whose sides multiply its half-integer values.  Built
-        # under the fault, the twist itself would be the valid one with
-        # delta(y) = y, since the product rule truncates y/2 on first use.
+        # Q products that keep only the numerator of a non-integral result,
+        # wherever they are taken (Fraction's own product, so raw products
+        # and RationalField.mul alike): the Ore twist with delta(y) = y/2,
+        # tabulated exactly up to degree 4 before the fault (tau(x^2 (x) y)
+        # carries 1/4), then fails the hexagon, whose sides multiply its
+        # half-integer values.  Built under the fault, the twist itself
+        # would be the valid one with delta(y) = y, since the product rule
+        # truncates y/2 on first use.
         monkeypatch.undo()
         ay = polynomial_algebra(("y",), name="k[y]")
         bx = polynomial_algebra(("x",), name="k[x]")
@@ -355,13 +358,16 @@ def test_criterion_8_mutations_break_the_checks(monkeypatch):
             (b, a): half.monomial_rule(b, a)
             for b in basis_up_to(bx, 4) for a in basis_up_to(ay, 4)})
         assert check_hexagon(tabulated, 2).passed
-        mul = kernel.RationalField.mul
 
-        def numerator_only(field, a, b):
-            r = mul(field, a, b)
-            return r.numerator if isinstance(r, Fraction) else r
+        def numerator_only(product):
+            def keep(a, b):
+                r = product(a, b)
+                return r.numerator if isinstance(r, Fraction) else r
+            return keep
 
-        monkeypatch.setattr(kernel.RationalField, "mul", numerator_only)
+        for name in ("__mul__", "__rmul__"):
+            monkeypatch.setattr(Fraction, name,
+                                numerator_only(getattr(Fraction, name)))
         assert not check_hexagon(tabulated, 2).passed
 
         # the ground field's action read as zero on a group element: the
@@ -442,6 +448,35 @@ def test_criterion_8_mutations_break_the_checks(monkeypatch):
         monkeypatch.setattr(SparseMatrix, "meet_dim", memo_ignored)
         assert hochschild_cohomology(bundle, cutoff=6).dims == hh
         assert sum(fed) > with_memo
+
+        # an Ore product extended from its memoized prefix on the first
+        # letter of m2 rather than the last: y·(xy) becomes y·y·x, so the
+        # products stop being associative and the bar differential of a
+        # fresh Weyl algebra no longer squares to zero
+        monkeypatch.undo()
+        assert compose_check(bar(weyl_algebra(), 3, middle_cutoff=2)
+                             .complex).passed
+
+        def first_letter(mono):
+            return next((j for j, e in enumerate(mono) if e), -1)
+
+        monkeypatch.setattr(algebra, "_last_letter", first_letter)
+        assert not compose_check(bar(weyl_algebra(), 3, middle_cutoff=2)
+                                 .complex).passed
+
+        # the one-pass accumulate keeping the sums that cancel: d.d on the
+        # Weyl resolution then holds zero coefficients, not the zero element
+        monkeypatch.undo()
+        assert compose_check(cplx).passed
+        reduce_sums = kernel.reduce_sums
+
+        def keeping_zeros(field, sums):
+            kept = reduce_sums(field, sums)
+            return {k: kept.get(k, 0) for k in sums}
+
+        for mod in (algebra, complex_, homology, twist):
+            monkeypatch.setattr(mod, "reduce_sums", keeping_zeros)
+        assert not compose_check(cplx).passed
 
 
 def test_criterion_9_full_preset_suite_is_deterministic():

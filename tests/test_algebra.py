@@ -403,6 +403,47 @@ def test_mono_mul_matches_reference_on_random_tables(drawn, p):
     assert_matches_reference(spec, basis_up_to(spec, 3), max_degree=5)
 
 
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(ore_tables(), st.sampled_from((0, 3)), st.randoms(use_true_random=False))
+@example((4, {(3, 0): {(1, 0, 0, 0): 1}, (2, 1): {(0, 0, 0, 0): 1},
+              (3, 2): {(0, 1, 0, 0): -1}}), 0, random.Random(0))
+def test_mono_mul_from_memoized_prefixes_matches_reference(drawn, p, rng):
+    """m1 * m2 is built from m1 times the longest memoized prefix of m2:
+    the products agree with the reference rewriting when every prefix is
+    memoized first (m2 by increasing degree), when none is (decreasing
+    degree, so each product fills its prefixes on the way) and on a cold
+    memo, one product per fresh spec; and a cold product leaves m1 times
+    each nonempty prefix of m2 in the memo."""
+    t, table = drawn
+    field = field_of_characteristic(p)
+    names = "abcd"[:t]
+    try:
+        iterated_ore_algebra(names, table, field)
+    except DeltaTableError:
+        assume(False)
+    spec = iterated_ore_algebra(names, table, field)
+    monos = basis_up_to(spec, 3)
+    pairs = [(m1, m2) for m1 in monos for m2 in monos
+             if sum(m1) + sum(m2) <= 5]
+    cache = {}
+    want = {(m1, m2): reference_normalize(
+        field, t, table, AlgebraSpec._word(m1) + AlgebraSpec._word(m2), cache)
+        for m1, m2 in pairs}
+    for descending in (False, True):
+        spec = iterated_ore_algebra(names, table, field)
+        for m1, m2 in sorted(pairs, key=lambda pr: sum(pr[1]),
+                             reverse=descending):
+            assert spec.mono_mul(m1, m2) == want[(m1, m2)], (m1, m2)
+    for m1, m2 in rng.sample(pairs, 12):
+        spec = iterated_ore_algebra(names, table, field)
+        assert spec.mono_mul(m1, m2) == want[(m1, m2)], (m1, m2)
+        word = AlgebraSpec._word(m2)
+        for k in range(1, len(word) + 1):
+            prefix = _exp(t, word[:k])
+            assert spec._mul_cache[(m1, prefix)] == reference_normalize(
+                field, t, table, AlgebraSpec._word(m1) + word[:k], cache)
+
+
 def test_inconsistent_table_names_its_overlap():
     t, table = INCONSISTENT
     with pytest.raises(DeltaTableError) as info:

@@ -6,7 +6,9 @@ The truncations, cochain matrices and collapses built by the eight presets
 and by the filtered Weyl cases (exactness at N = 4, 6, 8, the Weyl pair
 product at N = 6, HH at cutoffs 8 and 10) are recorded as they are adopted;
 each must equal ``SparseMatrix(nrows, ncols, triples, field)`` built from
-the same entries, with every entry in range, reduced and nonzero."""
+the same entries, with every entry in range, reduced and nonzero, and each
+truncation column must be the image of its key under the element-level
+reference differential and augmentation."""
 
 import io
 from contextlib import redirect_stdout
@@ -18,14 +20,18 @@ from twistres import kernel
 from twistres.algebra import polynomial_algebra, weyl_algebra
 from twistres.cli import main
 from twistres.complex import (
-    GROUND_KEY, LEFT_MODULE, ChainComplexSpec, FreeModuleTerm,
+    GROUND_KEY, LEFT_MODULE, ChainComplexSpec, FreeElement, FreeModuleTerm,
     TruncatedComplex, exactness_report, truncate,
 )
 from twistres.homology import hochschild_cohomology
 from twistres.kernel import QQ, PrimeField, SparseMatrix
 from twistres.resolutions import ore_koszul
-from twistres.twist import weyl_twist
+from twistres.twist import custom_twist, flip_twist, weyl_twist
 from twistres.twistprod import koszul_pair_product
+
+from test_complex import (
+    reference_apply_augmentation, reference_apply_differential,
+)
 
 PRESETS = ("weyl", "weyl-2", "skew-p2", "skew-p3", "ue-solvable-2dim",
            "heisenberg", "cyclic-p", "lie-sl2-excluded")
@@ -126,6 +132,71 @@ def test_every_truncation_matrix_was_adopted(run, request):
     for tc in seen["truncations"]:
         maps = tc.matrices[1:] + ([tc.aug_matrix] if tc.aug_matrix else [])
         assert all(id(m) in adopted for m in maps)
+
+
+def _columns(m):
+    """A matrix's columns as {column: {row: value}}."""
+    cols = {}
+    for (i, j), v in m.entries.items():
+        cols.setdefault(j, {})[i] = v
+    return cols
+
+
+@pytest.mark.parametrize("run", ["preset_run", "ladder_run"])
+def test_assembled_columns_equal_the_reference_images(run, request):
+    """Each column of d_n is d_n of its key through scale, left_mul,
+    right_mul and __add__ (one key at a time), and each augmentation column
+    the reference augmentation, read in the row basis."""
+    seen = set()
+    for tc in request.getfixturevalue(run)["truncations"]:
+        spec, one = tc.spec, tc.field.one
+        if (id(spec), tc.cutoff) in seen:
+            continue
+        seen.add((id(spec), tc.cutoff))
+        for n in range(1, spec.n_max + 1):
+            rows = {k: i for i, k in enumerate(tc.bases[n - 1])}
+            cols = _columns(tc.matrices[n])
+            for j, key in enumerate(tc.bases[n]):
+                img = reference_apply_differential(
+                    spec, n, FreeElement(spec.terms[n], {key: one}))
+                assert cols.get(j, {}) == {rows[k]: v
+                                           for k, v in img.terms.items()}
+        if tc.aug_matrix is None:
+            continue
+        rows = {k: i for i, k in enumerate(tc.target_basis)}
+        cols = _columns(tc.aug_matrix)
+        for j, key in enumerate(tc.bases[0]):
+            img = reference_apply_augmentation(
+                spec, FreeElement(spec.terms[0], {key: one}))
+            want = ({rows[m]: v for m, v in img.terms.items()}
+                    if spec.aug_kind == "algebra"
+                    else {rows[GROUND_KEY]: img} if img else {})
+            assert cols.get(j, {}) == want
+
+
+def test_a_term_cancelling_above_the_cutoff_does_not_raise():
+    # over k[x, z] (x) k[y] with tau(y (x) x) = x (x) y + x^3 (x) 1 and
+    # tau(y (x) z) = z (x) y - x^3 (x) 1, d(e) = x.[f] + z.[f] raises each
+    # term's degree on y.[e], but the two x^3.[f] terms cancel: the
+    # truncation at N = 2 sees only the reduced column x y.[f] + z y.[f]
+    a = polynomial_algebra(("x", "z"), name="k[x,z]")
+    b = polynomial_algebra(("y",), name="k[y]")
+    x, z, y, a1, b1 = (1, 0), (0, 1), (1,), (0, 0), (0,)
+    tau = custom_twist(a, b, {
+        (y, x): {(x, y): 1, ((3, 0), b1): 1},
+        (y, z): {(z, y): 1, ((3, 0), b1): -1},
+    }, base=flip_twist(a, b))
+    alg = tau.product()
+    assert alg.mono_mul((a1, y), (x, b1)) == {(x, y): 1, ((3, 0), b1): 1}
+    t0 = FreeModuleTerm(alg, ["f"], LEFT_MODULE)
+    t1 = FreeModuleTerm(alg, ["e"], LEFT_MODULE, {"e": 1})
+    d = FreeElement(t0, {((x, b1), "f"): 1, ((z, b1), "f"): 1})
+    tc = truncate(ChainComplexSpec(alg, [t0, t1], [{}, {"e": d}]), 2)
+    j = tc.bases[1].index(((a1, y), "e"))
+    rows = tc.bases[0]
+    assert _columns(tc.matrices[1])[j] == {
+        rows.index(((x, y), "f")): 1, rows.index(((z, y), "f")): 1}
+    assert tc.max_drop == 0
 
 
 def test_presets_adopt_both_augmentation_kinds(preset_run):

@@ -9,7 +9,8 @@ from hypothesis import event, given, settings, strategies as st
 from twistres import kernel
 from twistres.kernel import (
     QQ, KernelError, PrimeField, SparseMatrix, CompositionNonzeroError,
-    NonInvertibleError, _components, add_term, homology_dim, invert_dense, solve_dense,
+    NonInvertibleError, _components, add_term, homology_dim, invert_dense,
+    reduce_sums, solve_dense,
 )
 
 GF2 = PrimeField(2)
@@ -737,3 +738,34 @@ def test_add_term_of_a_raw_product_equals_add_term_of_the_reduced_one(data, p):
         add_term(f, raw, k, a * b)
         add_term(f, reduced, k, f.mul(a, b))
         assert _exactly(raw) == _exactly(reduced)
+
+
+# -- reduce_sums: a raw sum built in one pass, reduced once
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(data=st.data(), p=st.sampled_from((0, 2, 3, 7, 2**31 - 1)))
+def test_reduce_sums_equals_add_term_of_each_product(data, p):
+    f = QQ if p == 0 else PrimeField(p)
+    scalars = rationals if p == 0 else st.integers(0, p - 1)
+    terms = data.draw(st.lists(st.tuples(st.integers(0, 3), scalars, scalars),
+                               max_size=14))
+    raw, want = {}, {}
+    for k, a, b in terms:
+        a, b = f.coerce(a), f.coerce(b)
+        raw[k] = raw.get(k, 0) + a * b
+        add_term(f, want, k, a * b)
+    got = reduce_sums(f, raw)
+    # the same values of the same types; a key keeps its first position
+    assert {k: (type(v), v) for k, v in got.items()} == \
+        {k: (type(v), v) for k, v in want.items()}
+    assert list(got) == [k for k in raw if k in want]
+
+
+def test_reduce_sums_drops_cancelled_sums_and_leaves_its_input():
+    raw = {"a": Fraction(1, 2) + Fraction(1, 2), "b": 2 * 5 - 5 * 2,
+           "c": Fraction(1, 3)}
+    got = reduce_sums(QQ, raw)
+    assert got == {"a": 1, "c": Fraction(1, 3)} and type(got["a"]) is int
+    assert got is not raw and "b" in raw
+    assert reduce_sums(GF3, {"k": 2 * 2, "j": 2 * 2 * 2 + 1}) == {"k": 1}

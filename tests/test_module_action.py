@@ -10,11 +10,13 @@ from twistres.algebra import (
 from twistres.complex import (
     BIMODULE, LEFT_MODULE, ComplexError, FreeElement, FreeModuleTerm,
 )
+from twistres.kernel import PrimeField
 from twistres.twist import AlgebraAsBimodule, GroundModule, weyl_twist
 
 
 ALGEBRAS = {
     "weyl": weyl_algebra,
+    "weyl-F3": lambda: weyl_algebra(PrimeField(3)),
     "solvable-2dim": solvable_2dim_algebra,
     "kZ3": lambda: cyclic_group_algebra(3),
     "twisted-product": lambda: weyl_twist().product(),
@@ -23,8 +25,9 @@ with_algebra = pytest.mark.parametrize("name", sorted(ALGEBRAS))
 
 
 def _algebra(name):
-    """Noncommutative Weyl, the 2-dim solvable algebra, kZ/3 or a twisted
-    product, with its monomials of degree <= 2."""
+    """Noncommutative Weyl (over Q or F_3, where y^2 x = x y^2 + y), the
+    2-dim solvable algebra, kZ/3 or a twisted product, with its monomials
+    of degree <= 2."""
     spec = ALGEBRAS[name]()
     return spec, basis_up_to(spec, 2)
 
