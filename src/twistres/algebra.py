@@ -494,14 +494,6 @@ def delta_table_from_strings(gens, table, field=QQ):
     return out
 
 
-def normalize(word, spec):
-    """Normal form of a product of named generators."""
-    out = spec.one()
-    for name in word:
-        out = out * spec.gen(name)
-    return out
-
-
 def basis_up_to(spec, n):
     """All monomials of filtration degree <= n, deterministically ordered
     (degree, then lexicographic on exponents).  Cyclic group algebras

@@ -306,25 +306,6 @@ class SparseMatrix:
         m.entries = entries
         return m
 
-    @classmethod
-    def from_rows(cls, rows, field, ncols=None):
-        """rows: list of lists (dense) of field-coercible values."""
-        if ncols is None:
-            ncols = len(rows[0]) if rows else 0
-        ent = []
-        for i, row in enumerate(rows):
-            for j, v in enumerate(row):
-                ent.append((i, j, v))
-        return cls(len(rows), ncols, ent, field)
-
-    @classmethod
-    def zero(cls, nrows, ncols, field):
-        return cls(nrows, ncols, [], field)
-
-    @classmethod
-    def identity(cls, n, field):
-        return cls(n, n, [(i, i, field.one) for i in range(n)], field)
-
     # -- basic operations ----------------------------------------------------
 
     def transpose(self):
@@ -583,7 +564,8 @@ def solve_dense(m, rhs):
 
     rhs is a dict row -> value; the result is a dict col -> value with zero
     entries omitted.  Returns None if the system is inconsistent, and
-    raises NonInvertibleError if m's columns are dependent.
+    raises NonInvertibleError if m's columns are dependent and KernelError
+    if an rhs row is out of range.
 
     m is eliminated on its first solve only: the rows of m^T, column j
     tagged with a 1 at column m.nrows + j, so every pivot row's real part
@@ -593,6 +575,8 @@ def solve_dense(m, rhs):
     """
     f = m.field
     n = m.nrows
+    if not set(rhs).issubset(range(n)):
+        raise KernelError("solve_dense: an rhs row out of range")
     if m._pivots is None:
         entries = {(j, n + j): f.one for j in range(m.ncols)}
         entries.update(((j, i), v) for (i, j), v in m.entries.items())

@@ -56,7 +56,7 @@ __all__ = [
     "cyclic_periodic",
     "lift_twist", "check_lift_chain_map", "check_lift_compat",
     "sigma_delta_chain_maps", "OreDerivationMaps",
-    "reduce_bar_element", "wedge_to_bar", "crosscheck_koszul_lift",
+    "wedge_to_bar", "crosscheck_koszul_lift",
 ]
 
 
@@ -214,19 +214,6 @@ def bar(spec, n_max, middle_cutoff=None, reduced=False):
                             aug_kind=RESOLVES_ALGEBRA, complete_above=False,
                             name=name)
     return ResolutionBundle(cplx, REDUCED_BAR if reduced else BAR)
-
-
-def reduce_bar_element(elem, reduced_term):
-    """Project an element of a full bar term onto the reduced bar term of
-    the same degree (drop keys whose label contains the unit)."""
-    spec = reduced_term.algebra
-    unit = spec.one_monomial()
-    out = {}
-    for key, c in elem.terms.items():
-        if any(m == unit for m in key[1]):
-            continue
-        out[key] = c
-    return FreeElement(reduced_term, out)
 
 
 # ---------------------------------------------------------------------------
@@ -842,9 +829,6 @@ class OreDerivationMaps:
         self.bundle = bundle
         self._label_images = label_images
         self._derive = leibniz_extension(bundle.algebra, images)
-
-    def sigma(self, n, elem):
-        return elem
 
     def delta_label(self, n, lab):
         return self._label_images[(n, lab)]

@@ -310,22 +310,7 @@ def custom_twist(a_spec, b_spec, table, base=None, name=None):
 
 
 # ---------------------------------------------------------------------------
-# application, twisted multiplication, hexagon
-
-
-def apply_twist(t, b_elem, a_elem):
-    """Bilinear extension of the monomial rule; result lives in A (x)_tau B."""
-    if b_elem.spec is not t.b_spec or a_elem.spec is not t.a_spec:
-        raise SpecMismatchError("operands do not match the twist's factors")
-    prod = t.product()
-    f = t.field
-    out = {}
-    for bm, bc in b_elem.terms.items():
-        for am, ac in a_elem.terms.items():
-            w = bc * ac
-            for pair, c in t.monomial_rule(bm, am).items():
-                add_term(f, out, pair, w * c)
-    return AlgebraElement(prod, out)
+# twisted multiplication, hexagon
 
 
 def twisted_multiply(u, v):
@@ -422,7 +407,7 @@ def check_hexagon(t, degree_bound, sample_count=0, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# truncated bijectivity and inversion
+# truncated inversion
 
 
 def _pair_bases(t, degree_bound):
@@ -453,12 +438,6 @@ def _truncation_matrix(t, degree_bound):
             entries.append((index[pair], j, c))
     m = SparseMatrix(len(outs), len(ins), entries, t.field)
     return ins, outs, m
-
-
-def bijective_on_truncation(t, degree_bound):
-    """Rank check of tau on the degree <= bound truncation."""
-    ins, _, m = _truncation_matrix(t, degree_bound)
-    return m.rank() == len(ins)
 
 
 def invert_twist(t, degree_bound):

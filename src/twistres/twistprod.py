@@ -279,7 +279,7 @@ class TwistedBicomplex:
     # -- assembly -------------------------------------------------------
 
     def total(self, name=None):
-        """The total complex, with provenance and the twisted action."""
+        """The total complex, with the twisted action."""
         f = self.field
         diffs = [{}]
         for n in range(1, self.top + 1):
@@ -309,16 +309,13 @@ class TwistedBicomplex:
 
 class TotalComplex:
     """A totalized product grid: the underlying chain complex (over the
-    plain product presentation), provenance from labels back to blocks,
-    and the twisted algebra action routed through the factor lifts."""
+    plain product presentation), whose labels (i, j, v, w) lead with their
+    block, and the twisted algebra action routed through the factor
+    lifts."""
 
     def __init__(self, bicomplex, cplx):
         self.bicomplex = bicomplex
         self.complex = cplx
-        self.provenance = {}
-        for term in cplx.terms:
-            for lab in term.labels:
-                self.provenance[lab] = (lab[0], lab[1])
 
     @property
     def twist(self):

@@ -255,7 +255,7 @@ def test_criterion_8_mutations_break_the_checks(monkeypatch):
         split = kernel._components
         monkeypatch.setattr(kernel, "_components",
                             lambda rows: split(rows)[:-1])
-        two_blocks = SparseMatrix.from_rows([[1, 0], [0, 1]], QQ)
+        two_blocks = SparseMatrix(2, 2, [(0, 0, 1), (1, 1, 1)], QQ)
         assert two_blocks.rank() != 2
         assert not exactness_report(cplx, 4).passed
 

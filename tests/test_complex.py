@@ -457,14 +457,14 @@ def _ref_outgoing(tc, n):
     if n == 0:
         if tc.aug_matrix is not None:
             return _copy(tc.aug_matrix)
-        return SparseMatrix.zero(0, len(tc.bases[0]), tc.field)
+        return SparseMatrix(0, len(tc.bases[0]), [], tc.field)
     return _copy(tc.matrices[n])
 
 
 def _ref_incoming(tc, n):
     if n + 1 <= tc.spec.n_max:
         return _copy(tc.matrices[n + 1])
-    return SparseMatrix.zero(len(tc.bases[n]), 0, tc.field)
+    return SparseMatrix(len(tc.bases[n]), 0, [], tc.field)
 
 
 def ref_boundary_dims(tc, n, windows):

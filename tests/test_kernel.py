@@ -18,13 +18,24 @@ GF3 = PrimeField(3)
 
 
 def M(rows, field=QQ):
-    return SparseMatrix.from_rows(rows, field)
+    """The matrix with these dense rows."""
+    return SparseMatrix(len(rows), len(rows[0]) if rows else 0,
+                        [(i, j, v) for i, row in enumerate(rows)
+                         for j, v in enumerate(row)], field)
+
+
+def zeros(nrows, ncols, field=QQ):
+    return SparseMatrix(nrows, ncols, [], field)
+
+
+def eye(n, field=QQ):
+    return SparseMatrix(n, n, [(i, i, field.one) for i in range(n)], field)
 
 
 # ---------------------------------------------------------------- rank basics
 
 def test_rank_identity():
-    assert SparseMatrix.identity(3, QQ).rank() == 3
+    assert eye(3).rank() == 3
 
 
 def test_rank_proportional_rows():
@@ -36,7 +47,7 @@ def test_rank_equal_rows_mod2():
 
 
 def test_rank_zero_matrix():
-    assert SparseMatrix.zero(4, 7, QQ).rank() == 0
+    assert zeros(4, 7).rank() == 0
 
 
 def test_rank_fractions():
@@ -53,11 +64,11 @@ def test_rank_mod_p_differs_from_rational():
 # ---------------------------------------------------------------- kernel dims
 
 def test_kernel_dim_zero_matrix():
-    assert SparseMatrix.zero(2, 5, QQ).kernel_dim() == 5
+    assert zeros(2, 5).kernel_dim() == 5
 
 
 def test_kernel_dim_identity():
-    assert SparseMatrix.identity(3, QQ).kernel_dim() == 0
+    assert eye(3).kernel_dim() == 0
 
 
 def test_kernel_dim_rank_one():
@@ -67,14 +78,14 @@ def test_kernel_dim_rank_one():
 # ---------------------------------------------------------------- homology
 
 def test_homology_dim_no_incoming():
-    d_in = SparseMatrix.zero(1, 0, QQ)     # nothing comes in
-    d_out = SparseMatrix.zero(1, 1, QQ)    # zero map out of a line
+    d_in = zeros(1, 0)     # nothing comes in
+    d_out = zeros(1, 1)    # zero map out of a line
     assert homology_dim(d_in, d_out) == 1
 
 
 def test_homology_dim_exact_spot():
-    d_in = SparseMatrix.identity(2, QQ)
-    d_out = SparseMatrix.zero(1, 2, QQ)
+    d_in = eye(2)
+    d_out = zeros(1, 2)
     assert homology_dim(d_in, d_out) == 0
 
 
@@ -85,7 +96,7 @@ def test_homology_dim_line_into_plane():
 
 
 def test_homology_rejects_nonzero_composite():
-    d_in = SparseMatrix.identity(2, QQ)
+    d_in = eye(2)
     d_out = M([[1, 0]])
     with pytest.raises(CompositionNonzeroError):
         homology_dim(d_in, d_out)
@@ -135,14 +146,14 @@ def test_homology_additive_over_blocks(rows_a, rows_b):
     # block-diagonal complexes: 0 -> A -> 0 style spots add up
     a, b = M(rows_a), M(rows_b)
     # homology of 0 -> source --matrix--> target at the source spot
-    ha = homology_dim(SparseMatrix.zero(a.ncols, 0, QQ), a)
-    hb = homology_dim(SparseMatrix.zero(b.ncols, 0, QQ), b)
+    ha = homology_dim(zeros(a.ncols, 0), a)
+    hb = homology_dim(zeros(b.ncols, 0), b)
     block = [[0] * (a.ncols + b.ncols) for _ in range(a.nrows + b.nrows)]
     for (i, j), v in a.entries.items():
         block[i][j] = v
     for (i, j), v in b.entries.items():
         block[a.nrows + i][a.ncols + j] = v
-    hblock = homology_dim(SparseMatrix.zero(a.ncols + b.ncols, 0, QQ), M(block))
+    hblock = homology_dim(zeros(a.ncols + b.ncols, 0), M(block))
     assert hblock == ha + hb
 
 
@@ -445,6 +456,16 @@ def test_solve_dense_consistent_and_inconsistent():
         solve_dense(M([[1, 2, 0], [2, 4, 0], [0, 0, 3]]), {0: 1, 1: 2, 2: 6})
 
 
+def test_solve_dense_rejects_rhs_rows_out_of_range():
+    # row 4 of a 3x2 matrix once read as the tag column of x_1, and row -1
+    # as an inconsistent equation
+    a = M([[1, 0], [0, 1], [1, 1]])
+    for rhs in ({4: 1}, {-1: 1}, {3: 1}, {0: 1, 5: 0}):
+        with pytest.raises(KernelError):
+            solve_dense(a, rhs)
+    assert solve_dense(a, {0: 1, 1: 1, 2: 2}) == {0: 1, 1: 1}
+
+
 def test_solve_dense_mod_p():
     a = M([[1, 1], [1, 2]], GF3)
     sol = solve_dense(a, {0: 2, 1: 0})
@@ -548,7 +569,7 @@ def test_invert_dense_roundtrip():
     cols = invert_dense(a)
     inv = SparseMatrix(2, 2, [(i, j, v) for j, col in enumerate(cols)
                               for i, v in col.items()], QQ)
-    assert a.compose(inv) == SparseMatrix.identity(2, QQ)
+    assert a.compose(inv) == eye(2)
 
 
 def test_invert_dense_singular():
@@ -589,7 +610,7 @@ def test_invert_dense_mod_p_and_non_square():
     cols = invert_dense(a)
     inv = SparseMatrix(3, 3, [(i, j, v) for j, col in enumerate(cols)
                               for i, v in col.items()], GF3)
-    assert a.compose(inv) == SparseMatrix.identity(3, GF3)
+    assert a.compose(inv) == eye(3, GF3)
     with pytest.raises(NonInvertibleError):
         invert_dense(M([[1, 2]]))
 

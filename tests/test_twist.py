@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from twistres import twist
 from twistres.algebra import (
-    SpecMismatchError, basis_up_to, cyclic_group_algebra,
+    AlgebraElement, SpecMismatchError, basis_up_to, cyclic_group_algebra,
     filtration_degree, parse_element, polynomial_algebra,
     solvable_2dim_algebra, weyl_algebra,
 )
@@ -21,8 +21,8 @@ from twistres.resolutions import lift_twist, poly_koszul
 from twistres.twist import (
     LEFT_BIMODULE, ONE_SIDED, RIGHT_BIMODULE,
     AlgebraAsBimodule, GroundModule, MissingRuleError,
-    NonInvertibleTwistError, TwistError, apply_twist, bijective_on_truncation,
-    check_bimodule_compat, check_hexagon, custom_twist, flip_twist,
+    NonInvertibleTwistError, TwistError, check_bimodule_compat,
+    check_hexagon, custom_twist, flip_twist,
     invert_twist, ore_twist, self_bimodule_compat, self_right_bimodule_compat,
     skew_group_twist, solvable_pair_twist, transposition_compat,
     triangular_action_twist, twisted_multiply, weyl_twist,
@@ -31,6 +31,12 @@ from twistres.twist import (
 
 def flip_xy():
     return flip_twist(polynomial_algebra(("x",)), polynomial_algebra(("y",)))
+
+
+def tau(t, b, a):
+    """tau(b (x) a) in A (x)_tau B: the product (1 (x) b)(a (x) 1)."""
+    p = t.product()
+    return p.from_pair(t.a_spec.one(), b) * p.from_pair(a, t.b_spec.one())
 
 
 def _digest(violations):
@@ -45,7 +51,7 @@ def test_weyl_rule_on_generators():
     t = weyl_twist()
     y = parse_element("y", t.b_spec)
     x = parse_element("x", t.a_spec)
-    out = apply_twist(t, y, x)
+    out = tau(t, y, x)
     assert out == parse_element("x⊗y - 1", t.product())
 
 
@@ -53,9 +59,9 @@ def test_unit_conditions():
     t = weyl_twist()
     one_b = t.b_spec.one()
     x = parse_element("x", t.a_spec)
-    assert apply_twist(t, one_b, x) == parse_element("x", t.product())
+    assert tau(t, one_b, x) == parse_element("x", t.product())
     y = parse_element("y", t.b_spec)
-    assert apply_twist(t, y, t.a_spec.one()) == parse_element("y", t.product())
+    assert tau(t, y, t.a_spec.one()) == parse_element("y", t.product())
 
 
 def test_weyl_rule_on_square():
@@ -63,13 +69,18 @@ def test_weyl_rule_on_square():
     t = weyl_twist()
     y2 = parse_element("y^2", t.b_spec)
     x = parse_element("x", t.a_spec)
-    assert apply_twist(t, y2, x) == parse_element("x⊗y^2 - 2*y", t.product())
+    assert tau(t, y2, x) == parse_element("x⊗y^2 - 2*y", t.product())
 
 
-def test_apply_twist_rejects_foreign_elements():
-    t = weyl_twist()
-    with pytest.raises(SpecMismatchError):
-        apply_twist(t, parse_element("x", t.a_spec), parse_element("x", t.a_spec))
+def test_product_crosses_by_the_monomial_rule():
+    # (1 (x) b)(a (x) 1) is tau(b (x) a) on every monomial pair
+    for t in (weyl_twist(), solvable_pair_twist(), triangular_action_twist(3)):
+        one = t.field.one
+        for bm in basis_up_to(t.b_spec, 3):
+            for am in basis_up_to(t.a_spec, 3):
+                out = tau(t, AlgebraElement(t.b_spec, {bm: one}),
+                          AlgebraElement(t.a_spec, {am: one}))
+                assert out.terms == t.monomial_rule(bm, am)
 
 
 def test_unit_conditions_hold_on_all_kinds():
@@ -352,9 +363,11 @@ def test_invert_rejects_collapsed_rule():
 
 
 def test_bijectivity_rank_check():
-    assert bijective_on_truncation(weyl_twist(), 4)
+    # invert_twist ranks the truncation and fails exactly when it is short
+    assert invert_twist(weyl_twist(), 4).kind == "custom"
     bad = weyl_twist().with_overrides({(((1,), (1,))): {}})
-    assert not bijective_on_truncation(bad, 2)
+    with pytest.raises(NonInvertibleTwistError):
+        invert_twist(bad, 2)
 
 
 def test_tabulated_zero_term_is_dropped():
@@ -363,7 +376,6 @@ def test_tabulated_zero_term_is_dropped():
     t = weyl_twist().with_overrides({((1,), (1,)): {
         ((1,), (1,)): 1, ((0,), (0,)): -1, ((3,), (3,)): 0}})
     assert t.monomial_rule((1,), (1,)) == {((1,), (1,)): 1, ((0,), (0,)): -1}
-    assert bijective_on_truncation(t, 2)
     inv = invert_twist(t, 2)
     assert (inv.monomial_rule((1,), (1,))
             == invert_twist(weyl_twist(), 2).monomial_rule((1,), (1,)))

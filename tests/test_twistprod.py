@@ -57,9 +57,10 @@ def test_total_labels_and_provenance():
     tc = koszul_pair_product(flip_twist(_kx(), _ky()))
     assert [len(t.labels) for t in tc.complex.terms] == [1, 2, 1]
     assert tc.complex.terms[1].labels == ((0, 1, (), (0,)), (1, 0, (0,), ()))
-    for lab, (i, j) in tc.provenance.items():
-        assert (lab[0], lab[1]) == (i, j)
-        assert i + j == tc.complex.terms[i + j].internal_degree[lab]
+    for n, term in enumerate(tc.complex.terms):
+        for lab in term.labels:
+            i, j = lab[:2]
+            assert i + j == n == term.internal_degree[lab]
 
 
 def test_internal_degrees_add_up():
