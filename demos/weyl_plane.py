@@ -8,7 +8,7 @@ resolutions, identifies it with the wedge resolution computed directly on
 the two-generator presentation, and extracts the cohomology table."""
 
 from twistres.algebra import weyl_algebra
-from twistres.twist import check_hexagon, twisted_multiply, weyl_twist
+from twistres.twist import check_hexagon, weyl_twist
 from twistres.complex import compose_check, exactness_report
 from twistres.resolutions import ore_koszul
 from twistres.twistprod import (
@@ -26,8 +26,8 @@ def main():
     print(rep)
     y = prod.element({((0,), (1,)): prod.field.one})
     x = prod.element({((1,), (0,)): prod.field.one})
-    print("y * x  ->", twisted_multiply(y, x))
-    print("x * y  ->", twisted_multiply(x, y))
+    print("y * x  ->", y * x)
+    print("x * y  ->", x * y)
 
     print("\n== the twisted product of two wedge resolutions ==")
     tc = koszul_pair_product(t)

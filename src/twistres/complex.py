@@ -23,12 +23,14 @@ dimensions inside the faithful window: degree <= N - s, where s is the
 maximal filtration-degree drop any differential exhibits (computed from
 the actual structure constants).  Inside the window, "cycle" and
 "boundary" counts match the infinite complex, so zero means exact.
-A graded truncation is ranked block by block (``TruncatedComplex.rank_on``),
-one rank per degree block of each map, and every windowed or per-degree
-count is a sum of those block ranks.  On a filtered truncation a cycle
-count ranks d restricted to the window's columns, and a boundary count
-dim(im d ∩ F_w) comes from one elimination of d that takes the rows
-above the window first (``SparseMatrix.meet_dim``).
+A graded truncation is ranked block by block (``TruncatedComplex.rank_on``):
+``degree_blocks`` splits each map into its degree blocks, the truncation
+keeps each block's rank, and every windowed or per-degree count is a sum
+of those ranks; the Hochschild cochain slices use the same split.
+On a filtered truncation a cycle count ranks d restricted to the
+window's columns, and a boundary count dim(im d ∩ F_w) comes from one
+elimination of d that takes the rows above the window first
+(``SparseMatrix.meet_dim``).
 """
 
 from __future__ import annotations
@@ -320,7 +322,7 @@ class ChainComplexSpec:
     {GROUND_KEY: scalar} for the ground field (RESOLVES_GROUND).
 
     complete_above=False marks truncations of longer complexes (bar,
-    periodic): the top spot is then excluded from exactness reports.
+    periodic), whose top spot ``trusted_top`` keeps out of reports.
     """
 
     def __init__(self, algebra, terms, differentials, augmentation=None,
@@ -346,6 +348,12 @@ class ChainComplexSpec:
     @property
     def n_max(self):
         return len(self.terms) - 1
+
+    @property
+    def trusted_top(self):
+        """The last spot a report can trust: a complex cut from a longer
+        one has no next differential at its top spot."""
+        return self.n_max if self.complete_above else self.n_max - 1
 
     def apply_differential(self, n, elem):
         """d_n applied to an element of term n."""
@@ -450,7 +458,7 @@ class TruncatedComplex:
         # no map raises degree, so a zero drop means every entry of every
         # map preserves degree
         self.graded = self.max_drop == 0
-        self._ranks = {}  # graded rank_on memo: n -> block ranks
+        self._ranks = {}  # graded rank_on memo: n -> {degree: block rank}
 
     def _assemble(self, n, columns, rows, row_degrees):
         """The matrix of d_n (n = 0: the augmentation) from ``columns``,
@@ -491,7 +499,8 @@ class TruncatedComplex:
             return 0
         if self.graded:
             if n not in self._ranks:
-                self._ranks[n] = self._block_ranks(n)
+                self._ranks[n] = {d: block.rank() for d, block
+                                  in degree_blocks(*self._map(n)).items()}
             return sum(r for d, r in self._ranks[n].items()
                        if row_ok(d) and col_ok(d))
         m, row_degs, col_degs = self._map(n)
@@ -519,23 +528,6 @@ class TruncatedComplex:
         if n == 0:
             return self.aug_matrix, self.target_degrees, self.key_degrees[0]
         return self.matrices[n], self.key_degrees[n - 1], self.key_degrees[n]
-
-    def _block_ranks(self, n):
-        """{degree d: rank of the degree-d block of d_n}, split in one pass
-        over the entries of a degree-preserving d_n."""
-        m, row_degs, col_degs = self._map(n)
-        row_at, rows_in = _positions(row_degs)
-        col_at, cols_in = _positions(col_degs)
-        blocks = {}
-        for (i, j), v in m.entries.items():
-            d = row_degs[i]
-            if col_degs[j] != d:
-                raise ComplexError("d_%d is not degree-preserving at (%d, %d)"
-                                   % (n, i, j))
-            blocks.setdefault(d, {})[(row_at[i], col_at[j])] = v
-        f = self.field
-        return {d: SparseMatrix._adopt(rows_in[d], cols_in[d], ents, f).rank()
-                for d, ents in blocks.items()}
 
     # -- windowed homology ----------------------------------------------------
 
@@ -587,8 +579,7 @@ class TruncatedComplex:
         rep.window = self.window
         rep.max_drop = self.max_drop
         rep.graded = self.graded
-        top = c.n_max if c.complete_above else c.n_max - 1
-        rep.top_spot_reported = top
+        top = rep.top_spot_reported = c.trusted_top
         for n in range(1, top + 1):
             rep.homology[n] = self.windowed_homology(n)
         if c.augmentation is not None:
@@ -605,6 +596,23 @@ class TruncatedComplex:
 
 def _every(degree):
     return True
+
+
+def degree_blocks(m, row_degrees, col_degrees):
+    """{degree d: the block of m on its rows and columns of degree d}, split
+    in one pass over the entries of a degree-preserving m.  Only degrees
+    that hold entries get a block, and each block memoizes its own rank."""
+    row_at, rows_in = _positions(row_degrees)
+    col_at, cols_in = _positions(col_degrees)
+    blocks = {}
+    for (i, j), v in m.entries.items():
+        d = row_degrees[i]
+        if col_degrees[j] != d:
+            raise ComplexError("map is not degree-preserving at (%d, %d)"
+                               % (i, j))
+        blocks.setdefault(d, {})[(row_at[i], col_at[j])] = v
+    return {d: SparseMatrix._adopt(rows_in[d], cols_in[d], ents, m.field)
+            for d, ents in blocks.items()}
 
 
 def _positions(degrees):

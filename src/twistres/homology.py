@@ -9,9 +9,12 @@ Two reductions of a resolution produce computable invariants:
   codifferential pushes values through the differential entries,
   multiplying by the coefficient pair on both sides;
 
-* the ground-field collapse of a one-sided resolution: each free term
-  keeps only its generators, differential entries survive through the
-  counit of their coefficient.
+* the counit collapse (``_reduced_matrices``): each free term keeps only
+  its generators, and a differential entry survives with its coefficient
+  when the counit is nonzero on both sides of it.  Its homology is Tor
+  over the augmentation of a one-sided resolution, its transpose gives
+  Ext, and on a two-sided one its transpose is the ground-valued
+  codifferential.
 
 Truncation policy.  A finitely-supported cochain's codifferential is
 computed exactly (target rows extend far enough to hold every image), so
@@ -21,8 +24,11 @@ intersected with the reported one, which repairs the edge effect of
 coboundaries whose potential lives just above the window.  Graded inputs
 (degree-additive multiplication and degree-homogeneous differentials)
 additionally get exact per-degree dimensions on slices that fit entirely
-inside the window; merely filtered inputs get the windowed dimensions at
-two cutoffs and a stability flag -- reported, never asserted."""
+inside the window: a graded codifferential keeps the internal degree t,
+so each slice is read from the t-blocks that ``complex.degree_blocks``
+splits off, the split the chain side's graded ranks use.  Merely
+filtered inputs get the windowed dimensions at two cutoffs and a
+stability flag -- reported, never asserted."""
 
 from .algebra import (
     CYCLIC_GROUP,
@@ -33,7 +39,7 @@ from .algebra import (
 )
 from .complex import (
     BIMODULE, RESOLVES_ALGEBRA, RESOLVES_GROUND, AlgebraAsBimodule,
-    ChainComplexSpec, GroundModule,
+    ChainComplexSpec, GroundModule, degree_blocks,
 )
 from .kernel import SparseMatrix, homology_dim, reduce_sums
 from .twist import FLIP, SKEW_GROUP, ORE
@@ -156,7 +162,7 @@ def _trusted_top(cplx, n_top):
     A truncated resolution (``complete_above`` false) cannot be trusted at
     its top stage, whose cohomology sees no next differential; asking for
     it, or beyond, raises HomologyError."""
-    top = cplx.n_max if cplx.complete_above else cplx.n_max - 1
+    top = cplx.trusted_top
     if n_top is None:
         return top
     if n_top > top and not cplx.complete_above:
@@ -178,7 +184,9 @@ class CochainTruncation:
     """Cochains on a free two-sided resolution, valued in the algebra
     (pairs label/target monomial) or the ground field (labels only),
     truncated by target degree.  Codifferential matrices extend their
-    rows far enough that images of truncated cochains are exact."""
+    rows far enough that images of truncated cochains are exact; the
+    ground-valued ones are the transposed counit collapse
+    (``_reduced_matrices``), the same at every cutoff."""
 
     def __init__(self, cplx, coeff=SELF_COEFF):
         if coeff not in (SELF_COEFF, GROUND_COEFF):
@@ -189,7 +197,8 @@ class CochainTruncation:
         self.field = cplx.algebra.field
         self.graded = complex_is_graded(cplx)
         self.top = len(cplx.terms) - 1
-        self.raises = [0]
+        # raises[n]: the most degree d_n's coefficients add on both sides
+        self.raises = {}
         for n in range(1, self.top + 1):
             shift = 0
             for img in cplx.differentials[n].values():
@@ -197,37 +206,37 @@ class CochainTruncation:
                     shift = max(shift,
                                 self.alg.monomial_degree(key[0])
                                 + self.alg.monomial_degree(key[2]))
-            self.raises.append(shift)
+            self.raises[n] = shift
         self._mats = {}
         self._bases = {}
+        self._blocks = {}  # (n, cutoff) -> the t-blocks of that matrix
         # l·m·r images, shared by the matrices at every cutoff
         self._acts = {}
+        if coeff == GROUND_COEFF:
+            self._ground = [None] + [
+                m.transpose() for m in _reduced_matrices(cplx)[1][1:]]
 
     def basis(self, n, cutoff):
-        """Ordered cochain basis at stage n: (label, monomial) for
-        algebra coefficients, (label,) for ground ones."""
+        """Ordered cochain basis at stage n, (label, monomial) for algebra
+        coefficients and (label,) for ground ones, with the internal
+        degree t of each element (target degree minus label degree) on a
+        graded input; only its per-degree slices read t."""
         key = (n, cutoff)
         if key in self._bases:
             return self._bases[key]
-        if n > self.top:
-            cols = []
-        elif self.coeff == GROUND_COEFF:
-            cols = [(lab,) for lab in self.cplx.terms[n].labels]
+        labels = self.cplx.terms[n].internal_degree if n <= self.top else {}
+        if self.coeff == GROUND_COEFF:
+            cols = [(lab,) for lab in labels]
+            degrees = [-base for base in labels.values()]
         else:
             monos = basis_up_to(self.alg, cutoff)
-            cols = [(lab, m) for lab in self.cplx.terms[n].labels
-                    for m in monos]
-        self._bases[key] = cols
-        return cols
-
-    def t_value(self, col, n):
-        """Internal degree of a cochain basis element: target degree
-        minus generator degree."""
-        lab = col[0]
-        base = self.cplx.terms[n].internal_degree[lab]
-        if self.coeff == GROUND_COEFF:
-            return -base
-        return self.alg.monomial_degree(col[1]) - base
+            cols = [(lab, m) for lab in labels for m in monos]
+            mono_degrees = ([self.alg.monomial_degree(m) for m in monos]
+                            if self.graded else [])
+            degrees = [d - base for base in labels.values()
+                       for d in mono_degrees]
+        self._bases[key] = cols, degrees
+        return cols, degrees
 
     def matrix(self, n, cutoff):
         """The codifferential out of stage n on targets of degree <=
@@ -238,29 +247,18 @@ class CochainTruncation:
         if key in self._mats:
             return self._mats[key]
         f = self.field
-        cols = self.basis(n, cutoff)
-        col_index = {c: i for i, c in enumerate(cols)}
+        cols = self.basis(n, cutoff)[0]
+        rows = self.basis(n + 1, cutoff + self.raises.get(n + 1, 0))[0]
         if n + 1 > self.top:
-            rows = []
             mat = SparseMatrix(0, len(cols), [], f)
-            self._mats[key] = (mat, cols, rows)
-            return self._mats[key]
-        shift = self.raises[n + 1]
-        rows = self.basis(n + 1, cutoff + shift)
-        row_index = {r: i for i, r in enumerate(rows)}
-        # raw sums per entry, reduced once: nonzero and reduced to adopt
-        acc = {}
-        get = acc.get
-        if self.coeff == GROUND_COEFF:
-            # epsilon(l)·[lab]·epsilon(r), each counit 0 or 1; the ground
-            # field is commutative, so epsilon(r) is read as a left action
-            eps = GroundModule(self.alg).act
-            for mu, img in self.cplx.differentials[n + 1].items():
-                for (l, lab, r), c in img.terms.items():
-                    if eps(l, lab, None) and eps(r, lab, None):
-                        ij = (row_index[(mu,)], col_index[(lab,)])
-                        acc[ij] = get(ij, 0) + c
+        elif self.coeff == GROUND_COEFF:
+            mat = self._ground[n + 1]
         else:
+            col_index = {c: i for i, c in enumerate(cols)}
+            row_index = {r: i for i, r in enumerate(rows)}
+            # raw sums per entry, reduced once: nonzero and reduced to adopt
+            acc = {}
+            get = acc.get
             act = AlgebraAsBimodule(self.alg).act
             acts = self._acts
             monos = basis_up_to(self.alg, cutoff)
@@ -274,7 +272,8 @@ class CochainTruncation:
                         for m2, c2 in image.items():
                             ij = (row_index[(mu, m2)], ci)
                             acc[ij] = get(ij, 0) + c * c2
-        mat = SparseMatrix._adopt(len(rows), len(cols), reduce_sums(f, acc), f)
+            mat = SparseMatrix._adopt(len(rows), len(cols),
+                                      reduce_sums(f, acc), f)
         self._mats[key] = (mat, cols, rows)
         return self._mats[key]
 
@@ -296,7 +295,8 @@ class CochainTruncation:
 
     def degree_slice_dim(self, n, t, cutoff):
         """Exact dimension of the degree-t slice at stage n (graded
-        complexes only); None when the slice does not fit the window."""
+        complexes only), from the t-blocks of the codifferentials out of
+        stages n and n - 1; None when the slice does not fit the window."""
         if not self.graded:
             raise HomologyError("per-degree slices need a graded complex")
         stages = [m for m in (n - 1, n, n + 1) if 0 <= m <= self.top]
@@ -304,22 +304,22 @@ class CochainTruncation:
                      for m in stages for lab in self.cplx.terms[m].labels)
         if t + maxlab > cutoff:
             return None
-        mat, cols, rows = self.matrix(n, cutoff)
-        keep_c = [i for i, col in enumerate(cols)
-                  if self.t_value(col, n) == t]
-        keep_r = [i for i, row in enumerate(rows)
-                  if self.t_value(row, n + 1) == t] if rows else []
-        sliced = mat.restrict(rows=keep_r, cols=keep_c)
-        kernel = sliced.kernel_dim()
+        kernel = self.basis(n, cutoff)[1].count(t) - self._t_rank(n, t, cutoff)
         if n == 0:
             return kernel
-        prev, pcols, prows = self.matrix(n - 1, cutoff)
-        keep_pc = [i for i, col in enumerate(pcols)
-                   if self.t_value(col, n - 1) == t]
-        keep_pr = [i for i, row in enumerate(prows)
-                   if self.t_value(row, n) == t]
-        image = prev.restrict(rows=keep_pr, cols=keep_pc).rank()
-        return kernel - image
+        return kernel - self._t_rank(n - 1, t, cutoff)
+
+    def _t_rank(self, n, t, cutoff):
+        """Rank of the degree-t block of ``matrix(n, cutoff)``: a graded
+        codifferential keeps t, so it splits by ``degree_blocks``."""
+        key = (n, cutoff)
+        if key not in self._blocks:
+            self._blocks[key] = degree_blocks(
+                self.matrix(n, cutoff)[0],
+                self.basis(n + 1, cutoff + self.raises.get(n + 1, 0))[1],
+                self.basis(n, cutoff)[1])
+        block = self._blocks[key].get(t)
+        return 0 if block is None else block.rank()
 
 
 class CohomologyReport:
@@ -374,11 +374,8 @@ def hochschild_cohomology(source, n_top=None, cutoff=8, coeff=SELF_COEFF):
         again = co.window_dim(n, recheck)
         rep.dims[n] = here
         rep.stable[n] = here == again
-    if co.graded:
-        for n in range(n_top + 1):
-            ts = sorted({co.t_value(col, n)
-                         for col in co.basis(n, cutoff)})
-            for t in ts:
+        if co.graded:
+            for t in sorted(set(co.basis(n, cutoff)[1])):
                 d = co.degree_slice_dim(n, t, cutoff)
                 if d is not None:
                     rep.per_degree[(n, t)] = d
@@ -390,9 +387,11 @@ def hochschild_cohomology(source, n_top=None, cutoff=8, coeff=SELF_COEFF):
 
 
 def _reduced_matrices(cplx):
-    """Collapse a one-sided resolution along the counit: stage n keeps a
-    basis of generator labels, a differential entry survives with the
-    counit of its coefficient."""
+    """Collapse a free resolution along the counit: stage n keeps a basis
+    of generator labels, and a differential entry l⊗[lab] (one-sided) or
+    l⊗[lab]⊗r (two-sided) survives with its coefficient when the counit
+    is nonzero on l and on r.  The ground field is commutative, so
+    epsilon(r) is read as a left action."""
     f = cplx.algebra.field
     eps = GroundModule(cplx.algebra).act
     sizes = [len(term.labels) for term in cplx.terms]
@@ -403,8 +402,9 @@ def _reduced_matrices(cplx):
         acc = {}
         get = acc.get
         for lab, img in cplx.differentials[n].items():
-            for (l, lab2), c in img.terms.items():
-                if eps(l, lab2, None):
+            for key, c in img.terms.items():
+                l, lab2, r = key if len(key) == 3 else key + (None,)
+                if eps(l, lab2, None) and eps(r, lab2, None):
                     ij = (tgt[lab2], src[lab])
                     acc[ij] = get(ij, 0) + c
         mats.append(SparseMatrix._adopt(sizes[n - 1], sizes[n],

@@ -310,16 +310,7 @@ def custom_twist(a_spec, b_spec, table, base=None, name=None):
 
 
 # ---------------------------------------------------------------------------
-# twisted multiplication, hexagon
-
-
-def twisted_multiply(u, v):
-    """(a (x) b)(a' (x) b') routed through tau; normalized."""
-    if u.spec is not v.spec:
-        raise SpecMismatchError("operands from different twisted products")
-    if u.spec.variant != TWISTED_PRODUCT:
-        raise SpecMismatchError("twisted_multiply needs twisted-product elements")
-    return u * v
+# the hexagon
 
 
 def hexagon_sides(t, b, b2, a, a2, products=None):

@@ -13,7 +13,7 @@ import pytest
 
 from twistres import algebra, homology, kernel, resolutions, twist
 from twistres import complex as complex_
-from twistres.kernel import QQ, PrimeField, SparseMatrix
+from twistres.kernel import QQ, PrimeField, SparseMatrix, add_term
 from twistres.algebra import (
     basis_up_to, cyclic_group_algebra, heisenberg_algebra, polynomial_algebra,
     solvable_2dim_algebra, weyl_algebra,
@@ -313,10 +313,14 @@ def test_criterion_8_mutations_break_the_checks(monkeypatch):
         rep = exactness_report(koszul, 4)
         assert not rep.passed and rep.aug_coker == 5
 
-        # rank_on's per-degree blocks: the graded flag forced on for a
-        # filtered truncation (the block split must refuse it), then the
-        # top-degree block rank dropped
+        # the per-degree blocks of rank_on and of the Hochschild slices:
+        # the graded flag forced on for a filtered truncation (the block
+        # split must refuse it), then the top-degree block dropped
         monkeypatch.undo()
+        kz3_bar = bar(cyclic_group_algebra(3, PrimeField(3)), 3,
+                      middle_cutoff=0, reduced=True)
+        table = {(n, 0): 3 for n in range(3)}
+        assert hochschild_cohomology(kz3_bar, cutoff=2).per_degree == table
         init = TruncatedComplex.__init__
 
         def forced_graded(tc, spec, cutoff):
@@ -327,20 +331,59 @@ def test_criterion_8_mutations_break_the_checks(monkeypatch):
         with pytest.raises(ComplexError):
             exactness_report(ore_koszul(weyl_algebra()).complex, 4)
         monkeypatch.undo()
-        block_ranks = TruncatedComplex._block_ranks
+        blocks = complex_.degree_blocks
 
-        def without_top(tc, n):
-            ranks = block_ranks(tc, n)
-            ranks.pop(tc.cutoff, None)
-            return ranks
+        def without_top(m, row_degrees, col_degrees):
+            split = blocks(m, row_degrees, col_degrees)
+            split.pop(max(split, default=None), None)
+            return split
 
-        monkeypatch.setattr(TruncatedComplex, "_block_ranks", without_top)
+        for mod in (complex_, homology):
+            monkeypatch.setattr(mod, "degree_blocks", without_top)
         rep = exactness_report(koszul, 4)
         assert not rep.passed
         assert rep.homology == {1: 40, 2: 10} and rep.aug_coker == 5
         skew = triangular_skew_product(3, periodic_degree=4)
         rep = kunneth_degree0_check(skew, truncate(skew.complex, 3))
         assert not rep.passed and rep.rows[3] == (198, 30)
+        assert hochschild_cohomology(kz3_bar, cutoff=2).per_degree != table
+
+        # the counit collapse with its right-hand test skipped, as if each
+        # two-sided key l⊗[lab]⊗r ended in r = 1: in the ground cochains
+        # of d(e) = x⊗[1]⊗1 + 1⊗[1]⊗x the second term then survives, and
+        # joins t = 0 to t = -1, which the slices' block split refuses
+        monkeypatch.undo()
+        kx = polynomial_algebra(("x",), name="k[x]")
+        x = kx.gen("x")
+        t0 = FreeModuleTerm(kx, ("1",), side=BIMODULE)
+        t1 = FreeModuleTerm(kx, ("e",), side=BIMODULE,
+                            internal_degree={"e": 1})
+        one = t0.generator("1")
+        anticommutator = ChainComplexSpec(
+            kx, [t0, t1], [None, {"e": one.left_mul(x) + one.right_mul(x)}],
+            augmentation={"1": kx.one().terms}, aug_kind="algebra",
+            name="anticommutator")
+        assert hochschild_cohomology(anticommutator, cutoff=2,
+                                     coeff="ground").dims == {0: 1, 1: 1}
+        reduced = homology._reduced_matrices
+
+        def right_counit_skipped(cplx):
+            unit = cplx.algebra.one_monomial()
+            diffs = [None]
+            for d in cplx.differentials[1:]:
+                moved = {}
+                for mu, img in d.items():
+                    terms = {}
+                    for (l, lab, _r), c in img.terms.items():
+                        add_term(cplx.algebra.field, terms, (l, lab, unit), c)
+                    moved[mu] = FreeElement(img.term, terms)
+                diffs.append(moved)
+            return reduced(ChainComplexSpec(cplx.algebra, cplx.terms, diffs))
+
+        monkeypatch.setattr(homology, "_reduced_matrices",
+                            right_counit_skipped)
+        with pytest.raises(ComplexError):
+            hochschild_cohomology(anticommutator, cutoff=2, coeff="ground")
 
         # Q products that keep only the numerator of a non-integral result,
         # wherever they are taken (Fraction's own product, so raw products

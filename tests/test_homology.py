@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from twistres.kernel import QQ, PrimeField
+from twistres.kernel import QQ, PrimeField, SparseMatrix
 from twistres.algebra import (
     cyclic_group_algebra, heisenberg_algebra, parse_element,
     polynomial_algebra, solvable_2dim_algebra, weyl_algebra,
@@ -21,10 +21,12 @@ from twistres.twistprod import (
 )
 from twistres.complex import (
     BIMODULE, GROUND_KEY, LEFT_MODULE, ChainComplexSpec, FreeModuleTerm,
+    GroundModule,
 )
 from twistres.homology import (
-    CochainTruncation, HomologyError, algebra_is_graded, complex_is_graded,
-    ext_over_augmented, hochschild_cohomology, tor_over_augmented,
+    CochainTruncation, HomologyError, _resolve_algebra_source,
+    algebra_is_graded, complex_is_graded, ext_over_augmented,
+    hochschild_cohomology, tor_over_augmented,
 )
 
 
@@ -273,3 +275,130 @@ def test_collapse_rejects_two_sided_input():
         tor_over_augmented(poly_koszul(_kx()))
     with pytest.raises(HomologyError):
         hochschild_cohomology(one_sided_koszul_kx(_kx()))
+
+
+# ---------------------------------------------------------------------------
+# differential test: the t-blocks and the transposed counit collapse against
+# the per-slice restriction and the ground accumulation loop they replaced
+
+
+class RefCochains(CochainTruncation):
+    """The reference cochain truncation: ground codifferentials from a loop
+    that keeps an entry when the counit is nonzero on both of its sides,
+    and each degree-t slice restricted out of the full matrices."""
+
+    def t_value(self, col, n):
+        base = self.cplx.terms[n].internal_degree[col[0]]
+        if self.coeff == "ground":
+            return -base
+        return self.alg.monomial_degree(col[1]) - base
+
+    def matrix(self, n, cutoff):
+        if self.coeff != "ground" or n + 1 > self.top:
+            return super().matrix(n, cutoff)
+        cols = self.basis(n, cutoff)[0]
+        rows = self.basis(n + 1, cutoff)[0]
+        col_index = {c: i for i, c in enumerate(cols)}
+        row_index = {r: i for i, r in enumerate(rows)}
+        eps = GroundModule(self.alg).act
+        sums = {}
+        for mu, img in self.cplx.differentials[n + 1].items():
+            for (l, lab, r), c in img.terms.items():
+                if eps(l, lab, None) and eps(r, lab, None):
+                    ij = (row_index[(mu,)], col_index[(lab,)])
+                    sums[ij] = sums.get(ij, 0) + c
+        entries = [(i, j, v) for (i, j), v in sums.items()]
+        return SparseMatrix(len(rows), len(cols), entries, self.field), \
+            cols, rows
+
+    def degree_slice_dim(self, n, t, cutoff):
+        stages = [m for m in (n - 1, n, n + 1) if 0 <= m <= self.top]
+        maxlab = max(self.cplx.terms[m].internal_degree[lab]
+                     for m in stages for lab in self.cplx.terms[m].labels)
+        if t + maxlab > cutoff:
+            return None
+        mat, cols, rows = self.matrix(n, cutoff)
+        keep_c = [i for i, col in enumerate(cols) if self.t_value(col, n) == t]
+        keep_r = [i for i, row in enumerate(rows)
+                  if self.t_value(row, n + 1) == t]
+        kernel = mat.restrict(rows=keep_r, cols=keep_c).kernel_dim()
+        if n == 0:
+            return kernel
+        prev, pcols, prows = self.matrix(n - 1, cutoff)
+        keep_pc = [i for i, col in enumerate(pcols)
+                   if self.t_value(col, n - 1) == t]
+        keep_pr = [i for i, row in enumerate(prows)
+                   if self.t_value(row, n) == t]
+        return kernel - prev.restrict(rows=keep_pr, cols=keep_pc).rank()
+
+
+def ref_cohomology(cplx, coeff, cutoff, recheck):
+    """(dims, stable, per_degree) as ``hochschild_cohomology`` reports
+    them, read from the reference truncation."""
+    co = RefCochains(cplx, coeff)
+    dims, stable, per_degree = {}, {}, {}
+    for n in range(cplx.trusted_top + 1):
+        dims[n] = co.window_dim(n, cutoff)
+        stable[n] = dims[n] == co.window_dim(n, recheck)
+    for n in range(cplx.trusted_top + 1):
+        for t in sorted({co.t_value(col, n)
+                         for col in co.basis(n, cutoff)[0]}):
+            d = co.degree_slice_dim(n, t, cutoff)
+            if d is not None:
+                per_degree[(n, t)] = d
+    return dims, stable, per_degree
+
+
+def _two_sided_suite():
+    from test_acceptance import _suite_products, _suite_resolutions
+    out = {}
+    for i, built in enumerate(_suite_resolutions() + _suite_products()):
+        cplx = getattr(built, "complex", built)
+        if cplx.terms[0].side == BIMODULE and cplx.aug_kind == "algebra":
+            out["suite-%d" % i] = _resolve_algebra_source(built)
+    return out
+
+
+def _graded_cases():
+    cases = {name: cplx for name, cplx in _two_sided_suite().items()
+             if complex_is_graded(cplx)}
+    # reduced bar labels carry degree, so the fit rule drops ground slices
+    cases["bar-k[x]"] = bar(_kx(), 3, middle_cutoff=2, reduced=True).complex
+    return cases
+
+
+GRADED_CASES = sorted(_graded_cases())
+
+
+@pytest.mark.parametrize("name", GRADED_CASES)
+def test_cochain_blocks_match_restrict_reference(name):
+    cplx = _graded_cases()[name]
+    for coeff in ("self", "ground"):
+        dropped = False
+        for cutoff in range(7):
+            rep = hochschild_cohomology(cplx, cutoff=cutoff, coeff=coeff)
+            dims, stable, per_degree = ref_cohomology(
+                cplx, coeff, cutoff, rep.recheck_cutoff)
+            assert rep.dims == dims, (coeff, cutoff)
+            assert rep.stable == stable, (coeff, cutoff)
+            assert list(rep.per_degree.items()) == list(per_degree.items()), \
+                (coeff, cutoff)
+            slices = {(n, t) for n in rep.dims
+                      for t in CochainTruncation(cplx, coeff)
+                      .basis(n, cutoff)[1]}
+            dropped |= bool(slices - set(per_degree))
+        if name == "bar-k[x]" and coeff == "ground":
+            assert dropped
+
+
+def test_ground_cochains_match_accumulation_reference():
+    for name, cplx in sorted(_two_sided_suite().items()):
+        co = CochainTruncation(cplx, "ground")
+        ref = RefCochains(cplx, "ground")
+        for n in range(co.top + 1):
+            for cutoff in (0, 4):
+                mat, cols, rows = co.matrix(n, cutoff)
+                want, ref_cols, ref_rows = ref.matrix(n, cutoff)
+                assert (cols, rows) == (ref_cols, ref_rows), (name, n)
+                assert (mat.nrows, mat.ncols) == (want.nrows, want.ncols)
+                assert mat.entries == want.entries, (name, n)
