@@ -119,10 +119,6 @@ class AlgebraSpec:
 
     # -- generators and units ------------------------------------------------
 
-    @property
-    def characteristic(self):
-        return self.field.characteristic
-
     def one_monomial(self):
         if self.variant in (POLYNOMIAL, ITERATED_ORE):
             return (0,) * len(self.gens)
@@ -377,9 +373,6 @@ class AlgebraElement:
         self.spec = spec
         self.terms = terms
 
-    def is_zero(self):
-        return not self.terms
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -467,10 +460,10 @@ def polynomial_algebra(gens, field=QQ, name=None):
     return AlgebraSpec(POLYNOMIAL, field, gens=tuple(gens), name=name)
 
 
-def cyclic_group_algebra(order, field=QQ, gen="g", name=None):
+def cyclic_group_algebra(order, field=QQ, name=None):
     if order < 1:
         raise AlgebraError("group order must be >= 1")
-    return AlgebraSpec(CYCLIC_GROUP, field, gens=(gen,), order=order, name=name)
+    return AlgebraSpec(CYCLIC_GROUP, field, gens=("g",), order=order, name=name)
 
 
 def iterated_ore_algebra(gens, delta, field=QQ, name=None):
@@ -580,7 +573,7 @@ def filtration_degree(elem):
 
 # -- standard examples ------------------------------------------------------------
 
-def weyl_algebra(field=QQ, n=1):
+def weyl_algebra(n=1):
     """The n-th Weyl algebra: x_i y_i - y_i x_i = 1, all other pairs commute.
 
     Presented as an iterated Ore extension on x_1..x_n, y_1..y_n with
@@ -593,21 +586,21 @@ def weyl_algebra(field=QQ, n=1):
             tuple("y%d" % (i + 1) for i in range(n))
     zero_mono = (0,) * (2 * n)
     delta = {(n + i, i): {zero_mono: -1} for i in range(n)}
-    return AlgebraSpec(ITERATED_ORE, field, gens=gens, delta=delta,
+    return AlgebraSpec(ITERATED_ORE, QQ, gens=gens, delta=delta,
                        name="Weyl" if n == 1 else "Weyl_%d" % n)
 
 
-def solvable_2dim_algebra(field=QQ):
+def solvable_2dim_algebra():
     """U(g) for the 2-dim solvable Lie algebra [x, y] = y:
     x y rewrites to y x + y."""
-    return AlgebraSpec(ITERATED_ORE, field, gens=("y", "x"),
+    return AlgebraSpec(ITERATED_ORE, QQ, gens=("y", "x"),
                        delta={(1, 0): {(1, 0): 1}}, name="U(solv2)")
 
 
-def heisenberg_algebra(field=QQ):
+def heisenberg_algebra():
     """U(h) for the 3-dim Heisenberg Lie algebra [x, y] = z, z central:
     x y rewrites to y x + z."""
-    return AlgebraSpec(ITERATED_ORE, field, gens=("z", "y", "x"),
+    return AlgebraSpec(ITERATED_ORE, QQ, gens=("z", "y", "x"),
                        delta={(2, 1): {(1, 0, 0): 1}}, name="U(heis3)")
 
 

@@ -615,16 +615,17 @@ class TaskRecord:
     def ok(self):
         return self.status in ("pass", "unstable")
 
-    def check(self, rep, keep=5):
+    def check(self, rep):
         """Fold a check report (a CheckReport or a data report with
-        .passed) in; only a CheckReport carries violations."""
+        .passed) in; only a CheckReport carries violations, of which the
+        first five are kept."""
         self.detail = "%s; %s" % (self.detail, rep) if self.detail \
             else "%s" % (rep,)
         bad = getattr(rep, "violations", [])
-        for item in bad[:keep]:
+        for item in bad[:5]:
             self.violations.append(_format_violation(item))
-        if len(bad) > keep:
-            self.violations.append("... %d more" % (len(bad) - keep))
+        if len(bad) > 5:
+            self.violations.append("... %d more" % (len(bad) - 5))
         if not rep.passed:
             self.status = "fail"
 
@@ -905,7 +906,7 @@ def run(config):
 # presets: one canned pipeline per worked example
 
 
-def _weyl_preset(n=1):
+def _weyl_preset(n):
     if n == 1:
         algebras = {
             "A": {"kind": "polynomial", "generators": ["y"]},
@@ -988,10 +989,10 @@ def _heisenberg_preset():
     }
 
 
-def _cyclic_preset(p=3):
+def _cyclic_preset():
     return {
-        "field": p,
-        "algebras": {"G": {"kind": "cyclic-group", "order": p}},
+        "field": 3,
+        "algebras": {"G": {"kind": "cyclic-group", "order": 3}},
         "resolutions": {"PG": {"algebra": "G", "family": "cyclic-periodic",
                                "n_max": 5, "cutoff": 4}},
         "tasks": ["verify-resolution",

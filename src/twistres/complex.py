@@ -540,8 +540,8 @@ class TruncatedComplex:
         return self._image_in_window(
             n + 1, self.window if window is None else window)
 
-    def cycle_dim_in_window(self, n, window=None):
-        d = self.window if window is None else window
+    def cycle_dim_in_window(self, n):
+        d = self.window
         free = sum(1 for dg in self.key_degrees[n] if dg <= d)
         return free - self.rank_on(n, _every, lambda e: e <= d)
 

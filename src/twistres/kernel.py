@@ -73,12 +73,6 @@ class RationalField:
     def is_zero(self, v):
         return v == 0
 
-    def add(self, a, b):
-        return _integral(a + b)
-
-    def sub(self, a, b):
-        return _integral(a - b)
-
     def mul(self, a, b):
         r = a * b
         if r.__class__ is int:
@@ -91,7 +85,7 @@ class RationalField:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        return _integral(1 / Fraction(a))
+        return self.coerce(1 / Fraction(a))
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -101,13 +95,6 @@ class RationalField:
 
     def __repr__(self):
         return "QQ"
-
-
-def _integral(r):
-    """A rational as an int when it is integral."""
-    if r.__class__ is Fraction and r.denominator == 1:
-        return r.numerator
-    return r
 
 
 def add_term(field, out, key, value):
@@ -225,12 +212,6 @@ class PrimeField:
 
     def is_zero(self, v):
         return v % self.p == 0
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
 
     def mul(self, a, b):
         return (a * b) % self.p

@@ -55,7 +55,7 @@ from __future__ import annotations
 import random
 
 from .kernel import (
-    QQ, CheckReport, PrimeField, NonInvertibleError, SparseMatrix, add_term,
+    CheckReport, PrimeField, NonInvertibleError, SparseMatrix, add_term,
     invert_dense, reduce_sums,
 )
 from .algebra import (
@@ -155,11 +155,11 @@ class TwistMap:
                 name=name or "%s⊗_τ%s" % (self.a_spec, self.b_spec))
         return self._product
 
-    def with_overrides(self, table, name=None):
+    def with_overrides(self, table):
         """A copy whose rule on the tabulated pairs is replaced verbatim."""
         return TwistMap(self.a_spec, self.b_spec, CUSTOM,
                         _table_rule(table, self.field, base=self),
-                        name=name or "%s+overrides" % self.name)
+                        name="%s+overrides" % self.name)
 
     def __repr__(self):
         return "TwistMap(%s: %r⊗%r→%r⊗%r)" % (
@@ -562,14 +562,14 @@ def self_right_bimodule_compat(t):
                      name="%s-on-itself-right" % t.name)
 
 
-def transposition_compat(t, module, kind=ONE_SIDED):
-    """The plain flip b (x) m -> m (x) b (or n (x) a -> a (x) n)."""
+def transposition_compat(t, module):
+    """The plain flip b (x) m -> m (x) b across a left module over A."""
     f = t.field
 
     def rule(x, y, lookup):
         return {(y, x): f.one}
 
-    return CompatMap(kind, t, module, rule, name="transposition")
+    return CompatMap(ONE_SIDED, t, module, rule, name="transposition")
 
 
 def check_bimodule_compat(c, degree_bound):
@@ -730,19 +730,17 @@ def check_bimodule_compat(c, degree_bound):
 # ready-made twists
 
 
-def weyl_twist(field=None):
+def weyl_twist():
     """k[x] and k[y] crossed by y.x = x.y - 1."""
-    f = field or QQ
-    ax = polynomial_algebra(("x",), field=f, name="k[x]")
-    by = polynomial_algebra(("y",), field=f, name="k[y]")
+    ax = polynomial_algebra(("x",), name="k[x]")
+    by = polynomial_algebra(("y",), name="k[y]")
     return ore_twist(ax, by, {"x": "-1"}, name="weyl")
 
 
-def solvable_pair_twist(field=None):
+def solvable_pair_twist():
     """k[y] and k[x] crossed by x.y = y.x + y (the 2-dim solvable pair)."""
-    f = field or QQ
-    ay = polynomial_algebra(("y",), field=f, name="k[y]")
-    bx = polynomial_algebra(("x",), field=f, name="k[x]")
+    ay = polynomial_algebra(("y",), name="k[y]")
+    bx = polynomial_algebra(("x",), name="k[x]")
     return ore_twist(ay, bx, {"y": "y"}, name="solvable-pair")
 
 

@@ -318,14 +318,6 @@ class TotalComplex:
         self.complex = cplx
 
     @property
-    def twist(self):
-        return self.bicomplex.twist
-
-    @property
-    def plain(self):
-        return self.bicomplex.plain
-
-    @property
     def product(self):
         """The twisted product algebra (acts through the lifts)."""
         return self.bicomplex.twist.product()
@@ -486,7 +478,7 @@ def bimodule_twisted_product(pm, pn, t, vertical_sign=True, name=None):
     return bic.total(name=name)
 
 
-def one_sided_twisted_product(pm, pn, vertical_sign=True, name=None):
+def one_sided_twisted_product(pm, pn):
     """Total complex of two one-sided factor resolutions of the ground
     field, over the twist carried by the first factor's lifts.
 
@@ -502,10 +494,10 @@ def one_sided_twisted_product(pm, pn, vertical_sign=True, name=None):
         raise ProductError(
             "one-sided products need factors resolving the ground field; "
             "got %r and %r" % (pm.resolved, pn.resolved))
-    bic = TwistedBicomplex(pm, pn, t, vertical_sign=vertical_sign)
+    bic = TwistedBicomplex(pm, pn, t)
     if bic.bimodule:
         raise ProductError("one-sided products need one-sided factor terms")
-    return bic.total(name=name)
+    return bic.total()
 
 
 def koszul_pair_product(t, vertical_sign=True):
@@ -517,7 +509,7 @@ def koszul_pair_product(t, vertical_sign=True):
     return bimodule_twisted_product(pm, pn, t, vertical_sign=vertical_sign)
 
 
-def triangular_skew_product(p, periodic_degree=4, vertical_sign=True):
+def triangular_skew_product(p, periodic_degree=4):
     """The worked product for a cyclic group of prime order acting on a
     plane in characteristic p by the unipotent substitution: the
     two-periodic resolution for the group algebra (left lifts through the
@@ -527,38 +519,33 @@ def triangular_skew_product(p, periodic_degree=4, vertical_sign=True):
     pm = lift_twist(cyclic_periodic(p, periodic_degree, spec=t.a_spec),
                     t, side="left")
     pn = lift_twist(poly_koszul(t.b_spec), t, side="right")
-    return bimodule_twisted_product(pm, pn, t, vertical_sign=vertical_sign)
+    return bimodule_twisted_product(pm, pn, t)
 
 
 # ---------------------------------------------------------------------------
 # changes of presentation
 
 
-def present_over_twisted_algebra(tc, degree_bound=None, n_top=None):
+def present_over_twisted_algebra(tc):
     """Re-express a total complex over the twisted product algebra.
 
     The twisted free-module presentation uses the same generator labels;
     its coordinates are found by expanding each twisted basis key
     (coefficient times generator times coefficient, multiplied through
     the lifts) in the plain presentation and solving the resulting square
-    system degree by degree.  The returned complex has the original
-    differentials rewritten in twisted coordinates, so its composition
-    check genuinely exercises the twisted multiplication."""
+    system degree by degree, up to the largest internal degree of a
+    generator.  The returned complex has the original differentials
+    rewritten in twisted coordinates, so its composition check genuinely
+    exercises the twisted multiplication."""
     bic = tc.bicomplex
     C = tc.product
     f = bic.field
-    top = tc.n_max if n_top is None else min(n_top, tc.n_max)
-    if degree_bound is None:
-        degree_bound = 0
-        for n in range(top + 1):
-            term = tc.complex.terms[n]
-            for lab in term.labels:
-                degree_bound = max(degree_bound, term.internal_degree[lab])
-    terms_c = []
-    for n in range(top + 1):
-        term = tc.complex.terms[n]
-        terms_c.append(FreeModuleTerm(C, list(term.labels), term.side,
-                                      dict(term.internal_degree)))
+    degree_bound = max((term.internal_degree[lab]
+                        for term in tc.complex.terms for lab in term.labels),
+                       default=0)
+    terms_c = [FreeModuleTerm(C, list(term.labels), term.side,
+                              dict(term.internal_degree))
+               for term in tc.complex.terms]
     solvers = {}
 
     def build_solver(n):
@@ -602,7 +589,7 @@ def present_over_twisted_algebra(tc, degree_bound=None, n_top=None):
         return {cols[cx]: val for cx, val in sol.items()}
 
     diffs = [{}]
-    for n in range(1, top + 1):
+    for n in range(1, len(terms_c)):
         dn = {}
         for lab in terms_c[n].labels:
             img = tc.complex.differentials[n][lab]
@@ -612,11 +599,10 @@ def present_over_twisted_algebra(tc, degree_bound=None, n_top=None):
     return ChainComplexSpec(
         C, terms_c, diffs, augmentation=dict(tc.complex.augmentation),
         aug_kind=tc.complex.aug_kind,
-        complete_above=tc.complex.complete_above and top == tc.n_max,
-        name=name)
+        complete_above=tc.complex.complete_above, name=name)
 
 
-def transport_complex(cplx, target, mono_map, label_map, name=None):
+def transport_complex(cplx, target, mono_map, label_map):
     """Rewrite a complex over an isomorphic algebra: every monomial goes
     through ``mono_map``, every generator label through ``label_map``
     (a callable).  Internal degrees ride along unchanged."""
@@ -662,7 +648,7 @@ def transport_complex(cplx, target, mono_map, label_map, name=None):
     return ChainComplexSpec(
         target, terms, diffs, augmentation=aug, aug_kind=cplx.aug_kind,
         complete_above=cplx.complete_above,
-        name=name or "%s / transported" % (cplx.name,))
+        name="%s / transported" % (cplx.name,))
 
 
 def complexes_match(c1, c2):
@@ -925,7 +911,7 @@ def ore_module_resolution(bundle, delta, x_name="x"):
     return tc
 
 
-def iterated_ore_tower(gen_names, brackets, field=None):
+def iterated_ore_tower(gen_names, brackets):
     """Iterate the one-variable construction over an ordered generator
     list.  ``brackets`` maps (later name, earlier name) pairs to the
     derivation image of the earlier generator (a string or element over
@@ -936,14 +922,9 @@ def iterated_ore_tower(gen_names, brackets, field=None):
     Returns (totals, bundle): one total complex per adjoined variable,
     and the final wedge resolution of the ground field over the full
     extension."""
-    from .kernel import QQ
-
-    if field is None:
-        field = QQ
     if not gen_names:
         raise ProductError("need at least one generator name")
-    spec0 = polynomial_algebra(gen_names[:1], field=field,
-                               name="k[%s]" % gen_names[0])
+    spec0 = polynomial_algebra(gen_names[:1], name="k[%s]" % gen_names[0])
     bundle = one_sided_koszul_kx(spec0)
     totals = []
     for pos in range(1, len(gen_names)):

@@ -21,8 +21,7 @@ from twistres.algebra import (
 from twistres.twist import (
     LEFT_BIMODULE, AlgebraAsBimodule, GroundModule, check_bimodule_compat,
     check_hexagon, custom_twist, flip_twist, ore_twist, self_bimodule_compat,
-    solvable_pair_twist, transposition_compat, triangular_action_twist,
-    weyl_twist,
+    solvable_pair_twist, triangular_action_twist, weyl_twist,
 )
 from twistres.complex import BIMODULE, GROUND_KEY, LEFT_MODULE, \
     ChainComplexSpec, ComplexError, DegreeRaisingError, FreeElement, \
@@ -40,6 +39,7 @@ from twistres.algebra import iterated_ore_algebra
 from twistres.homology import (
     ext_over_augmented, hochschild_cohomology, tor_over_augmented,
 )
+from test_twist import flip_compat
 
 
 class _criterion:
@@ -88,7 +88,7 @@ def _suite_resolutions():
         poly_koszul(_kxy()),
         poly_koszul(_kxy(), bimodule=False),
         ore_koszul(weyl_algebra()),
-        ore_koszul(weyl_algebra(QQ, 2)),
+        ore_koszul(weyl_algebra(n=2)),
         ore_koszul(solvable_2dim_algebra()),
         ore_koszul(solvable_2dim_algebra(), bimodule=False),
         ore_koszul(heisenberg_algebra(), bimodule=False),
@@ -277,7 +277,7 @@ def test_criterion_8_mutations_break_the_checks(monkeypatch):
         # itself, where y.x = xy - 1 has two terms
         monkeypatch.undo()
         weyl = weyl_algebra()
-        on_weyl = transposition_compat(
+        on_weyl = flip_compat(
             flip_twist(weyl, polynomial_algebra(("z",))),
             AlgebraAsBimodule(weyl), LEFT_BIMODULE)
         assert check_bimodule_compat(on_weyl, 2).passed

@@ -232,7 +232,8 @@ def test_rewriting_is_bounded():
 
 
 def test_mod_p_coefficients():
-    w3 = weyl_algebra(PrimeField(3))
+    w3 = iterated_ore_algebra(("x", "y"), {(1, 0): {(0, 0): -1}},
+                              PrimeField(3))
     # y^3 x = x y^3 - 3 y^2 = x y^3 in characteristic 3
     assert E("y^3", w3) * E("x", w3) == E("x*y^3", w3)
 

@@ -13,11 +13,13 @@ from twistres.resolutions import (
 from twistres.twist import (
     LEFT_BIMODULE, ONE_SIDED, RIGHT_BIMODULE, AlgebraAsBimodule,
     GroundModule, check_bimodule_compat, check_hexagon, solvable_pair_twist,
-    transposition_compat, weyl_twist,
+    weyl_twist,
 )
 from twistres.twistprod import (
     complexes_match, koszul_pair_product, ore_module_resolution,
 )
+
+from test_twist import flip_compat
 
 WEYL_TOTAL = "total(poly-koszul(k[x]) ⊗ poly-koszul(k[y]))"
 
@@ -33,7 +35,7 @@ def _transposition(kind):
     module = {LEFT_BIMODULE: AlgebraAsBimodule(t.a_spec),
               RIGHT_BIMODULE: AlgebraAsBimodule(t.b_spec),
               ONE_SIDED: GroundModule(t.a_spec)}[kind]
-    return check_bimodule_compat(transposition_compat(t, module, kind), 2)
+    return check_bimodule_compat(flip_compat(t, module, kind), 2)
 
 
 def _weyl_lift():
@@ -65,25 +67,25 @@ CASES = [
     ("hexagon-corrupted", _corrupted_weyl_hexagon,
      "hexagon(weyl+overrides, deg<=3, 50 samples): FAIL(137) on 306 tuples",
      ["a=x; a_prime=x; b=1; b_prime=y; lhs=-2·(x⊗1) + 1·(x^2⊗y); "
-      "rhs=2·(x⊗1) + 1·(x^2⊗y)", "... 136 more"]),
+      "rhs=2·(x⊗1) + 1·(x^2⊗y)", "... 132 more"]),
     ("compat-left", lambda: _transposition(LEFT_BIMODULE),
      "compat(transposition, left-of-bimodule, deg<=2): FAIL(48) on 111 "
      "tuples",
      ["equation=module-side; inputs=('y', '1', '1', 'x'); "
       "lhs=[(((1,), (1,)), Fraction(1, 1))]; "
       "rhs=[(((0,), (0,)), Fraction(-1, 1)), (((1,), (1,)), Fraction(1, 1))]",
-      "... 47 more"]),
+      "... 43 more"]),
     ("compat-right", lambda: _transposition(RIGHT_BIMODULE),
      "compat(transposition, right-of-bimodule, deg<=2): FAIL(48) on 111 "
      "tuples",
      ["equation=module-side; inputs=('1', '1', 'y', 'x'); "
       "lhs=[(((1,), (1,)), Fraction(1, 1))]; "
       "rhs=[(((0,), (0,)), Fraction(-1, 1)), (((1,), (1,)), Fraction(1, 1))]",
-      "... 47 more"]),
+      "... 43 more"]),
     ("compat-one-sided", lambda: _transposition(ONE_SIDED),
      "compat(transposition, one-sided, deg<=2): FAIL(3) on 19 tuples",
      ["equation=module-side; inputs=('y', 'x', '[k]', ''); lhs=[]; "
-      "rhs=[(('k', (0,)), Fraction(-1, 1))]", "... 2 more"]),
+      "rhs=[(('k', (0,)), Fraction(-1, 1))]"]),
     ("compose-pass",
      lambda: compose_check(koszul_pair_product(weyl_twist()).complex),
      "compose_check(%s): pass on 3 labels" % WEYL_TOTAL, []),
@@ -104,7 +106,7 @@ CASES = [
       "((((1,), (), (0,)), (1,)), Fraction(1, 1))]; "
       "rhs=[((((0,), (), (1,)), (1,)), Fraction(-2, 1)), "
       "((((1,), (), (0,)), (1,)), Fraction(2, 1))]; "
-      "where=(1, (0,), (1,))", "... 1 more"]),
+      "where=(1, (0,), (1,))"]),
     ("crosscheck-pass",
      lambda: crosscheck_koszul_lift(_weyl_lift(), n_bound=2, degree_bound=2),
      "wedge-vs-bar lift crosscheck(poly-koszul(k[x]), n<=1, deg<=2): pass "
@@ -129,11 +131,16 @@ CASES = [
 @pytest.mark.parametrize("build, shown, first", [c[1:] for c in CASES],
                          ids=[c[0] for c in CASES])
 def test_printed_form(build, shown, first):
+    # ``first``: the first violation as the record folds it in, then the
+    # "... k more" line the record adds after its first five
     rep = build()
     record = TaskRecord("check", "x")
-    record.check(rep, keep=1)
+    record.check(rep)
     assert repr(rep) == shown
-    assert (record.detail, record.violations) == (shown, first)
+    assert record.detail == shown
+    assert record.violations[:1] == first[:1]
+    assert record.violations[5:] == first[1:]
+    assert len(record.violations) == min(len(rep.violations), 6)
     assert rep.passed == (not first)
     assert record.status == ("pass" if rep.passed else "fail")
 

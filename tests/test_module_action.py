@@ -5,7 +5,8 @@ one-sided terms, and the ground field through the augmentation."""
 import pytest
 
 from twistres.algebra import (
-    basis_up_to, cyclic_group_algebra, solvable_2dim_algebra, weyl_algebra,
+    basis_up_to, cyclic_group_algebra, iterated_ore_algebra,
+    solvable_2dim_algebra, weyl_algebra,
 )
 from twistres.complex import (
     BIMODULE, LEFT_MODULE, ComplexError, FreeElement, FreeModuleTerm,
@@ -16,7 +17,8 @@ from twistres.twist import AlgebraAsBimodule, GroundModule, weyl_twist
 
 ALGEBRAS = {
     "weyl": weyl_algebra,
-    "weyl-F3": lambda: weyl_algebra(PrimeField(3)),
+    "weyl-F3": lambda: iterated_ore_algebra(
+        ("x", "y"), {(1, 0): {(0, 0): -1}}, PrimeField(3)),
     "solvable-2dim": solvable_2dim_algebra,
     "kZ3": lambda: cyclic_group_algebra(3),
     "twisted-product": lambda: weyl_twist().product(),

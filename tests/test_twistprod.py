@@ -123,9 +123,10 @@ def test_bar_square_block_zero_is_free_of_rank_one():
     # rank one over a pair of coefficient slots: basis keys are exactly
     # (left pair, label, right pair)
     keys = tc.complex.terms[0].basis(1)
-    pairs = basis_up_to(tc.plain, 1)
+    plain = tc.complex.algebra
+    pairs = basis_up_to(plain, 1)
     want = sum(1 for l in pairs for r in pairs
-               if tc.plain.monomial_degree(l) + tc.plain.monomial_degree(r) <= 1)
+               if plain.monomial_degree(l) + plain.monomial_degree(r) <= 1)
     assert len(keys) == want
     assert compose_check(tc.complex).passed
 
@@ -191,7 +192,8 @@ def test_weyl_action_is_genuinely_twisted():
         (((0,), (1,)), (1, 0, (0,), ()), ((0,), (0,))): f.one,
     }
     # against a coefficient x on the left the correction shows up
-    xgen = gen.left_mul(AlgebraElement(tc.plain, {((1,), (0,)): f.one}))
+    xgen = gen.left_mul(AlgebraElement(tc.complex.algebra,
+                                       {((1,), (0,)): f.one}))
     moved = tc.act_left(y, xgen)
     assert moved.terms == {
         (((1,), (1,)), (1, 0, (0,), ()), ((0,), (0,))): f.one,
@@ -252,7 +254,7 @@ def test_presented_weyl_total_composes_over_twisted_algebra():
 
 def test_presented_group_action_total_has_nontrivial_coordinates():
     tc = triangular_skew_product(2, periodic_degree=2)
-    pres = present_over_twisted_algebra(tc, degree_bound=2, n_top=2)
+    pres = present_over_twisted_algebra(tc)
     assert compose_check(pres).passed
     changed = any(
         pres.differentials[n][lab].terms
@@ -375,7 +377,7 @@ def test_one_sided_dropping_sign_breaks_square_zero():
     pn = one_sided_koszul_kx(tsol.b_spec)
     good = one_sided_twisted_product(pm, pn)
     assert compose_check(good.complex).passed
-    bad = one_sided_twisted_product(pm, pn, vertical_sign=False)
+    bad = TwistedBicomplex(pm, pn, tsol, vertical_sign=False).total()
     assert not compose_check(bad.complex).passed
 
 
