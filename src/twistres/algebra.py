@@ -179,6 +179,19 @@ class AlgebraSpec:
 
     # -- monomial structure ---------------------------------------------------
 
+    @property
+    def degree_additive(self):
+        """Whether multiplication adds monomial degrees: always for
+        polynomial and group algebras, for PBW extensions when every
+        commutator table is empty, for twisted products when both factors
+        do and the twist ``preserves_degree``."""
+        if self.variant == ITERATED_ORE:
+            return not any(self.delta.values())
+        if self.variant == TWISTED_PRODUCT:
+            return (self.twist.preserves_degree and self.left.degree_additive
+                    and self.right.degree_additive)
+        return True
+
     def monomial_degree(self, mono):
         """Filtration degree: deg(x_i) = 1, deg(group gen) = 0."""
         if self.variant in (POLYNOMIAL, ITERATED_ORE):

@@ -22,7 +22,10 @@ yield exact sparse matrices.  ``exactness_report`` computes homology
 dimensions inside the faithful window: degree <= N - s, where s is the
 maximal filtration-degree drop any differential exhibits (computed from
 the actual structure constants).  Inside the window, "cycle" and
-"boundary" counts match the infinite complex, so zero means exact.
+"boundary" counts match the infinite complex, so zero means exact; a
+sequence that fails ``compose_check`` gets no report.  The drop sets the
+window only: a complex is graded by the one structural rule
+``ChainComplexSpec.homogeneous``, which the Hochschild cochains read too.
 A graded truncation is ranked block by block (``TruncatedComplex.rank_on``):
 ``degree_blocks`` splits each map into its degree blocks, the truncation
 keeps each block's rank, and every windowed or per-degree count is a sum
@@ -36,6 +39,7 @@ elimination of d that takes the rows above the window first
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import cached_property
 
 from .kernel import (
     CheckReport, SparseMatrix, add_term, record_value, reduce_sums,
@@ -323,6 +327,7 @@ class ChainComplexSpec:
 
     complete_above=False marks truncations of longer complexes (bar,
     periodic), whose top spot ``trusted_top`` keeps out of reports.
+    ``homogeneous`` and ``coefficient_shift`` read one pass over the tables.
     """
 
     def __init__(self, algebra, terms, differentials, augmentation=None,
@@ -354,6 +359,38 @@ class ChainComplexSpec:
         """The last spot a report can trust: a complex cut from a longer
         one has no next differential at its top spot."""
         return self.n_max if self.complete_above else self.n_max - 1
+
+    @property
+    def homogeneous(self):
+        """Whether the complex is graded: its algebra is degree-additive and
+        every differential and augmentation entry has its label's degree,
+        so every truncated map keeps degree exactly."""
+        return self._degrees[0]
+
+    def coefficient_shift(self, n):
+        """The most degree d_n's coefficients add (0 where there is no d_n)."""
+        shifts = self._degrees[1]
+        return shifts[n] if n < len(shifts) else 0
+
+    @cached_property
+    def _degrees(self):
+        """(``homogeneous``, the shift of each d_n) in one pass."""
+        graded = self.algebra.degree_additive
+        shifts = [0]
+        for n in range(1, len(self.terms)):
+            src, tgt = self.terms[n], self.terms[n - 1]
+            shift = 0
+            for lab, img in self.differentials[n].items():
+                for key in img.terms:
+                    d = tgt.key_degree(key)
+                    graded = graded and d == src.internal_degree[lab]
+                    shift = max(shift, d - tgt.internal_degree[key[1]])
+            shifts.append(shift)
+        for lab, image in (self.augmentation or {}).items():
+            want = self.terms[0].internal_degree[lab]
+            graded = graded and all(self.target.key_degree(key) == want
+                                    for key in image)
+        return graded, shifts
 
     def apply_differential(self, n, elem):
         """d_n applied to an element of term n."""
@@ -425,6 +462,16 @@ def compose_check(c):
     return report
 
 
+def require_complex(c, error):
+    """Raise ``error`` at the first failure of ``compose_check(c)``: the
+    windowed counts never check im d in ker d, so they need a complex."""
+    rep = compose_check(c)
+    if not rep.passed:
+        n, label, image = rep.violations[0]
+        raise error("%s is not a complex (%r): stage %d, label %r gives %s"
+                    % (c.name, rep, n, label, image))
+
+
 class TruncatedComplex:
     """Finite matrices of a complex cut at total filtration degree <= N."""
 
@@ -455,9 +502,8 @@ class TruncatedComplex:
             self.aug_matrix = self._assemble(
                 0, map(spec.augmentation_image, self.bases[0]),
                 self.target_basis, self.target_degrees)
-        # no map raises degree, so a zero drop means every entry of every
-        # map preserves degree
-        self.graded = self.max_drop == 0
+        # the drop sets the window only; gradedness is the spec's rule
+        self.graded = spec.homogeneous
         self._ranks = {}  # graded rank_on memo: n -> {degree: block rank}
 
     def _assemble(self, n, columns, rows, row_degrees):
@@ -573,8 +619,10 @@ class TruncatedComplex:
 
     def exactness(self):
         """Windowed homology dimensions of this truncated augmented complex,
-        plus per-degree ones when it is graded."""
+        plus per-degree ones when it is graded.  A sequence that fails
+        ``compose_check`` raises ComplexError (``require_complex``)."""
         c = self.spec
+        require_complex(c, ComplexError)
         rep = ExactnessReport(c.name, self.cutoff)
         rep.window = self.window
         rep.max_drop = self.max_drop

@@ -22,34 +22,27 @@ kernels of the truncated matrices consist of honest cocycles.
 Coboundaries are counted from a slightly larger source window and
 intersected with the reported one, which repairs the edge effect of
 coboundaries whose potential lives just above the window.  Graded inputs
-(degree-additive multiplication and degree-homogeneous differentials)
-additionally get exact per-degree dimensions on slices that fit entirely
-inside the window: a graded codifferential keeps the internal degree t,
-so each slice is read from the t-blocks that ``complex.degree_blocks``
-splits off, the split the chain side's graded ranks use.  Merely
-filtered inputs get the windowed dimensions at two cutoffs and a
-stability flag -- reported, never asserted."""
+(``ChainComplexSpec.homogeneous``, the one rule the chain side's
+truncations read too) additionally get exact per-degree dimensions on
+slices that fit entirely inside the window: a graded codifferential
+keeps the internal degree t, so each slice is read from the t-blocks
+that ``complex.degree_blocks`` splits off, the split the chain side's
+graded ranks use.  Merely filtered inputs get the windowed dimensions at
+two cutoffs and a stability flag -- reported, never asserted.  A
+resolution that fails ``compose_check`` gets no cohomology: it raises
+HomologyError."""
 
-from .algebra import (
-    CYCLIC_GROUP,
-    ITERATED_ORE,
-    POLYNOMIAL,
-    TWISTED_PRODUCT,
-    basis_up_to,
-)
+from .algebra import basis_up_to
 from .complex import (
     BIMODULE, RESOLVES_ALGEBRA, RESOLVES_GROUND, AlgebraAsBimodule,
-    ChainComplexSpec, GroundModule, degree_blocks,
+    ChainComplexSpec, GroundModule, degree_blocks, require_complex,
 )
 from .kernel import SparseMatrix, homology_dim, reduce_sums
-from .twist import FLIP, SKEW_GROUP, ORE
 
 __all__ = [
     "HomologyError",
     "SELF_COEFF",
     "GROUND_COEFF",
-    "algebra_is_graded",
-    "complex_is_graded",
     "CochainTruncation",
     "CohomologyReport",
     "hochschild_cohomology",
@@ -63,54 +56,6 @@ GROUND_COEFF = "ground"
 
 class HomologyError(Exception):
     """Dimension computation asked of an unsuitable resolution."""
-
-
-def algebra_is_graded(spec):
-    """Whether the algebra's multiplication adds monomial degrees.
-
-    Polynomial and group algebras are graded; PBW extensions only when
-    every commutator table is empty; twisted products when both factors
-    are graded and the twist moves monomials without changing degree
-    (flips and group actions do, derivation twists with nonzero images
-    do not)."""
-    if spec.variant in (POLYNOMIAL, CYCLIC_GROUP):
-        return True
-    if spec.variant == ITERATED_ORE:
-        return not any(spec.delta.values())
-    if spec.variant == TWISTED_PRODUCT:
-        t = spec.twist
-        if not (algebra_is_graded(t.a_spec) and algebra_is_graded(t.b_spec)):
-            return False
-        if t.kind in (FLIP, SKEW_GROUP):
-            return True
-        if t.kind == ORE:
-            images = getattr(t, "delta_images", {})
-            return not any(img.terms for img in images.values())
-        return False
-    return False
-
-
-def complex_is_graded(cplx):
-    """Whether the complex supports exact per-degree slicing: graded
-    algebra, degree-homogeneous differential entries, homogeneous
-    augmentation images."""
-    if not algebra_is_graded(cplx.algebra):
-        return False
-    for n in range(1, len(cplx.terms)):
-        src = cplx.terms[n]
-        tgt = cplx.terms[n - 1]
-        for lab, img in cplx.differentials[n].items():
-            want = src.internal_degree[lab]
-            for key in img.terms:
-                if tgt.key_degree(key) != want:
-                    return False
-    if cplx.augmentation is not None:
-        for lab, img in cplx.augmentation.items():
-            want = cplx.terms[0].internal_degree[lab]
-            for key in img:
-                if cplx.target.key_degree(key) != want:
-                    return False
-    return True
 
 
 def _resolve_algebra_source(source):
@@ -195,18 +140,8 @@ class CochainTruncation:
         self.coeff = coeff
         self.alg = cplx.algebra
         self.field = cplx.algebra.field
-        self.graded = complex_is_graded(cplx)
+        self.graded = cplx.homogeneous
         self.top = len(cplx.terms) - 1
-        # raises[n]: the most degree d_n's coefficients add on both sides
-        self.raises = {}
-        for n in range(1, self.top + 1):
-            shift = 0
-            for img in cplx.differentials[n].values():
-                for key in img.terms:
-                    shift = max(shift,
-                                self.alg.monomial_degree(key[0])
-                                + self.alg.monomial_degree(key[2]))
-            self.raises[n] = shift
         self._mats = {}
         self._bases = {}
         self._blocks = {}  # (n, cutoff) -> the t-blocks of that matrix
@@ -248,7 +183,8 @@ class CochainTruncation:
             return self._mats[key]
         f = self.field
         cols = self.basis(n, cutoff)[0]
-        rows = self.basis(n + 1, cutoff + self.raises.get(n + 1, 0))[0]
+        rows = self.basis(n + 1,
+                          cutoff + self.cplx.coefficient_shift(n + 1))[0]
         if n + 1 > self.top:
             mat = SparseMatrix(0, len(cols), [], f)
         elif self.coeff == GROUND_COEFF:
@@ -316,7 +252,8 @@ class CochainTruncation:
         if key not in self._blocks:
             self._blocks[key] = degree_blocks(
                 self.matrix(n, cutoff)[0],
-                self.basis(n + 1, cutoff + self.raises.get(n + 1, 0))[1],
+                self.basis(n + 1,
+                           cutoff + self.cplx.coefficient_shift(n + 1))[1],
                 self.basis(n, cutoff)[1])
         block = self._blocks[key].get(t)
         return 0 if block is None else block.rank()
@@ -363,8 +300,10 @@ def hochschild_cohomology(source, n_top=None, cutoff=8, coeff=SELF_COEFF):
     Graded inputs report exact per-internal-degree dimensions alongside
     the windowed counts; filtered inputs report windowed counts at
     ``cutoff`` and ``cutoff + _SLACK`` with per-stage stability flags
-    (disagreement flags, never raises)."""
+    (disagreement flags, never raises).  A resolution that fails
+    ``compose_check`` raises HomologyError (``require_complex``)."""
     cplx = _resolve_algebra_source(source)
+    require_complex(cplx, HomologyError)
     co = CochainTruncation(cplx, coeff=coeff)
     n_top = _trusted_top(cplx, n_top)
     recheck = cutoff + _SLACK

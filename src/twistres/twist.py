@@ -104,6 +104,10 @@ class TwistMap:
     ``monomial_rule`` itself: a rule built by recursion (the Ore twist,
     x^m through x^(m-1) and x) reads other pairs through it, so the rule
     holds no reference to its twist.
+
+    ``preserves_degree``, fixed at construction, says whether each image
+    tau(b (x) a) has degree deg a + deg b: flips and linear group actions
+    do, an Ore twist when every delta image is zero, custom tables never.
     """
 
     def __init__(self, a_spec, b_spec, kind, rule, name=""):
@@ -114,6 +118,7 @@ class TwistMap:
         self.kind = kind
         self.name = name or kind
         self._rule = rule
+        self.preserves_degree = kind in (FLIP, SKEW_GROUP)
         self._cache = {}
         self._product = None
 
@@ -234,6 +239,7 @@ def ore_twist(a_spec, b_spec, delta_gens, name=None):
     t = TwistMap(a_spec, b_spec, ORE, rule, name=name or "ore")
     t.delta_of_monomial = delta_of_monomial
     t.delta_images = images
+    t.preserves_degree = not any(img.terms for img in images.values())
     return t
 
 
@@ -592,11 +598,12 @@ def check_bimodule_compat(c, degree_bound):
     right action is linear).  Rule images are read from the map's shared
     memo; a miss is computed by ``c.image`` (a recursive rule reading
     through the same lookup, ``c.scoped_rule``) and kept, with the actions
-    l.key.r on single basis keys, in memos that last for this one call,
-    so the check leaves the shared memo as it found it.  An lhs whose
-    acted element is one key with coefficient one is a rule image itself,
-    only read.  The input tuple of an equation is formatted only when
-    violated."""
+    l.key.r on single basis keys that are read again, in memos that last
+    for this one call, so the check leaves the shared memo as it found it
+    (the right module side reads each b.n.b' once and keeps none).  An lhs
+    whose acted element is one key with coefficient one is a rule image
+    itself, only read.  The input tuple of an equation is formatted only
+    when violated."""
     t = c.twist
     f = t.field
     mod = c.module
@@ -699,7 +706,7 @@ def check_bimodule_compat(c, degree_bound):
         for m in mkeys:
             moved = {}
             for b2 in bs:
-                acted = act(b, m, b2)
+                acted = mod.act(b, m, b2)
                 for a in as_:
                     lhs = _image_of(f, acted, lambda k: rule(k, a))
                     rhs = {}

@@ -37,7 +37,8 @@ from twistres.twistprod import (
 )
 from twistres.algebra import iterated_ore_algebra
 from twistres.homology import (
-    ext_over_augmented, hochschild_cohomology, tor_over_augmented,
+    HomologyError, ext_over_augmented, hochschild_cohomology,
+    tor_over_augmented,
 )
 from test_twist import flip_compat
 
@@ -260,8 +261,9 @@ def test_criterion_8_mutations_break_the_checks(monkeypatch):
         assert not exactness_report(cplx, 4).passed
 
         # a right action that does nothing, read through the compat
-        # check's memo of basis-level actions and through the Hochschild
-        # cochain matrix's l·m·r (with the rank split restored)
+        # check's memo of basis-level actions and through the augmentation
+        # of the resolution, which then fails compose_check, so the
+        # Hochschild cohomology refuses it (with the rank split restored)
         monkeypatch.undo()
         hh = {0: 1, 1: 0, 2: 0}
         assert hochschild_cohomology(bundle, cutoff=6).dims == hh
@@ -270,7 +272,8 @@ def test_criterion_8_mutations_break_the_checks(monkeypatch):
                             lambda mod, l, key, r: act(mod, l, key, None))
         rep = check_bimodule_compat(self_bimodule_compat(weyl_twist()), 2)
         assert not rep.passed
-        assert hochschild_cohomology(bundle, cutoff=6).dims != hh
+        with pytest.raises(HomologyError):
+            hochschild_cohomology(bundle, cutoff=6)
 
         # the compat lhs taken as the memoized rule image of the acted
         # element's first key whatever else it holds: the Weyl algebra on
@@ -330,6 +333,26 @@ def test_criterion_8_mutations_break_the_checks(monkeypatch):
         monkeypatch.setattr(TruncatedComplex, "__init__", forced_graded)
         with pytest.raises(ComplexError):
             exactness_report(ore_koszul(weyl_algebra()).complex, 4)
+
+        # the measured gradedness rule restored (a truncation that drops
+        # no degree read as graded): the one-rule test then finds the six
+        # filtered suite complexes graded at cutoffs 0 and 1
+        monkeypatch.undo()
+        from test_complex import (
+            FILTERED_WITHOUT_LOW_DROP, gradedness_disagreements,
+        )
+
+        def measured_rule(tc, spec, cutoff):
+            init(tc, spec, cutoff)
+            tc.graded = tc.max_drop == 0
+
+        monkeypatch.setattr(TruncatedComplex, "__init__", measured_rule)
+        found = gradedness_disagreements()
+        assert {(name, cutoff) for _, name, cutoff, what in found
+                if what == "graded"} == {
+            (name, cutoff) for name in FILTERED_WITHOUT_LOW_DROP
+            for cutoff in (0, 1)}
+        assert len(found) == 12
         monkeypatch.undo()
         blocks = complex_.degree_blocks
 
@@ -350,7 +373,7 @@ def test_criterion_8_mutations_break_the_checks(monkeypatch):
 
         # the counit collapse with its right-hand test skipped, as if each
         # two-sided key l⊗[lab]⊗r ended in r = 1: in the ground cochains
-        # of d(e) = x⊗[1]⊗1 + 1⊗[1]⊗x the second term then survives, and
+        # of d(e) = x⊗[1]⊗1 - 1⊗[1]⊗x the second term then survives, and
         # joins t = 0 to t = -1, which the slices' block split refuses
         monkeypatch.undo()
         kx = polynomial_algebra(("x",), name="k[x]")
@@ -359,11 +382,11 @@ def test_criterion_8_mutations_break_the_checks(monkeypatch):
         t1 = FreeModuleTerm(kx, ("e",), side=BIMODULE,
                             internal_degree={"e": 1})
         one = t0.generator("1")
-        anticommutator = ChainComplexSpec(
-            kx, [t0, t1], [None, {"e": one.left_mul(x) + one.right_mul(x)}],
+        commutator = ChainComplexSpec(
+            kx, [t0, t1], [None, {"e": one.left_mul(x) - one.right_mul(x)}],
             augmentation={"1": kx.one().terms}, aug_kind="algebra",
-            name="anticommutator")
-        assert hochschild_cohomology(anticommutator, cutoff=2,
+            name="commutator")
+        assert hochschild_cohomology(commutator, cutoff=2,
                                      coeff="ground").dims == {0: 1, 1: 1}
         reduced = homology._reduced_matrices
 
@@ -383,7 +406,7 @@ def test_criterion_8_mutations_break_the_checks(monkeypatch):
         monkeypatch.setattr(homology, "_reduced_matrices",
                             right_counit_skipped)
         with pytest.raises(ComplexError):
-            hochschild_cohomology(anticommutator, cutoff=2, coeff="ground")
+            hochschild_cohomology(commutator, cutoff=2, coeff="ground")
 
         # Q products that keep only the numerator of a non-integral result,
         # wherever they are taken (Fraction's own product, so raw products

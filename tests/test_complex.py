@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from twistres.algebra import (
     CYCLIC_GROUP, ITERATED_ORE, POLYNOMIAL, TWISTED_PRODUCT, basis_up_to,
-    cyclic_group_algebra, heisenberg_algebra, parse_element,
-    polynomial_algebra, weyl_algebra,
+    cyclic_group_algebra, heisenberg_algebra, iterated_ore_algebra,
+    parse_element, polynomial_algebra, weyl_algebra,
 )
 from twistres.complex import (
     BIMODULE, GROUND_KEY, LEFT_MODULE, ChainComplexSpec, ComplexError,
@@ -29,6 +29,7 @@ from twistres.twistprod import (
 )
 
 from test_acceptance import _suite_products, _suite_resolutions
+from test_imports import _bench_module
 
 
 def bimodule_koszul_kx():
@@ -561,3 +562,100 @@ def test_rank_on_matches_restrict_reference(name):
                         if c.aug_kind == "algebra" else 1)
                     for d in range(base, tc.window + 1)}
             assert kunneth_degree0_check(built, tc).rows == want, cutoff
+
+
+# -- one gradedness rule --------------------------------------------------------
+
+# the suite complexes that are filtered but whose truncations at cutoffs 0
+# and 1 drop no degree, so that a measured rule (graded when the largest
+# drop is zero) called them graded there
+FILTERED_WITHOUT_LOW_DROP = (
+    "bar(Weyl)", "ore-koszul(Weyl)", "ore-koszul(Weyl_2)",
+    "ore-koszul(U(solv2))", "one-sided-koszul(U(solv2))",
+    "one-sided-koszul(U(heis3))")
+
+
+def windowed_numbers(rep):
+    return rep.homology, rep.h0_relative, rep.aug_coker, rep.window
+
+
+def gradedness_disagreements():
+    """(suite index, complex name, cutoff, what) for every truncation of
+    the 19 suite complexes at cutoffs 0-4 that breaks the one rule: the
+    spec's ``homogeneous`` forces a zero drop, ``TruncatedComplex.graded``
+    is that rule, and every windowed number and the verdict equal those
+    of the same truncation under the measured rule it replaced."""
+    out = []
+    suite = _suite_resolutions() + _suite_products()
+    for i, built in enumerate(suite):
+        c = built.complex
+        for cutoff in range(5):
+            tc = truncate(c, cutoff)
+            if c.homogeneous and tc.max_drop:
+                out.append((i, c.name, cutoff, "drop"))
+            if tc.graded != c.homogeneous:
+                out.append((i, c.name, cutoff, "graded"))
+            rep = tc.exactness()
+            measured = truncate(c, cutoff)
+            measured.graded = measured.max_drop == 0
+            ref = measured.exactness()
+            if (windowed_numbers(rep) != windowed_numbers(ref)
+                    or rep.passed != ref.passed):
+                out.append((i, c.name, cutoff, "numbers"))
+    return out
+
+
+def test_one_gradedness_rule_on_the_suite():
+    assert gradedness_disagreements() == []
+    suite = _suite_resolutions() + _suite_products()
+    low = [b.complex.name for b in suite
+           if not b.complex.homogeneous
+           and all(truncate(b.complex, n).max_drop == 0 for n in (0, 1))]
+    assert low == list(FILTERED_WITHOUT_LOW_DROP)
+    for built in suite:
+        for cutoff in (0, 1):
+            if built.complex.name in FILTERED_WITHOUT_LOW_DROP:
+                assert not exactness_report(built.complex, cutoff).graded
+
+
+# -- sequences that are not complexes -----------------------------------------
+
+
+def flipped_delta_term():
+    """The wedge resolution of y x = x y + x with the sign of its delta
+    term flipped: in d_2 that is the one term with no coefficient on
+    either side."""
+    alg = iterated_ore_algebra(("x", "y"), {(1, 0): {(1, 0): 1}},
+                               name="y x = x y + x")
+    c = ore_koszul(alg).complex
+    unit, f = alg.one_monomial(), alg.field
+    diffs = list(c.differentials)
+    diffs[2] = {w: FreeElement(img.term, {
+        k: f.neg(v) if k[0] == k[2] == unit else v
+        for k, v in img.terms.items()}) for w, img in diffs[2].items()}
+    return ChainComplexSpec(alg, c.terms, diffs, augmentation=c.augmentation,
+                            aug_kind=c.aug_kind, name="flipped-delta-term")
+
+
+def dropped_wedge_term():
+    """The benchmark's Weyl wedge resolution with one stage-2 term
+    dropped."""
+    return _bench_module("workloads").dropped_wedge_term()
+
+
+NOT_COMPLEXES = {"dropped-wedge-term": dropped_wedge_term,
+                 "flipped-delta-term": flipped_delta_term}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_COMPLEXES))
+def test_exactness_refuses_a_sequence_that_is_not_a_complex(name):
+    c = NOT_COMPLEXES[name]()
+    rep = compose_check(c)
+    assert not rep.passed and rep.violations[0][0] == 2
+    # the truncation is still built: its matrices can be inspected
+    tc = truncate(c, 4)
+    assert tc.matrices[2].entries
+    with pytest.raises(ComplexError, match="is not a complex.*stage 2"):
+        tc.exactness()
+    with pytest.raises(ComplexError, match="is not a complex"):
+        exactness_report(c, 4)

@@ -25,9 +25,10 @@ from twistres.complex import (
 )
 from twistres.homology import (
     CochainTruncation, HomologyError, _resolve_algebra_source,
-    algebra_is_graded, complex_is_graded, ext_over_augmented,
-    hochschild_cohomology, tor_over_augmented,
+    ext_over_augmented, hochschild_cohomology, tor_over_augmented,
 )
+
+from test_complex import NOT_COMPLEXES
 
 
 def _kx():
@@ -43,14 +44,14 @@ def _ky():
 
 
 def test_graded_detection():
-    assert algebra_is_graded(_kx())
-    assert algebra_is_graded(cyclic_group_algebra(3, PrimeField(3)))
-    assert not algebra_is_graded(weyl_algebra())
-    assert not algebra_is_graded(solvable_2dim_algebra())
-    assert algebra_is_graded(flip_twist(_kx(), _ky()).product())
-    assert not algebra_is_graded(weyl_twist().product())
-    assert complex_is_graded(poly_koszul(_kx()).complex)
-    assert not complex_is_graded(ore_koszul(weyl_algebra()).complex)
+    assert _kx().degree_additive
+    assert cyclic_group_algebra(3, PrimeField(3)).degree_additive
+    assert not weyl_algebra().degree_additive
+    assert not solvable_2dim_algebra().degree_additive
+    assert flip_twist(_kx(), _ky()).product().degree_additive
+    assert not weyl_twist().product().degree_additive
+    assert poly_koszul(_kx()).complex.homogeneous
+    assert not ore_koszul(weyl_algebra()).complex.homogeneous
 
 
 @pytest.mark.parametrize("degree, graded", [(0, True), (1, False)])
@@ -58,14 +59,14 @@ def test_graded_detection_reads_ground_augmentations(degree, graded):
     # a ground ε is read through the target's key degree like an algebra
     # ε: nonzero on a label of internal degree 1 it lowers degree by one
     kxy = polynomial_algebra(("x", "y"), name="k[x,y]")
-    assert complex_is_graded(poly_koszul(kxy, bimodule=False).complex)
+    assert poly_koszul(kxy, bimodule=False).complex.homogeneous
     kx = _kx()
     t0 = FreeModuleTerm(kx, ("a",), side=LEFT_MODULE,
                         internal_degree={"a": degree})
     stub = ChainComplexSpec(kx, [t0], [{}],
                             augmentation={"a": {GROUND_KEY: 1}},
                             aug_kind="ground", name="stub")
-    assert complex_is_graded(stub) is graded
+    assert stub.homogeneous is graded
 
 
 def test_cochain_codifferentials_compose_to_zero():
@@ -77,7 +78,8 @@ def test_cochain_codifferentials_compose_to_zero():
         co = CochainTruncation(cplx)
         for n in (0, 1):
             m1, _cols1, rows1 = co.matrix(n, 4)
-            m2, cols2, _rows2 = co.matrix(n + 1, 4 + co.raises[n + 1])
+            m2, cols2, _rows2 = co.matrix(
+                n + 1, 4 + cplx.coefficient_shift(n + 1))
             assert rows1 == cols2
             assert m2.compose(m1).is_zero()
 
@@ -361,7 +363,7 @@ def _two_sided_suite():
 
 def _graded_cases():
     cases = {name: cplx for name, cplx in _two_sided_suite().items()
-             if complex_is_graded(cplx)}
+             if cplx.homogeneous}
     # reduced bar labels carry degree, so the fit rule drops ground slices
     cases["bar-k[x]"] = bar(_kx(), 3, middle_cutoff=2, reduced=True).complex
     return cases
@@ -402,3 +404,14 @@ def test_ground_cochains_match_accumulation_reference():
                 assert (cols, rows) == (ref_cols, ref_rows), (name, n)
                 assert (mat.nrows, mat.ncols) == (want.nrows, want.ncols)
                 assert mat.entries == want.entries, (name, n)
+
+
+@pytest.mark.parametrize("name", sorted(NOT_COMPLEXES))
+@pytest.mark.parametrize("coeff", ["self", "ground"])
+def test_hochschild_cohomology_refuses_a_sequence_that_is_not_a_complex(
+        name, coeff):
+    # the cochain matrices are still built: only the cohomology refuses
+    c = NOT_COMPLEXES[name]()
+    assert CochainTruncation(c, coeff).matrix(1, 4)[0].ncols
+    with pytest.raises(HomologyError, match="is not a complex.*stage 2"):
+        hochschild_cohomology(c, cutoff=6, coeff=coeff)

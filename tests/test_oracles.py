@@ -21,6 +21,11 @@ identity holds.
 Resolution independence.  HH^*(A) does not depend on the resolution, so
 ``hochschild_cohomology`` through the wedge resolution must agree with
 that through the reduced bar resolution wherever both give a number.
+And the twisted product of the wedge resolutions of A and k[x] over an
+Ore twist x r = r x + delta(r) is a resolution of A[x; delta] built
+from the same free modules, so in twisted coordinates it must be, term
+for term, the wedge resolution ``ore_koszul`` builds on that algebra's
+presentation.
 """
 
 from itertools import combinations
@@ -42,6 +47,10 @@ from twistres.resolutions import bar, ore_koszul
 from twistres.twist import (
     check_hexagon, ore_twist, solvable_pair_twist, triangular_action_twist,
     weyl_twist,
+)
+from twistres.twistprod import (
+    complexes_match, koszul_pair_product, present_over_twisted_algebra,
+    transport_complex,
 )
 
 
@@ -275,3 +284,56 @@ def test_hochschild_cohomology_does_not_depend_on_the_resolution(case):
         assert shared
         assert all(wedge.per_degree[k] == simplicial.per_degree[k]
                    for k in shared)
+
+
+@st.composite
+def ore_twist_images(draw):
+    """(p, images): A = k[y] or k[y, z] over Q (p = 0) or F_3, and for
+    each generator i of A its image delta(x_i) as {exponent tuple:
+    coefficient}: a constant plus a linear combination of A's generators,
+    the coefficients drawn with a per-case share of zeros."""
+    p = draw(st.sampled_from([0, 3]))
+    n = draw(st.integers(1, 2))
+    coefficients = [0] * draw(st.integers(1, 6)) + [1, -1, 2]
+    monos = [(0,) * n] + [tuple(int(m == k) for m in range(n))
+                          for k in range(n)]
+    images = [{mono: c for mono in monos
+               for c in [draw(st.sampled_from(coefficients))] if c}
+              for _ in range(n)]
+    return p, images
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(ore_twist_images())
+def test_koszul_pair_product_is_the_wedge_resolution_of_the_ore_extension(
+        case):
+    # the product's labels (i, j, v, w) pair an A-wedge v with a k[x]-wedge
+    # w; merged, x follows A's generators, as in demos/weyl_plane.py
+    p, images = case
+    field = PrimeField(p) if p else QQ
+    n = len(images)
+    gens = ("y", "z")[:n]
+    a = polynomial_algebra(gens, field, name="A")
+    t = ore_twist(a, polynomial_algebra(("x",), field, name="k[x]"),
+                  {g: a.element(image) for g, image in zip(gens, images)})
+    merged = iterated_ore_algebra(
+        gens + ("x",), {(n, i): {mono + (0,): c for mono, c in image.items()}
+                        for i, image in enumerate(images) if image}, field)
+    direct = ore_koszul(merged).complex
+    product = koszul_pair_product(t)
+
+    def merged_form(cplx):
+        return transport_complex(
+            cplx, merged, lambda pair: pair[0] + pair[1],
+            lambda lab: lab[2] + tuple(g + n for g in lab[3]))
+
+    linear = any(sum(mono) for image in images for mono in image)
+    event("%s, %d generator(s) in A, delta %s" % (
+        "F_3" if p else "Q", n, "with a linear term" if linear
+        else "constant" if any(images) else "zero"))
+    assert complexes_match(merged_form(present_over_twisted_algebra(product)),
+                           direct).passed
+    # the plain presentation carries no delta-correction on its
+    # coefficients, so it matches only when delta has no linear term
+    assert complexes_match(merged_form(product.complex),
+                           direct).passed is not linear
