@@ -58,47 +58,30 @@ class HomologyError(Exception):
     """Dimension computation asked of an unsuitable resolution."""
 
 
-def _resolve_algebra_source(source):
-    """Accept a two-sided resolution in any packaging: a bundle, a total
-    complex (re-presented over the twisted algebra so the coefficient
-    multiplication is the real one), or a bare complex."""
+def _resolve_source(source, two_sided):
+    """Accept a resolution in any packaging: a bundle, a total complex, or
+    a bare complex.  A total complex is re-presented over the twisted
+    algebra, so the coefficient multiplication is the real one; one-sided,
+    its re-bundled extension form is taken when it has one.  Two-sided
+    sources must resolve the algebra, one-sided ones the ground field."""
     cplx = source
-    if hasattr(source, "ore_form") or hasattr(source, "bicomplex"):
-        from .twistprod import present_over_twisted_algebra
-        cplx = present_over_twisted_algebra(source)
-    elif hasattr(source, "complex"):
-        cplx = source.complex
-    if not isinstance(cplx, ChainComplexSpec):
-        raise HomologyError("unsupported source %r" % (type(source).__name__,))
-    if cplx.terms[0].side != BIMODULE:
-        raise HomologyError(
-            "algebra-valued cochains need a two-sided resolution")
-    if cplx.aug_kind != RESOLVES_ALGEBRA:
-        raise HomologyError(
-            "the resolution must resolve the algebra itself")
-    return cplx
-
-
-def _resolve_ground_source(source):
-    """Accept a one-sided resolution of the ground field: a bundle, a
-    total complex (its re-bundled extension form when present, else the
-    twisted-coordinate presentation), or a bare complex."""
-    cplx = source
-    if hasattr(source, "ore_form"):
+    if hasattr(source, "ore_form") and not two_sided:
         cplx = source.ore_form.rebundled.complex
-    elif hasattr(source, "bicomplex"):
+    elif hasattr(source, "ore_form") or hasattr(source, "bicomplex"):
         from .twistprod import present_over_twisted_algebra
         cplx = present_over_twisted_algebra(source)
     elif hasattr(source, "complex"):
         cplx = source.complex
     if not isinstance(cplx, ChainComplexSpec):
         raise HomologyError("unsupported source %r" % (type(source).__name__,))
-    if cplx.terms[0].side == BIMODULE:
+    if (cplx.terms[0].side == BIMODULE) != two_sided:
         raise HomologyError(
-            "ground-field collapse needs a one-sided resolution")
-    if cplx.aug_kind != RESOLVES_GROUND:
+            "algebra-valued cochains need a two-sided resolution" if two_sided
+            else "ground-field collapse needs a one-sided resolution")
+    if cplx.aug_kind != (RESOLVES_ALGEBRA if two_sided else RESOLVES_GROUND):
         raise HomologyError(
-            "the resolution must resolve the ground field")
+            "the resolution must resolve the %s"
+            % ("algebra itself" if two_sided else "ground field"))
     return cplx
 
 
@@ -302,7 +285,7 @@ def hochschild_cohomology(source, n_top=None, cutoff=8, coeff=SELF_COEFF):
     ``cutoff`` and ``cutoff + _SLACK`` with per-stage stability flags
     (disagreement flags, never raises).  A resolution that fails
     ``compose_check`` raises HomologyError (``require_complex``)."""
-    cplx = _resolve_algebra_source(source)
+    cplx = _resolve_source(source, True)
     require_complex(cplx, HomologyError)
     co = CochainTruncation(cplx, coeff=coeff)
     n_top = _trusted_top(cplx, n_top)
@@ -375,7 +358,7 @@ def tor_over_augmented(source, n_top=None):
     """Homology dimensions of the ground-field collapse of a one-sided
     resolution (stage n keeps its generators; entries survive through
     the counit of their coefficient)."""
-    return _collapse_dims(_resolve_ground_source(source), n_top,
+    return _collapse_dims(_resolve_source(source, False), n_top,
                           transpose=False)
 
 
@@ -385,5 +368,5 @@ def ext_over_augmented(source, n_top=None):
     agree with the homology dimensions; that equality is a theorem
     about finite-rank complexes and is *checked* by tests, not wired
     in."""
-    return _collapse_dims(_resolve_ground_source(source), n_top,
+    return _collapse_dims(_resolve_source(source, False), n_top,
                           transpose=True)

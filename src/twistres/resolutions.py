@@ -18,9 +18,10 @@ Each builder returns a :class:`ResolutionBundle`: a ChainComplexSpec plus
 bookkeeping (family tag, what is resolved, and - after ``lift_twist`` -
 per-degree CompatMaps that move the other tensor factor across the
 resolution).  Every lift is a rule on keys: the bar lifts iterate the
-twist over the tensor factors, the wedge lifts are closed forms, and the
-periodic lift is the skew twist's group action, by the group degree each
-key carries.  ``check_lift_chain_map`` / ``check_lift_compat`` verify that
+twist over the tensor factors, one rule for both sides (left lifts walk
+left to right, right lifts right to left), the wedge lifts are closed
+forms, and the periodic lift is the skew twist's group action, by the
+group degree each key carries.  ``check_lift_chain_map`` / ``check_lift_compat`` verify that
 attached lifts commute with the differentials and satisfy the module
 compatibility equations; ``crosscheck_koszul_lift`` replays the closed-form
 wedge lift inside the reduced bar complex (symmetrize, move the factor
@@ -400,63 +401,41 @@ def cyclic_periodic(p, n_max, spec=None):
 # lifts: moving the companion factor across a resolution
 
 
-def _bar_left_rule(t, term, reduced):
-    """Move a B-monomial across every tensor factor of a bar key, left to
-    right; in the reduced bar, crossings that turn a middle factor into the
-    unit are dropped (the quotient)."""
+def _bar_rule(t, term, reduced, side):
+    """Move a B-monomial (left lift) or an A-monomial (right lift) across
+    every tensor factor of a bar key, left to right or right to left.  A
+    crossing tau(b (x) a) = a' (x) b' keeps a' on the left and b' on the
+    right, so a left walk leaves a' behind and a right walk b'.  In the
+    reduced bar, crossings that turn a middle factor into the unit are
+    dropped (the quotient)."""
     f = t.field
-    unit = t.a_spec.one_monomial()
+    left = side == "left"
+    unit = (t.a_spec if left else t.b_spec).one_monomial()
+    cross = t.monomial_rule
 
-    def rule(b_mono, key, lookup):
-        l, mids, r = key
+    def rule(x, y, lookup):
+        mover, (l, mids, r) = (x, y) if left else (y, x)
         factors = (l,) + tuple(mids) + (r,)
-        state = {((), b_mono): f.one}
-        for fac in factors:
+        state = {((), mover): f.one}
+        for fac in (factors if left else reversed(factors)):
             new = {}
-            for (built, bcur), c in state.items():
-                for (am, bm), cc in t.monomial_rule(bcur, fac).items():
-                    add_term(f, new, (built + (am,), bm), c * cc)
+            for (built, cur), c in state.items():
+                for (am, bm), cc in (cross(cur, fac) if left
+                                      else cross(fac, cur)).items():
+                    kept, moved = (am, bm) if left else (bm, am)
+                    add_term(f, new, (built + (kept,), moved), c * cc)
             state = new
         out = {}
-        for (built, bfin), c in state.items():
-            mids2 = built[1:-1]
-            if reduced and any(m == unit for m in mids2):
-                continue
-            if not term.has_label(mids2):
-                raise CutoffError(
-                    "lift image needs the missing label %r" % (mids2,))
-            add_term(f, out, ((built[0], mids2, built[-1]), bfin), c)
-        return out
-
-    return rule
-
-
-def _bar_right_rule(t, term, reduced):
-    """Move an A-monomial across every tensor factor of a bar key over B,
-    right to left."""
-    f = t.field
-    unit = t.b_spec.one_monomial()
-
-    def rule(key, a_mono, lookup):
-        b0, mids, b1 = key
-        factors = (b0,) + tuple(mids) + (b1,)
-        state = {((), a_mono): f.one}
-        for fac in reversed(factors):
-            new = {}
-            for (built, acur), c in state.items():
-                for (am, bm), cc in t.monomial_rule(fac, acur).items():
-                    add_term(f, new, (built + (bm,), am), c * cc)
-            state = new
-        out = {}
-        for (built, afin), c in state.items():
-            facs = built[::-1]
+        for (built, fin), c in state.items():
+            facs = built if left else built[::-1]
             mids2 = facs[1:-1]
-            if reduced and any(m == unit for m in mids2):
+            if reduced and unit in mids2:
                 continue
             if not term.has_label(mids2):
                 raise CutoffError(
                     "lift image needs the missing label %r" % (mids2,))
-            add_term(f, out, (afin, (facs[0], mids2, facs[-1])), c)
+            key2 = (facs[0], mids2, facs[-1])
+            add_term(f, out, (key2, fin) if left else (fin, key2), c)
         return out
 
     return rule
@@ -646,8 +625,9 @@ def lift_twist(bundle, t, side="left"):
     """Attach per-degree maps moving the companion tensor factor across the
     resolution, chosen by family:
 
-    * bar / reduced bar: iterate the twisting map across all tensor factors
-      (left lifts cross left-to-right; right lifts right-to-left);
+    * bar / reduced bar: one rule for both sides, iterating the twisting
+      map across all tensor factors (left lifts cross left to right, right
+      lifts right to left);
     * wedge families, left: the closed-form rule (generator passes through,
       derivation corrections on coefficients and slots);
     * wedge families, right: coefficient conjugation (Ore/flip twists) or
@@ -655,6 +635,7 @@ def lift_twist(bundle, t, side="left"):
     * cyclic-periodic, left: the inverse group action on the moved factor,
       by the group degree of the key (skew twists).
 
+    Degree n gets the CompatMap ``<family>-<side>-<n>`` around its rule.
     Returns a new bundle carrying the lifts."""
     if side not in ("left", "right"):
         raise ResolutionError("side must be 'left' or 'right'")
@@ -670,16 +651,10 @@ def lift_twist(bundle, t, side="left"):
         raise ResolutionError("one-sided resolutions only take left lifts")
     kind = (ONE_SIDED if one_sided
             else (LEFT_BIMODULE if side == "left" else RIGHT_BIMODULE))
-    lifts = {}
     fam = bundle.family
     if fam in (BAR, REDUCED_BAR):
-        red = fam == REDUCED_BAR
-        for n in range(bundle.n_max + 1):
-            term = cplx.terms[n]
-            rule = (_bar_left_rule(t, term, red) if side == "left"
-                    else _bar_right_rule(t, term, red))
-            lifts[n] = CompatMap(kind, t, term, rule,
-                                 name="%s-%s-%d" % (fam, side, n))
+        rules = [_bar_rule(t, term, fam == REDUCED_BAR, side)
+                 for term in cplx.terms]
     elif fam in (POLY_KOSZUL, ORE_KOSZUL, ONE_SIDED_KOSZUL):
         if side == "left":
             if t.kind not in (ORE, FLIP):
@@ -689,31 +664,25 @@ def lift_twist(bundle, t, side="left"):
             if len(t.b_spec.gens) != 1:
                 raise ResolutionError("the moved factor must be k[x]")
             rule = _koszul_left_rule(t, bundle.algebra, not one_sided)
-            for n in range(bundle.n_max + 1):
-                lifts[n] = CompatMap(kind, t, cplx.terms[n], rule,
-                                     name="%s-left-%d" % (fam, n))
+        elif t.kind in (ORE, FLIP):
+            rule = _koszul_right_rule(t)
+        elif t.kind == SKEW_GROUP:
+            rule = _skew_right_rule(t, bundle.algebra)
         else:
-            if t.kind in (ORE, FLIP):
-                rule = _koszul_right_rule(t)
-            elif t.kind == SKEW_GROUP:
-                rule = _skew_right_rule(t, bundle.algebra)
-            else:
-                raise ResolutionError(
-                    "no right wedge lift for twist kind %r" % (t.kind,))
-            for n in range(bundle.n_max + 1):
-                lifts[n] = CompatMap(kind, t, cplx.terms[n], rule,
-                                     name="%s-right-%d" % (fam, n))
+            raise ResolutionError(
+                "no right wedge lift for twist kind %r" % (t.kind,))
+        rules = [rule] * len(cplx.terms)
     elif fam == CYCLIC_PERIODIC:
         if side != "left" or t.kind != SKEW_GROUP:
             raise ResolutionError(
                 "the two-periodic resolution takes left lifts of skew "
                 "twists only")
-        rule = _periodic_left_rule(cplx, t)
-        for n in range(bundle.n_max + 1):
-            lifts[n] = CompatMap(kind, t, cplx.terms[n], rule,
-                                 name="%s-left-%d" % (fam, n))
+        rules = [_periodic_left_rule(cplx, t)] * len(cplx.terms)
     else:
         raise ResolutionError("no lift recipe for family %r" % (fam,))
+    lifts = {n: CompatMap(kind, t, term, rule,
+                          name="%s-%s-%d" % (fam, side, n))
+             for n, (term, rule) in enumerate(zip(cplx.terms, rules))}
     return bundle.with_lifts(t, side, lifts)
 
 
@@ -726,7 +695,8 @@ def check_lift_chain_map(bundle, degree_bound):
     every generator label, against all moved monomials of degree at most
     ``degree_bound``; the bottom square against the augmentation is
     included (for one-sided resolutions this is where a derivation that
-    does not kill the augmentation shows up)."""
+    does not kill the augmentation shows up).  Both sides run the same
+    squares, with pairs ordered as ``CompatMap`` orders them."""
     if not bundle.lifts:
         raise ResolutionError("no lifts attached")
     t = bundle.twist
@@ -735,34 +705,30 @@ def check_lift_chain_map(bundle, degree_bound):
     side = bundle.lift_side
     report = CheckReport("lift-chain-map(%s, %s, deg<=%d)"
                          % (cplx.name, side, degree_bound), " squares")
-    movers = basis_up_to(t.b_spec if side == "left" else t.a_spec,
-                         degree_bound)
+    left = side == "left"
+    movers = basis_up_to(t.b_spec if left else t.a_spec, degree_bound)
+
+    def pair(key, mover):
+        # a lift's output order, also tau's (a', b'); its input order is
+        # the reverse, and pair(*out) reads an output as (key, mover)
+        return (key, mover) if left else (mover, key)
+
     for n in range(1, bundle.n_max + 1):
         term = cplx.terms[n]
         for lab in term.labels:
             genkey = next(iter(term.generator(lab).terms))
             d_img = cplx.differentials[n][lab]
             for mono in movers:
-                if side == "left":
-                    lhs = bundle.lifts[n - 1].apply(
-                        {(mono, k): c for k, c in d_img.terms.items()})
-                    rhs = {}
-                    for (k2, b2), c in bundle.lifts[n].pair_rule(
-                            mono, genkey).items():
-                        img = cplx.apply_differential(
-                            n, FreeElement(term, {k2: f.one}))
-                        for k3, c3 in img.terms.items():
-                            add_term(f, rhs, (k3, b2), c * c3)
-                else:
-                    lhs = bundle.lifts[n - 1].apply(
-                        {(k, mono): c for k, c in d_img.terms.items()})
-                    rhs = {}
-                    for (a2, k2), c in bundle.lifts[n].pair_rule(
-                            genkey, mono).items():
-                        img = cplx.apply_differential(
-                            n, FreeElement(term, {k2: f.one}))
-                        for k3, c3 in img.terms.items():
-                            add_term(f, rhs, (a2, k3), c * c3)
+                lhs = bundle.lifts[n - 1].apply(
+                    {pair(k, mono)[::-1]: c for k, c in d_img.terms.items()})
+                rhs = {}
+                for out, c in bundle.lifts[n].pair_rule(
+                        *pair(genkey, mono)[::-1]).items():
+                    k2, m2 = pair(*out)
+                    img = cplx.apply_differential(
+                        n, FreeElement(term, {k2: f.one}))
+                    for k3, c3 in img.terms.items():
+                        add_term(f, rhs, pair(k3, m2), c * c3)
                 report.record_equation(f, "square", "where",
                                        lambda: (n, lab, mono), lhs, rhs)
     term0 = cplx.terms[0]
@@ -770,36 +736,25 @@ def check_lift_chain_map(bundle, degree_bound):
     for lab in term0.labels:
         genkey = next(iter(term0.generator(lab).terms))
         for mono in movers:
-            if side == "left":
-                pairs = bundle.lifts[0].pair_rule(mono, genkey)
-                if cplx.aug_kind == RESOLVES_ALGEBRA:
-                    lhs = {}
-                    for (k2, b2), c in pairs.items():
-                        for am, ac in aug(k2).items():
-                            add_term(f, lhs, (am, b2), c * ac)
-                    rhs = {}
-                    for am, ac in aug(genkey).items():
-                        for (a2, b2), c2 in t.monomial_rule(mono, am).items():
-                            add_term(f, rhs, (a2, b2), ac * c2)
-                else:
-                    # the ground field: one key, so only its scalar is kept
-                    lhs = {}
-                    for (k2, b2), c in pairs.items():
-                        for s in aug(k2).values():
-                            add_term(f, lhs, b2, c * s)
-                    rhs = {}
-                    for s in aug(genkey).values():
-                        add_term(f, rhs, mono, s)
+            pairs = bundle.lifts[0].pair_rule(*pair(genkey, mono)[::-1])
+            lhs, rhs = {}, {}
+            if cplx.aug_kind == RESOLVES_ALGEBRA:
+                for out, c in pairs.items():
+                    k2, m2 = pair(*out)
+                    for em, ec in aug(k2).items():
+                        add_term(f, lhs, pair(em, m2), c * ec)
+                for em, ec in aug(genkey).items():
+                    for out, c2 in t.monomial_rule(
+                            *pair(em, mono)[::-1]).items():
+                        add_term(f, rhs, out, ec * c2)
             else:
-                pairs = bundle.lifts[0].pair_rule(genkey, mono)
-                lhs = {}
-                for (a2, k2), c in pairs.items():
-                    for bm, bc in aug(k2).items():
-                        add_term(f, lhs, (a2, bm), c * bc)
-                rhs = {}
-                for bm, bc in aug(genkey).items():
-                    for (a2, b2), c2 in t.monomial_rule(bm, mono).items():
-                        add_term(f, rhs, (a2, b2), bc * c2)
+                # the ground field (left lifts only): one key, so only its
+                # scalar is kept
+                for (k2, b2), c in pairs.items():
+                    for s in aug(k2).values():
+                        add_term(f, lhs, b2, c * s)
+                for s in aug(genkey).values():
+                    add_term(f, rhs, mono, s)
             report.record_equation(f, "augmentation", "where",
                                    lambda: (0, lab, mono), lhs, rhs)
     return report
@@ -943,7 +898,7 @@ def crosscheck_koszul_lift(bundle, n_bound=2, degree_bound=2):
         kterm = bundle.complex.terms[n]
         bterm = barb.complex.terms[n]
         bar_cm = CompatMap(LEFT_BIMODULE, t, bterm,
-                           _bar_left_rule(t, bterm, True),
+                           _bar_rule(t, bterm, True, "left"),
                            name="crosscheck-bar-%d" % n)
         phi = {}
 

@@ -471,6 +471,10 @@ class CompatMap:
       over B; rule(key, a_mono, lookup) -> dict (a_mono', key') -> scalar.
     * ``one-sided``: same shape as left, M only a left module over A.
 
+    Each kind outputs a pair in the reverse order of its input, as tau
+    takes (b, a) to (a', b'): (key, mover) on the left, (mover, key) on the
+    right.
+
     ``lookup(x', y')`` is the caller's image of another pair, which a
     rule built by recursion (the Koszul-left lift, b^m through b^(m-1)
     and b) reads instead of this map's memo.  ``image(x, y, lookup)``

@@ -197,8 +197,7 @@ class TwistedBicomplex:
                         labels.append(lab)
                         degrees[lab] = di[v] + dj[w]
             self.terms.append(FreeModuleTerm(self.plain, labels, side, degrees))
-        self._h_cache = {}
-        self._v_cache = {}
+        self._images = ({}, {})  # per slot: label -> partial image
 
     def _degree_span(self):
         top = self.pm.n_max + self.pn.n_max
@@ -214,49 +213,38 @@ class TwistedBicomplex:
 
     def horizontal_image(self, label):
         """First factor's differential applied in the first slot."""
-        if label in self._h_cache:
-            return self._h_cache[label]
-        i, j, v, w = label
-        f = self.field
-        tgt = self.terms[i + j - 1]
-        b_one = self.twist.b_spec.one_monomial()
-        out = {}
-        if i:
-            for key, c in self.pm.complex.differentials[i][v].terms.items():
-                if self.bimodule:
-                    al, v2, ar = key
-                    nk = ((al, b_one), (i - 1, j, v2, w), (ar, b_one))
-                else:
-                    al, v2 = key
-                    nk = ((al, b_one), (i - 1, j, v2, w))
-                add_term(f, out, nk, c)
-        elem = FreeElement(tgt, out)
-        self._h_cache[label] = elem
-        return elem
+        return self._partial_image(label, 0)
 
     def vertical_image(self, label):
         """Second factor's differential in the second slot, signed (-1)^i."""
-        if label in self._v_cache:
-            return self._v_cache[label]
-        i, j, v, w = label
+        return self._partial_image(label, 1)
+
+    def _partial_image(self, label, slot):
+        """The differential of factor ``slot`` (0: the first, 1: the second)
+        on a grid label, each coefficient paired with the other factor's
+        unit; memoized per slot."""
+        memo = self._images[slot]
+        if label in memo:
+            return memo[label]
+        i, j = label[:2]
         f = self.field
-        tgt = self.terms[i + j - 1]
-        a_one = self.twist.a_spec.one_monomial()
-        sgn = f.one
-        if self.vertical_sign and i % 2:
-            sgn = f.neg(f.one)
+        step = label[slot]
+        sgn = f.neg(f.one) if slot and self.vertical_sign and i % 2 else f.one
         out = {}
-        if j:
-            for key, c in self.pn.complex.differentials[j][w].terms.items():
-                if self.bimodule:
-                    bl, w2, br = key
-                    nk = ((a_one, bl), (i, j - 1, v, w2), (a_one, br))
-                else:
-                    bl, w2 = key
-                    nk = ((a_one, bl), (i, j - 1, v, w2))
+        if step:
+            one = (self.twist.b_spec, self.twist.a_spec)[slot].one_monomial()
+            res = (self.pm, self.pn)[slot]
+            moved = list(label)
+            moved[slot] -= 1
+            for key, c in res.complex.differentials[step][
+                    label[2 + slot]].terms.items():
+                moved[2 + slot] = key[1]
+                # (l, g) one-sided, (l, g, r) two-sided
+                coeffs = [(m, one) if slot == 0 else (one, m)
+                          for m in key[::2]]
+                nk = (coeffs[0], tuple(moved)) + tuple(coeffs[1:])
                 add_term(f, out, nk, sgn * c)
-        elem = FreeElement(tgt, out)
-        self._v_cache[label] = elem
+        elem = memo[label] = FreeElement(self.terms[i + j - 1], out)
         return elem
 
     def anticommute_report(self):

@@ -477,6 +477,31 @@ def test_criterion_8_mutations_break_the_checks(monkeypatch):
                             without_degree)
         assert not check_lift_chain_map(lift_twist(periodic, t3), 2).passed
 
+        # the one bar rule with the right walk's factors left in the order
+        # they were crossed: each right image keeps its middle factors
+        # reversed, so the right lift squares fail while the left pass
+        monkeypatch.undo()
+        tw = weyl_twist()
+        right_bar = bar(tw.b_spec, 2, middle_cutoff=3)
+        left_bar = bar(tw.a_spec, 2, middle_cutoff=3)
+        assert check_lift_chain_map(
+            lift_twist(right_bar, tw, side="right"), 2).passed
+        bar_rule = resolutions._bar_rule
+
+        def crossing_order(t, term, reduced, side):
+            rule = bar_rule(t, term, reduced, side)
+            if side == "left":
+                return rule
+            return lambda key, mover, lookup: {
+                (m2, (l, mids[::-1], r)): c
+                for (m2, (l, mids, r)), c in rule(key, mover, lookup).items()}
+
+        monkeypatch.setattr(resolutions, "_bar_rule", crossing_order)
+        assert not check_lift_chain_map(
+            lift_twist(right_bar, tw, side="right"), 2).passed
+        assert check_lift_chain_map(
+            lift_twist(left_bar, tw, side="left"), 2).passed
+
         # the windowed count with the low rows left unreduced against the
         # high rows' pivots: each filtered boundary count then ranks the
         # low rows alone, and the Weyl resolution stops looking exact

@@ -5,14 +5,14 @@ import random
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from twistres.kernel import QQ, PrimeField, add_term, field_of_characteristic
+from twistres.kernel import PrimeField, add_term, field_of_characteristic
 from twistres.algebra import (
     AlgebraSpec, ITERATED_ORE,
     polynomial_algebra, cyclic_group_algebra, iterated_ore_algebra,
     weyl_algebra, solvable_2dim_algebra, heisenberg_algebra,
     basis_up_to, filtration_degree, parse_element,
     delta_table_from_strings,
-    AlgebraError, UnknownGeneratorError, SpecMismatchError, ZeroElementError,
+    UnknownGeneratorError, SpecMismatchError, ZeroElementError,
     DeltaTableError,
 )
 from twistres.twist import triangular_action_twist, weyl_twist

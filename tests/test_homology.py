@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from twistres.kernel import QQ, PrimeField, SparseMatrix
+from twistres.kernel import PrimeField, SparseMatrix
 from twistres.algebra import (
     cyclic_group_algebra, heisenberg_algebra, parse_element,
     polynomial_algebra, solvable_2dim_algebra, weyl_algebra,
@@ -24,7 +24,7 @@ from twistres.complex import (
     GroundModule,
 )
 from twistres.homology import (
-    CochainTruncation, HomologyError, _resolve_algebra_source,
+    CochainTruncation, HomologyError, _resolve_source,
     ext_over_augmented, hochschild_cohomology, tor_over_augmented,
 )
 
@@ -279,6 +279,37 @@ def test_collapse_rejects_two_sided_input():
         hochschild_cohomology(one_sided_koszul_kx(_kx()))
 
 
+def test_source_refusals_name_what_is_wrong():
+    # each sidedness and each augmentation refused with its own message,
+    # the augmentation ones on the same complexes stripped of it
+    two, one = poly_koszul(_kx()).complex, one_sided_koszul_kx(_kx()).complex
+    bare = {side: ChainComplexSpec(c.algebra, c.terms, c.differentials)
+            for side, c in (("two", two), ("one", one))}
+    cases = [
+        (hochschild_cohomology, one,
+         "algebra-valued cochains need a two-sided resolution"),
+        (tor_over_augmented, two,
+         "ground-field collapse needs a one-sided resolution"),
+        (hochschild_cohomology, bare["two"],
+         "the resolution must resolve the algebra itself"),
+        (ext_over_augmented, bare["one"],
+         "the resolution must resolve the ground field"),
+        (tor_over_augmented, "k[x]", "unsupported source 'str'"),
+    ]
+    for task, source, message in cases:
+        with pytest.raises(HomologyError) as caught:
+            task(source)
+        assert str(caught.value) == message
+
+
+def test_one_sided_total_complex_is_read_in_its_extension_form():
+    # a one-sided total complex with an Ore extension form is collapsed
+    # through the re-bundled wedge complex, not the twisted presentation
+    tsol = solvable_pair_twist()
+    tc = ore_module_resolution(one_sided_koszul_kx(tsol.a_spec), tsol)
+    assert _resolve_source(tc, False) is tc.ore_form.rebundled.complex
+
+
 # ---------------------------------------------------------------------------
 # differential test: the t-blocks and the transposed counit collapse against
 # the per-slice restriction and the ground accumulation loop they replaced
@@ -357,7 +388,7 @@ def _two_sided_suite():
     for i, built in enumerate(_suite_resolutions() + _suite_products()):
         cplx = getattr(built, "complex", built)
         if cplx.terms[0].side == BIMODULE and cplx.aug_kind == "algebra":
-            out["suite-%d" % i] = _resolve_algebra_source(built)
+            out["suite-%d" % i] = _resolve_source(built, True)
     return out
 
 

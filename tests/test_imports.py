@@ -1,8 +1,9 @@
-"""Every name a package module imports is used in it (or exported); every
-function the package defines is referenced by the package, the bench or
-the demos (or is listed as test-only API); every default is passed by a
-call there; every method whose name another def shares is listed with its
-classes; and every name the bench traces or imports exists."""
+"""Every name a package module, a test or a demo imports is used in it
+(or, in the package, exported); every function the package defines is
+referenced by the package, the bench or the demos (or is listed as
+test-only API); every default is passed by a call there; every method
+whose name another def shares is listed with its classes; and every name
+the bench traces or imports exists."""
 
 import ast
 import importlib.util
@@ -51,11 +52,20 @@ def test_detector_sees_unused_and_used_names():
     assert unused_imports(source, exported={"b", "f"}) == []
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
-                         ids=lambda p: p.name)
+def _import_scan_id(path):
+    # package modules by file name, tests and demos under their folder
+    if path.parent == SRC:
+        return path.name
+    return "%s/%s" % (path.parent.name, path.name)
+
+
+@pytest.mark.parametrize(
+    "path", sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    + sorted((ROOT / "demos").glob("*.py")), ids=_import_scan_id)
 def test_module_uses_every_import(path):
     source = path.read_text(encoding="utf-8")
-    assert unused_imports(source, REEXPORTS.get(path.name, ())) == []
+    exported = REEXPORTS.get(path.name, ()) if path.parent == SRC else ()
+    assert unused_imports(source, exported) == []
 
 
 def undefined_exports(source):

@@ -5,17 +5,17 @@ from itertools import combinations, permutations
 
 import pytest
 
-from twistres.kernel import QQ, PrimeField, add_term
+from twistres.kernel import CheckReport, PrimeField, add_term
 from twistres.algebra import (
     basis_up_to, polynomial_algebra, cyclic_group_algebra, weyl_algebra,
-    solvable_2dim_algebra, heisenberg_algebra, parse_element,
+    solvable_2dim_algebra, heisenberg_algebra,
 )
 from twistres.complex import (
     BIMODULE, ChainComplexSpec, CutoffError, FreeElement, FreeModuleTerm,
     compose_check, exactness_report,
 )
 from twistres.twist import (
-    flip_twist, ore_twist, weyl_twist, solvable_pair_twist,
+    CompatMap, flip_twist, ore_twist, weyl_twist, solvable_pair_twist,
     triangular_action_twist,
 )
 from twistres.resolutions import (
@@ -651,3 +651,237 @@ def test_chain_map_check_detects_corruption():
     lifted = lift_twist(kz, t, side="left")
     rep = check_lift_chain_map(lifted, 2)
     assert not rep.passed
+
+
+# ---------------------------------------------------------------------------
+# the two-copy lift code that one side-parametrised path replaced, kept as
+# the reference: the left and right bar rules and the two-branch check of
+# the lift squares
+
+
+def _reference_bar_left_rule(t, term, reduced):
+    f = t.field
+    unit = t.a_spec.one_monomial()
+
+    def rule(b_mono, key, lookup):
+        l, mids, r = key
+        factors = (l,) + tuple(mids) + (r,)
+        state = {((), b_mono): f.one}
+        for fac in factors:
+            new = {}
+            for (built, bcur), c in state.items():
+                for (am, bm), cc in t.monomial_rule(bcur, fac).items():
+                    add_term(f, new, (built + (am,), bm), c * cc)
+            state = new
+        out = {}
+        for (built, bfin), c in state.items():
+            mids2 = built[1:-1]
+            if reduced and any(m == unit for m in mids2):
+                continue
+            if not term.has_label(mids2):
+                raise CutoffError(
+                    "lift image needs the missing label %r" % (mids2,))
+            add_term(f, out, ((built[0], mids2, built[-1]), bfin), c)
+        return out
+
+    return rule
+
+
+def _reference_bar_right_rule(t, term, reduced):
+    f = t.field
+    unit = t.b_spec.one_monomial()
+
+    def rule(key, a_mono, lookup):
+        b0, mids, b1 = key
+        factors = (b0,) + tuple(mids) + (b1,)
+        state = {((), a_mono): f.one}
+        for fac in reversed(factors):
+            new = {}
+            for (built, acur), c in state.items():
+                for (am, bm), cc in t.monomial_rule(fac, acur).items():
+                    add_term(f, new, (built + (bm,), am), c * cc)
+            state = new
+        out = {}
+        for (built, afin), c in state.items():
+            facs = built[::-1]
+            mids2 = facs[1:-1]
+            if reduced and any(m == unit for m in mids2):
+                continue
+            if not term.has_label(mids2):
+                raise CutoffError(
+                    "lift image needs the missing label %r" % (mids2,))
+            add_term(f, out, (afin, (facs[0], mids2, facs[-1])), c)
+        return out
+
+    return rule
+
+
+def _reference_check_lift_chain_map(bundle, degree_bound):
+    t = bundle.twist
+    f = t.field
+    cplx = bundle.complex
+    side = bundle.lift_side
+    report = CheckReport("lift-chain-map(%s, %s, deg<=%d)"
+                         % (cplx.name, side, degree_bound), " squares")
+    movers = basis_up_to(t.b_spec if side == "left" else t.a_spec,
+                         degree_bound)
+    for n in range(1, bundle.n_max + 1):
+        term = cplx.terms[n]
+        for lab in term.labels:
+            genkey = next(iter(term.generator(lab).terms))
+            d_img = cplx.differentials[n][lab]
+            for mono in movers:
+                if side == "left":
+                    lhs = bundle.lifts[n - 1].apply(
+                        {(mono, k): c for k, c in d_img.terms.items()})
+                    rhs = {}
+                    for (k2, b2), c in bundle.lifts[n].pair_rule(
+                            mono, genkey).items():
+                        img = cplx.apply_differential(
+                            n, FreeElement(term, {k2: f.one}))
+                        for k3, c3 in img.terms.items():
+                            add_term(f, rhs, (k3, b2), c * c3)
+                else:
+                    lhs = bundle.lifts[n - 1].apply(
+                        {(k, mono): c for k, c in d_img.terms.items()})
+                    rhs = {}
+                    for (a2, k2), c in bundle.lifts[n].pair_rule(
+                            genkey, mono).items():
+                        img = cplx.apply_differential(
+                            n, FreeElement(term, {k2: f.one}))
+                        for k3, c3 in img.terms.items():
+                            add_term(f, rhs, (a2, k3), c * c3)
+                report.record_equation(f, "square", "where",
+                                       lambda: (n, lab, mono), lhs, rhs)
+    term0 = cplx.terms[0]
+    aug = cplx.augmentation_image
+    for lab in term0.labels:
+        genkey = next(iter(term0.generator(lab).terms))
+        for mono in movers:
+            if side == "left":
+                pairs = bundle.lifts[0].pair_rule(mono, genkey)
+                if cplx.aug_kind == RESOLVES_ALGEBRA:
+                    lhs = {}
+                    for (k2, b2), c in pairs.items():
+                        for am, ac in aug(k2).items():
+                            add_term(f, lhs, (am, b2), c * ac)
+                    rhs = {}
+                    for am, ac in aug(genkey).items():
+                        for (a2, b2), c2 in t.monomial_rule(mono, am).items():
+                            add_term(f, rhs, (a2, b2), ac * c2)
+                else:
+                    lhs = {}
+                    for (k2, b2), c in pairs.items():
+                        for s in aug(k2).values():
+                            add_term(f, lhs, b2, c * s)
+                    rhs = {}
+                    for s in aug(genkey).values():
+                        add_term(f, rhs, mono, s)
+            else:
+                pairs = bundle.lifts[0].pair_rule(genkey, mono)
+                lhs = {}
+                for (a2, k2), c in pairs.items():
+                    for bm, bc in aug(k2).items():
+                        add_term(f, lhs, (a2, bm), c * bc)
+                rhs = {}
+                for bm, bc in aug(genkey).items():
+                    for (a2, b2), c2 in t.monomial_rule(bm, mono).items():
+                        add_term(f, rhs, (a2, b2), bc * c2)
+            report.record_equation(f, "augmentation", "where",
+                                   lambda: (0, lab, mono), lhs, rhs)
+    return report
+
+
+def _reference_twists():
+    return [("weyl", weyl_twist()),
+            ("flip", flip_twist(polynomial_algebra(("x",), name="k[x]"),
+                                polynomial_algebra(("y",), name="k[y]"))),
+            ("solvable-pair", solvable_pair_twist())]
+
+
+@pytest.mark.parametrize("reduced", [False, True], ids=["bar", "reduced"])
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("which", range(3),
+                         ids=[name for name, _ in _reference_twists()])
+def test_bar_lifts_match_the_two_copy_reference(which, side, reduced):
+    # every key of the bar terms up to middle degree 3, every moved
+    # monomial up to degree 3, the unit included: the rule itself, then
+    # the lift's memoized image against a map around the reference rule
+    t = _reference_twists()[which][1]
+    left = side == "left"
+    spec, movers = ((t.a_spec, t.b_spec) if left else (t.b_spec, t.a_spec))
+    built = bar(spec, 3, middle_cutoff=3, reduced=reduced)
+    lifted = lift_twist(built, t, side=side)
+    reference = (_reference_bar_left_rule if left
+                 else _reference_bar_right_rule)
+    compared = 0
+    for n, term in enumerate(built.complex.terms):
+        lift = lifted.lifts[n]
+        assert lift.name == "%s-%s-%d" % (built.family, side, n)
+        ref_rule = reference(t, term, reduced)
+        ref_map = CompatMap(lift.kind, t, term, ref_rule)
+        for key in term.basis(3):
+            for mono in basis_up_to(movers, 3):
+                pair = (mono, key) if left else (key, mono)
+                assert lift._rule(*pair, None) == ref_rule(*pair, None), pair
+                assert lift.pair_rule(*pair) == ref_map.pair_rule(*pair)
+                compared += 1
+    assert compared > 100
+
+
+def _lifted_bundles():
+    """Every lifted factor of the suite products, then bar lifts of both
+    sides under the Weyl, flip and solvable-pair twists."""
+    from test_acceptance import _suite_products
+    out = [b for tc in _suite_products()
+           for b in (tc.bicomplex.pm, tc.bicomplex.pn) if b.lifts]
+    for _, t in _reference_twists():
+        for side, spec in (("left", t.a_spec), ("right", t.b_spec)):
+            for reduced in (False, True):
+                out.append(lift_twist(
+                    bar(spec, 2, middle_cutoff=3, reduced=reduced), t,
+                    side=side))
+    return out
+
+
+def _records(report):
+    return repr(report), report.checked, report.violations
+
+
+def test_lift_chain_map_check_matches_the_two_branch_reference():
+    bundles = _lifted_bundles()
+    assert {b.lift_side for b in bundles} == {"left", "right"}
+    for bundle in bundles:
+        rep = check_lift_chain_map(bundle, 2)
+        assert _records(rep) == _records(
+            _reference_check_lift_chain_map(bundle, 2)), repr(bundle)
+        assert rep.passed
+
+
+def _corrupted_right_lift(stage):
+    # x moved across the stage's generator of the right lift over k[y],
+    # scaled by 2 in the lift's memo
+    t = weyl_twist()
+    bundle = lift_twist(poly_koszul(t.b_spec), t, side="right")
+    term = bundle.complex.terms[stage]
+    gen = next(iter(term.generator(term.labels[0]).terms))
+    lift = bundle.lifts[stage]
+    lift._cache[(gen, (1,))] = {
+        k: 2 * v for k, v in lift.pair_rule(gen, (1,)).items()}
+    return bundle
+
+
+@pytest.mark.parametrize("stage, equation, where", [
+    (1, "square", (1, (0,), (1,))),
+    (0, "augmentation", (0, (), (1,))),
+])
+def test_corrupted_right_lift_records_match_the_reference(stage, equation,
+                                                          where):
+    bundle = _corrupted_right_lift(stage)
+    rep = check_lift_chain_map(bundle, 2)
+    assert _records(rep) == _records(
+        _reference_check_lift_chain_map(bundle, 2))
+    assert repr(rep) == ("lift-chain-map(poly-koszul(k[y]), right, deg<=2): "
+                         "FAIL(1) on 6 squares")
+    [violation] = rep.violations
+    assert (violation["equation"], violation["where"]) == (equation, where)

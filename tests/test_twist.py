@@ -4,7 +4,6 @@ twisted multiplication, and module compatibility."""
 import gc
 import hashlib
 import weakref
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from twistres.kernel import QQ, PrimeField
+from twistres.kernel import QQ
 from twistres.algebra import (
     POLYNOMIAL, AlgebraElement, basis_up_to, heisenberg_algebra,
     iterated_ore_algebra, polynomial_algebra, solvable_2dim_algebra,
