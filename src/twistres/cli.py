@@ -755,8 +755,7 @@ def _factor_bundle(entry, side, task, config):
 def _build_total(entry, task, config):
     if task.get("sided") == "one":
         base = one_sided_koszul_kx(entry.twist.a_spec)
-        return ore_module_resolution(base, entry.twist,
-                                     x_name=entry.twist.b_spec.gens[0])
+        return ore_module_resolution(base, entry.twist)
     pm = _factor_bundle(entry, "left", task, config)
     pn = _factor_bundle(entry, "right", task, config)
     return bimodule_twisted_product(pm, pn, entry.twist, name=entry.name)

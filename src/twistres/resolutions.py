@@ -33,13 +33,11 @@ from itertools import combinations, permutations
 from .kernel import CheckReport, add_term
 from .algebra import (
     POLYNOMIAL, ITERATED_ORE, CYCLIC_GROUP,
-    AlgebraElement, basis_up_to, cyclic_group_algebra, leibniz_extension,
-    parse_element,
+    basis_up_to, cyclic_group_algebra,
 )
 from .complex import (
     BIMODULE, GROUND_KEY, LEFT_MODULE, RESOLVES_ALGEBRA, RESOLVES_GROUND,
     ChainComplexSpec, CutoffError, FreeElement, FreeModuleTerm,
-    apply_label_images,
 )
 from .twist import (
     FLIP, ORE, SKEW_GROUP,
@@ -50,13 +48,11 @@ from .twist import (
 __all__ = [
     "BAR", "REDUCED_BAR", "POLY_KOSZUL", "ORE_KOSZUL", "ONE_SIDED_KOSZUL",
     "CYCLIC_PERIODIC", "RESOLVES_ALGEBRA", "RESOLVES_GROUND",
-    "ResolutionError", "RestrictionError", "ChainMapError",
-    "AugmentationError",
+    "ResolutionError", "RestrictionError", "AugmentationError",
     "ResolutionBundle", "sort_wedge",
     "bar", "poly_koszul", "ore_koszul", "one_sided_koszul_kx",
     "cyclic_periodic",
     "lift_twist", "check_lift_chain_map", "check_lift_compat",
-    "sigma_delta_chain_maps", "OreDerivationMaps",
     "wedge_to_bar", "crosscheck_koszul_lift",
 ]
 
@@ -75,10 +71,6 @@ class ResolutionError(Exception):
 
 class RestrictionError(ResolutionError):
     """A lifted image leaves the embedded subcomplex it must restrict to."""
-
-
-class ChainMapError(ResolutionError):
-    """A map that must commute with the differentials does not."""
 
 
 class AugmentationError(ResolutionError):
@@ -767,90 +759,6 @@ def check_lift_compat(bundle, degree_bound):
         raise ResolutionError("no lifts attached")
     return {n: check_bimodule_compat(cm, degree_bound)
             for n, cm in sorted(bundle.lifts.items())}
-
-
-# ---------------------------------------------------------------------------
-# derivation chain maps on one-sided wedge resolutions
-
-
-class OreDerivationMaps:
-    """The pair (identity, derivation) extended over a one-sided wedge
-    resolution: the degree-zero part applies the derivation to the
-    coefficient; the correction replaces each wedge slot by the linear part
-    of its derivative.  Checked to commute with the differential at
-    construction time."""
-
-    def __init__(self, bundle, images, label_images):
-        self.bundle = bundle
-        self._label_images = label_images
-        self._derive = leibniz_extension(bundle.algebra, images)
-
-    def delta_label(self, n, lab):
-        return self._label_images[(n, lab)]
-
-    def delta(self, n, elem):
-        term = self.bundle.complex.terms[n]
-        f = term.algebra.field
-        out = {}
-        for (l, lab), c in elem.terms.items():
-            for m, dc in self._derive(l).items():
-                add_term(f, out, (m, lab), dc * c)
-        return FreeElement(term, out) + FreeElement(term, apply_label_images(
-            term, elem.terms, lambda lab: self._label_images[(n, lab)]))
-
-
-def sigma_delta_chain_maps(bundle, delta_gens):
-    """Extend a derivation of the base algebra over a one-sided wedge
-    resolution of the ground field.
-
-    ``delta_gens`` maps generator names to elements (or parseable strings).
-    Raises AugmentationError when the derivation does not kill the
-    augmentation ideal's complement (a generator image with a constant
-    term), and ChainMapError when the extension fails to commute with the
-    differential.  Returns an OreDerivationMaps."""
-    cplx = bundle.complex
-    alg = cplx.algebra
-    f = alg.field
-    if cplx.terms[0].side == BIMODULE:
-        raise ResolutionError("derivation extensions live on one-sided "
-                              "resolutions")
-    images = {}
-    for gname, val in delta_gens.items():
-        idx = alg.gen_index(gname)
-        if isinstance(val, str):
-            val = parse_element(val, alg)
-        if not isinstance(val, AlgebraElement) or val.spec is not alg:
-            raise ResolutionError("derivation image of %r is not over the "
-                                  "resolution's algebra" % (gname,))
-        images[idx] = val
-    unit = alg.one_monomial()
-    for idx, img in images.items():
-        c = img.terms.get(unit)
-        if c is not None and not f.is_zero(c):
-            raise AugmentationError(
-                "derivation image of generator %d has the constant term %r; "
-                "the derivation does not descend to the ground field"
-                % (idx, c))
-    dbar = {idx: _linear_part(alg, img.terms) for idx, img in images.items()}
-    label_images = {}
-    for n in range(bundle.n_max + 1):
-        term = cplx.terms[n]
-        for w in term.labels:
-            img = {}
-            for w2, c in _wedge_derivative(f, dbar, w):
-                add_term(f, img, (unit, w2), c)
-            label_images[(n, w)] = FreeElement(term, img)
-    maps = OreDerivationMaps(bundle, images, label_images)
-    for n in range(1, bundle.n_max + 1):
-        for lab in cplx.terms[n].labels:
-            d_gen = cplx.differentials[n][lab]
-            lhs = maps.delta(n - 1, d_gen)
-            rhs = cplx.apply_differential(n, maps.delta_label(n, lab))
-            if lhs != rhs:
-                raise ChainMapError(
-                    "derivation extension fails to commute with the "
-                    "differential on %r in degree %d" % (lab, n))
-    return maps
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,9 @@ free term, ``AlgebraAsBimodule``, ``GroundModule``, all defined in
 
 Memos come in two lifetimes.  Shared memos live as long as the object
 that owns them and serve every consumer: the lift memo
-``CompatMap._cache`` (pair -> image), the twist memo ``TwistMap._cache``
+``CompatMap._cache`` (pair -> image; read by construction, total-complex
+assembly, the lift checks, the crosscheck and the Ore free form's
+derivation corrections), the twist memo ``TwistMap._cache``
 (monomial pair -> tau image) and the algebra memos of ``AlgebraSpec``
 (products, Ore steps, bases).  They are append-only dicts;
 recomputation is idempotent, so concurrent readers are safe.  Check
@@ -481,7 +483,8 @@ class CompatMap:
     computes the reduced image of one pair; ``pair_rule`` reads it
     through ``_cache``, the memo shared by every consumer that lives as
     long as the map (construction, total-complex assembly,
-    ``check_lift_chain_map``, the crosscheck), and is its own lookup.
+    ``check_lift_chain_map``, the crosscheck, ``OreFreeForm``), and is
+    its own lookup.
     ``scoped_rule(images)`` is the lookup of ``check_bimodule_compat``:
     it only reads that memo and keeps its misses, recursive ones
     included, in the caller's dict.

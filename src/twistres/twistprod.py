@@ -56,12 +56,12 @@ from .resolutions import (
     ONE_SIDED_KOSZUL,
     RESOLVES_ALGEBRA,
     RESOLVES_GROUND,
+    AugmentationError,
     ResolutionBundle,
     cyclic_periodic,
     lift_twist,
     one_sided_koszul_kx,
     poly_koszul,
-    sigma_delta_chain_maps,
 )
 from .twist import FLIP, ORE, TwistMap, flip_twist, ore_twist, triangular_action_twist
 
@@ -712,11 +712,11 @@ class OreFreeForm:
     matching column generator; ``from_total`` inverts it by peeling
     powers of the new variable one at a time -- moving a power across the
     coefficient costs a derivation correction, which is the defining
-    relation of the extension."""
+    relation of the extension.  The correction is the x^0 part of the
+    left lift on the base resolution, read through the lift's memo."""
 
-    def __init__(self, tc, maps, skew):
+    def __init__(self, tc, skew):
         self.total = tc
-        self.maps = maps
         self.skew = skew
         t = tc.bicomplex.twist
         self._x_index = len(t.a_spec.gens)
@@ -790,9 +790,12 @@ class OreFreeForm:
                                 self._from_key(n, ((r, (m - 1,)), lab)))
             x_mono, = self.skew.gen(self.skew.gens[-1]).terms
             result = lower.act(x_mono, None).terms
-            pm = self.total.bicomplex.pm
-            src = FreeElement(pm.complex.terms[i], {(r, v): f.one})
-            for (r2, v2), c2 in self.maps.delta(i, src).terms.items():
+            # the lift moves x across r (x) [v]: the x^1 term is r (x) [v]
+            # passing through, the x^0 terms are the derivation correction
+            lift = self.total.bicomplex.pm.lifts[i]
+            for ((r2, v2), xm2), c2 in lift.pair_rule((1,), (r, v)).items():
+                if xm2 != (0,):
+                    continue
                 ckey = ((r2, (m - 1,)), (i, j, v2, w))
                 for k3, c3 in self._from_key(n, ckey).items():
                     add_term(f, result, k3, -c2 * c3)
@@ -824,10 +827,6 @@ def _skew_extension_spec(t, x_name):
     the twist's derivation.  All-zero derivations yield a plain
     polynomial algebra so the construction can iterate."""
     a = t.a_spec
-    if x_name in a.gens:
-        raise ProductError(
-            "extension variable %r collides with a generator of %r"
-            % (x_name, a.name))
     gens = a.gens + (x_name,)
     table = {}
     xi = len(a.gens)
@@ -850,10 +849,11 @@ def ore_module_resolution(bundle, delta, x_name="x"):
     ``bundle`` is a one-sided wedge resolution of the ground field over
     the base ring; ``delta`` is either a flip/derivation twist whose
     first factor is that ring, or a mapping from generator names to
-    derivation images (elements or strings).  The derivation is promoted
-    to the resolution's terms and checked to be a chain map there; a
-    constant term makes the ground field a non-module and raises the
-    augmentation error from that construction.
+    derivation images (elements or strings).  A constant term makes the
+    ground field a non-module and raises AugmentationError before
+    anything is lifted.  The derivation reaches the resolution's terms
+    through the left lift, which refuses an image beyond
+    constants-plus-linear with RestrictionError.
 
     Returns the total complex with an ``ore_form`` attribute: the change
     of presentation onto free modules over the extension, whose
@@ -886,16 +886,19 @@ def ore_module_resolution(bundle, delta, x_name="x"):
         bx = polynomial_algebra((x_name,), field=alg.field,
                                 name="k[%s]" % x_name)
         t = ore_twist(alg, bx, dict(delta or {}))
-    images = {alg.gens[idx]: img
-              for idx, img in sorted(getattr(t, "delta_images", {}).items())}
-    maps = sigma_delta_chain_maps(bundle, images)
-    if bundle.twist is t and bundle.lift_side == "left" and bundle.lifts:
-        pm = bundle
-    else:
-        pm = lift_twist(bundle, t, side="left")
+    f = alg.field
+    unit = alg.one_monomial()
+    for idx, img in sorted(getattr(t, "delta_images", {}).items()):
+        c = img.terms.get(unit)
+        if c is not None and not f.is_zero(c):
+            raise AugmentationError(
+                "derivation image of generator %d has the constant term %r; "
+                "the derivation does not descend to the ground field"
+                % (idx, c))
+    pm = lift_twist(bundle, t, side="left")
     pn = one_sided_koszul_kx(t.b_spec)
     tc = one_sided_twisted_product(pm, pn)
-    tc.ore_form = OreFreeForm(tc, maps, _skew_extension_spec(t, x_name))
+    tc.ore_form = OreFreeForm(tc, _skew_extension_spec(t, x_name))
     return tc
 
 

@@ -225,6 +225,26 @@ tasks:
     assert report.exit_code == 1
 
 
+def test_quadratic_derivation_is_a_failed_one_sided_product():
+    config = parse_config("""\
+algebras:
+  A: {kind: polynomial, generators: [y]}
+  B: {kind: polynomial, generators: [x]}
+  W:
+    kind: twisted-product
+    left: A
+    right: B
+    twist: {kind: ore, delta: {y: "y^2"}}
+tasks:
+  - {task: twisted-product, algebra: W, sided: one}
+""")
+    report = run(config)
+    assert len(report.records) == 1
+    assert report.records[0].status == "fail"
+    assert report.records[0].detail.startswith("RestrictionError: ")
+    assert report.exit_code == 1
+
+
 def test_unstable_dimensions_flagged_but_exit_zero():
     config = parse_config("""\
 field: 0

@@ -385,8 +385,6 @@ SHARED_NAMES = {
     "mul": "PrimeField RationalField",
     "neg": "PrimeField RationalField",
     "is_zero": "FreeElement PrimeField RationalField SparseMatrix",
-    # the derivation promoted to a resolution's terms
-    "delta": "OreDerivationMaps",
     # a twist's field, shared by its two factors
     "field": "TwistMap",
     # how a failed check prints a module key, on every module kind

@@ -8,7 +8,7 @@ import pytest
 from twistres.kernel import CheckReport, PrimeField, add_term
 from twistres.algebra import (
     basis_up_to, polynomial_algebra, cyclic_group_algebra, weyl_algebra,
-    solvable_2dim_algebra, heisenberg_algebra,
+    solvable_2dim_algebra, heisenberg_algebra, leibniz_extension,
 )
 from twistres.complex import (
     BIMODULE, ChainComplexSpec, CutoffError, FreeElement, FreeModuleTerm,
@@ -21,13 +21,12 @@ from twistres.twist import (
 from twistres.resolutions import (
     BAR, REDUCED_BAR, POLY_KOSZUL, ORE_KOSZUL, ONE_SIDED_KOSZUL,
     CYCLIC_PERIODIC, RESOLVES_ALGEBRA, RESOLVES_GROUND,
-    AugmentationError, ChainMapError, ResolutionBundle, ResolutionError,
-    RestrictionError,
+    ResolutionBundle, ResolutionError, RestrictionError,
     bar, poly_koszul, ore_koszul, one_sided_koszul_kx, cyclic_periodic,
     lift_twist, check_lift_chain_map, check_lift_compat,
-    sigma_delta_chain_maps, sort_wedge, wedge_to_bar,
-    crosscheck_koszul_lift,
+    sort_wedge, wedge_to_bar, crosscheck_koszul_lift,
 )
+from twistres.twistprod import iterated_ore_tower, ore_module_resolution
 
 
 def test_sort_wedge():
@@ -549,49 +548,106 @@ def test_periodic_lift_wrong_shape():
 
 
 # ---------------------------------------------------------------------------
-# derivation chain maps on one-sided resolutions
+# the derivation on one-sided wedge resolutions, read off the left lift
+
+
+def sigma_delta_chain_maps(bundle, images):
+    """Reference extension of a derivation (generator index -> image) over
+    a one-sided wedge resolution, built apart from the lifts: the
+    coefficient takes the derivation by the product rule, and each wedge
+    slot in turn is replaced by the linear part of its image, sorted back
+    with the permutation sign.  Returns delta(n, element)."""
+    cplx = bundle.complex
+    f = cplx.algebra.field
+    derive = leibniz_extension(cplx.algebra, images)
+
+    def delta(n, elem):
+        out = {}
+        for (l, w), c in elem.terms.items():
+            for m, dc in derive(l).items():
+                add_term(f, out, (m, w), dc * c)
+            for pos, slot in enumerate(w):
+                img = images.get(slot)
+                for mono, dc in (img.terms.items() if img else ()):
+                    if sum(mono) != 1:
+                        continue
+                    sw = sort_wedge(w[:pos] + (mono.index(1),) + w[pos + 1:])
+                    if sw is not None:
+                        add_term(f, out, (l, sw[0]), dc * c * sw[1])
+        return FreeElement(cplx.terms[n], out)
+
+    return delta
+
+
+def _lift_by_power(bundle, n, key):
+    """The left lift of x across one key, split by the power of x it
+    leaves behind: {power: {key': scalar}}."""
+    out = {}
+    for (k2, (e,)), c in bundle.lifts[n].pair_rule((1,), key).items():
+        out.setdefault(e, {})[k2] = c
+    return out
+
+
+def _derivation_lift(spec, images):
+    t = ore_twist(spec, polynomial_algebra(("x",)), images)
+    return lift_twist(poly_koszul(spec, bimodule=False), t, side="left")
+
+
+def _lifted_wedge_bundles():
+    tsol = solvable_pair_twist()
+    totals = [ore_module_resolution(one_sided_koszul_kx(tsol.a_spec), tsol)]
+    totals += iterated_ore_tower(("z", "y", "x"), {("x", "y"): "z"})[0]
+    kz = polynomial_algebra(("z",), name="k[z]")
+    totals.append(ore_module_resolution(one_sided_koszul_kx(kz), {},
+                                        x_name="w"))
+    kzy = polynomial_algebra(("z", "y"), name="k[z,y]")
+    totals.append(ore_module_resolution(poly_koszul(kzy, bimodule=False),
+                                        {"y": "z"}, x_name="x"))
+    return [tc.bicomplex.pm for tc in totals]
+
+
+def test_left_lift_carries_the_derivation_extension():
+    bundles = _lifted_wedge_bundles()
+    assert len(bundles) == 5
+    for pm in bundles:
+        cplx = pm.complex
+        f = cplx.algebra.field
+        delta = sigma_delta_chain_maps(pm, pm.twist.delta_images)
+        checked = 0
+        for n in range(pm.n_max + 1):
+            term = cplx.terms[n]
+            for key in term.basis(3):
+                parts = _lift_by_power(pm, n, key)
+                assert set(parts) <= {0, 1}
+                # x passes through, and the x^0 part is the derivation
+                assert parts[1] == {key: f.one}
+                ref = delta(n, FreeElement(term, {key: f.one}))
+                assert parts.get(0, {}) == ref.terms, (pm.complex.name, key)
+                checked += 1
+            if n == 0:
+                continue
+            # the reference is a chain map, as the lift squares say
+            for lab in term.labels:
+                gen = term.generator(lab)
+                assert delta(n - 1, cplx.apply_differential(n, gen)) == \
+                    cplx.apply_differential(n, delta(n, gen))
+        assert checked
 
 
 def test_sigma_delta_solvable():
     ky = polynomial_algebra(("y",))
-    b = poly_koszul(ky, bimodule=False)
-    maps = sigma_delta_chain_maps(b, {"y": "y"})
-    e0 = b.complex.terms[0].generator(())
-    three = FreeElement(b.complex.terms[0], {((3,), ()): 1})
-    assert maps.delta(0, e0).is_zero()
-    assert maps.delta(0, three).terms == {((3,), ()): 3}
-    e1 = b.complex.terms[1].generator((0,))
-    assert maps.delta(1, e1) == e1
+    b = _derivation_lift(ky, {"y": "y"})
+    assert _lift_by_power(b, 0, ((0,), ())).get(0) is None
+    assert _lift_by_power(b, 0, ((3,), ()))[0] == {((3,), ()): 3}
+    assert _lift_by_power(b, 1, ((0,), (0,)))[0] == {((0,), (0,)): 1}
 
 
 def test_sigma_delta_two_variables():
     kzy = polynomial_algebra(("z", "y"))
-    b = poly_koszul(kzy, bimodule=False)
-    maps = sigma_delta_chain_maps(b, {"y": "z"})  # central commutator shape
-    e_y = b.complex.terms[1].generator((1,))
-    assert maps.delta(1, e_y).terms == {((0, 0), (0,)): 1}
-    e_zy = b.complex.terms[2].generator((0, 1))
-    assert maps.delta(2, e_zy).is_zero()  # z^z collapses
-
-
-def test_sigma_delta_augmentation_error():
-    kx = polynomial_algebra(("x",))
-    b = poly_koszul(kx, bimodule=False)
-    with pytest.raises(AugmentationError):
-        sigma_delta_chain_maps(b, {"x": "-1"})
-
-
-def test_sigma_delta_chain_map_error():
-    ku = polynomial_algebra(("u",))
-    b = poly_koszul(ku, bimodule=False)
-    with pytest.raises(ChainMapError):
-        sigma_delta_chain_maps(b, {"u": "u^2"})
-
-
-def test_sigma_delta_needs_one_sided():
-    ky = polynomial_algebra(("y",))
-    with pytest.raises(ResolutionError):
-        sigma_delta_chain_maps(poly_koszul(ky), {"y": "y"})
+    b = _derivation_lift(kzy, {"y": "z"})  # central commutator shape
+    assert _lift_by_power(b, 1, ((0, 0), (1,)))[0] == {((0, 0), (0,)): 1}
+    # z^z collapses
+    assert _lift_by_power(b, 2, ((0, 0), (0, 1))).get(0) is None
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from twistres.twist import (
 )
 from twistres.resolutions import (
     ONE_SIDED_KOSZUL, RESOLVES_ALGEBRA, RESOLVES_GROUND, AugmentationError,
-    bar,
+    RestrictionError, bar,
     cyclic_periodic, lift_twist, one_sided_koszul_kx, ore_koszul,
     poly_koszul,
 )
@@ -439,8 +439,20 @@ def test_extension_zero_derivation_gives_polynomial_stage():
 
 def test_extension_rejects_constant_commutators():
     kx = _kx()
-    with pytest.raises(AugmentationError):
+    with pytest.raises(AugmentationError) as err:
         ore_module_resolution(one_sided_koszul_kx(kx), {"x": "-1"},
+                              x_name="y")
+    assert str(err.value) == (
+        "derivation image of generator 0 has the constant term -1; the "
+        "derivation does not descend to the ground field")
+
+
+def test_extension_rejects_quadratic_derivation():
+    # the left lift refuses an image beyond constants-plus-linear, as the
+    # two-sided wedge lift does
+    ku = polynomial_algebra(("u",), name="k[u]")
+    with pytest.raises(RestrictionError):
+        ore_module_resolution(one_sided_koszul_kx(ku), {"u": "u^2"},
                               x_name="y")
 
 
