@@ -21,7 +21,7 @@ from twistres.twist import (
 from twistres.resolutions import (
     BAR, REDUCED_BAR, POLY_KOSZUL, ORE_KOSZUL, ONE_SIDED_KOSZUL,
     CYCLIC_PERIODIC, RESOLVES_ALGEBRA, RESOLVES_GROUND,
-    ResolutionBundle, ResolutionError, RestrictionError,
+    AugmentationError, ResolutionBundle, ResolutionError, RestrictionError,
     bar, poly_koszul, ore_koszul, one_sided_koszul_kx, cyclic_periodic,
     lift_twist, check_lift_chain_map, check_lift_compat,
     sort_wedge, wedge_to_bar, crosscheck_koszul_lift,
@@ -632,6 +632,14 @@ def test_left_lift_carries_the_derivation_extension():
                 assert delta(n - 1, cplx.apply_differential(n, gen)) == \
                     cplx.apply_differential(n, delta(n, gen))
         assert checked
+
+
+def test_sigma_delta_augmentation_error():
+    # a constant derivation image is refused before lifting
+    kx = polynomial_algebra(("x",))
+    b = poly_koszul(kx, bimodule=False)
+    with pytest.raises(AugmentationError):
+        ore_module_resolution(b, {"x": "-1"}, x_name="y")
 
 
 def test_sigma_delta_solvable():
