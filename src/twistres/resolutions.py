@@ -17,15 +17,19 @@ Families
 Each builder returns a :class:`ResolutionBundle`: a ChainComplexSpec plus
 bookkeeping (family tag, what is resolved, and - after ``lift_twist`` -
 per-degree CompatMaps that move the other tensor factor across the
-resolution).  Every lift is a rule on keys: the bar lifts iterate the
-twist over the tensor factors, one rule for both sides (left lifts walk
-left to right, right lifts right to left), the wedge lifts are closed
-forms, and the periodic lift is the skew twist's group action, by the
-group degree each key carries.  ``check_lift_chain_map`` / ``check_lift_compat`` verify that
-attached lifts commute with the differentials and satisfy the module
-compatibility equations; ``crosscheck_koszul_lift`` replays the closed-form
-wedge lift inside the reduced bar complex (symmetrize, move the factor
-across, project back) and compares.
+resolution).  Every lift is a rule on keys that reads the twist only
+through tau (``TwistMap.monomial_rule``): the bar lifts iterate tau over
+the tensor factors, one rule for both sides (left lifts walk left to
+right, right lifts right to left); the left wedge lift is a closed form
+in delta, the x^0 part of tau(x (x) a); the right wedge lift moves the
+factor across each coefficient and wedge slot through tau, for every
+twist kind it takes; and the periodic lift reads the group action off
+tau, by the group degree each key carries.  ``check_lift_chain_map`` /
+``check_lift_compat`` verify that attached lifts commute with the
+differentials and satisfy the module compatibility equations;
+``crosscheck_koszul_lift`` replays the closed-form wedge lift inside the
+reduced bar complex (symmetrize, move the factor across, project back)
+and compares.
 """
 
 from itertools import combinations, permutations
@@ -42,7 +46,7 @@ from .complex import (
 from .twist import (
     FLIP, ORE, SKEW_GROUP,
     LEFT_BIMODULE, RIGHT_BIMODULE, ONE_SIDED,
-    CompatMap, check_bimodule_compat,
+    CompatMap, check_bimodule_compat, _derivation,
 )
 
 __all__ = [
@@ -239,6 +243,10 @@ def _linear_part(spec, terms_dict):
 def _wedge_differentials(spec, terms, side, delta=None):
     f = spec.field
     unit = spec.one_monomial()
+    # dbars[j]: slot i -> the linear part of delta_j(x_i) = [x_j, x_i], i < j
+    dbars = {}
+    for (j, i), entry in (delta or {}).items():
+        dbars.setdefault(j, {})[i] = _linear_part(spec, entry)
     diffs = [{}]
     for n in range(1, len(terms)):
         dn = {}
@@ -254,28 +262,15 @@ def _wedge_differentials(spec, terms, side, delta=None):
                     add_term(f, img, (unit, rest, gmono), f.neg(sign))
                 else:
                     add_term(f, img, (gmono, rest), sign)
-            if delta:
-                for pj in range(1, n):
-                    sign = f.neg(f.one) if pj % 2 == 0 else f.one
-                    for pi in range(pj):
-                        entry = delta.get((w[pj], w[pi]))
-                        if not entry:
-                            continue
-                        for k, c in _linear_part(spec, entry):
-                            slots = list(w)
-                            del slots[pj]
-                            slots[pi] = k
-                            sw = sort_wedge(slots)
-                            if sw is None:
-                                continue
-                            w2, sgn = sw
-                            val = f.mul(sign, c)
-                            if sgn < 0:
-                                val = f.neg(val)
-                            if side == BIMODULE:
-                                add_term(f, img, (unit, w2, unit), val)
-                            else:
-                                add_term(f, img, (unit, w2), val)
+            # the bracket term: for each later slot p_j, the slot
+            # derivative of w without it under delta_w[p_j], which reaches
+            # only the earlier slots (w is increasing)
+            for pj in range(1, n):
+                sign = f.neg(f.one) if pj % 2 == 0 else f.one
+                for w2, c in _wedge_derivative(f, dbars.get(w[pj], {}),
+                                               w[:pj] + w[pj + 1:]):
+                    key = (unit, w2, unit) if side == BIMODULE else (unit, w2)
+                    add_term(f, img, key, sign * c)
             dn[w] = FreeElement(tgt, img)
         diffs.append(dn)
     return diffs
@@ -434,27 +429,23 @@ def _bar_rule(t, term, reduced, side):
 
 
 def _delta_data(t, alg):
-    """Pull the derivation data off an Ore-type twist; the flip has none.
+    """The linear part of the derivation on each generator, read off tau
+    (zero for a flip): slot -> [(slot', scalar)].
 
     Raises RestrictionError when a derivation image sticks out of
     constants-plus-linear (the lifted image would then leave the wedge
     subcomplex inside the bar complex)."""
-    if t.kind == FLIP:
-        return (lambda mono: {}), {}
-    delta_of_monomial = getattr(t, "delta_of_monomial", None)
-    images = getattr(t, "delta_images", None)
-    if delta_of_monomial is None or images is None:
-        raise ResolutionError(
-            "closed-form wedge lifts need a derivation-type or flip twist")
-    for idx, img in images.items():
-        for mono in img.terms:
-            if alg.monomial_degree(mono) > 1:
-                raise RestrictionError(
-                    "derivation image %r of generator %d leaves "
-                    "constants-plus-linear; the wedge lift does not restrict"
-                    % (img, idx))
-    dbar = {idx: _linear_part(alg, img.terms) for idx, img in images.items()}
-    return delta_of_monomial, dbar
+    dbar = {}
+    for idx in range(len(alg.gens)):
+        img = _derivation(t, _gen_mono(alg, idx))
+        if any(alg.monomial_degree(mono) > 1 for mono in img):
+            raise RestrictionError(
+                "derivation image %r of generator %d leaves "
+                "constants-plus-linear; the wedge lift does not restrict"
+                % (alg.element(img), idx))
+        if img:
+            dbar[idx] = _linear_part(alg, img)
+    return dbar
 
 
 def _wedge_derivative(f, dbar, w):
@@ -477,7 +468,7 @@ def _koszul_left_rule(t, alg, bimodule):
     wedge slot; higher powers by splitting off one generator at a time,
     whose images the rule reads through its caller's ``lookup``."""
     f = t.field
-    delta_of_monomial, dbar = _delta_data(t, alg)
+    dbar = _delta_data(t, alg)
     one_b = (1,)
     zero_b = (0,)
 
@@ -490,11 +481,11 @@ def _koszul_left_rule(t, alg, bimodule):
             else:
                 l, w = key
             add_term(f, out, (key, one_b), f.one)
-            for dm, dc in delta_of_monomial(l).items():
+            for dm, dc in _derivation(t, l).items():
                 k2 = (dm, w, r) if bimodule else (dm, w)
                 add_term(f, out, (k2, zero_b), dc)
             if bimodule:
-                for dm, dc in delta_of_monomial(r).items():
+                for dm, dc in _derivation(t, r).items():
                     add_term(f, out, ((l, w, dm), zero_b), dc)
             for w2, c in _wedge_derivative(f, dbar, w):
                 k2 = (l, w2, r) if bimodule else (l, w2)
@@ -508,77 +499,57 @@ def _koszul_left_rule(t, alg, bimodule):
     return rule
 
 
-def _koszul_right_rule(t):
-    """Move an A-monomial across a wedge key over B = k[x]: the wedge slot
-    is transparent (the moved factor exchanges with the slot generator with
-    no correction), so only the two coefficients conjugate, right to left."""
+def _wedge_right_rule(t, alg):
+    """Move an A-monomial a across a wedge key b0 (x) w (x) b1 over B, right
+    to left, each step through tau: across b1, then across the wedge, then
+    across b0.  A wedge slot x_i goes to the degree-one part of
+    tau(x_i (x) a), which must leave a in place (else RestrictionError);
+    its degree-zero part, an Ore twist's delta(a) (x) 1, leaves the wedge.
+    A flip or an Ore twist leaves each slot as it is; a skew twist's
+    g^-e acts on the slots through its linear action, with resorting
+    signs.
+
+    The wedge images are kept in ``wedges``, a memo (mover, wedge) ->
+    image for the life of the lift."""
     f = t.field
+    gen_monos = [_gen_mono(alg, i) for i in range(len(alg.gens))]
+    wedges = {}
+
+    def across_wedge(a, w):
+        states = {(): f.one}
+        for gi in w:
+            new = {}
+            for (am, bm), ci in t.monomial_rule(gen_monos[gi], a).items():
+                if sum(bm) == 0:
+                    continue
+                if sum(bm) != 1 or am != a:
+                    raise RestrictionError(
+                        "tau(x_%d (x) %r) moves the mover or leaves the "
+                        "linear slots; the wedge lift does not restrict"
+                        % (gi, a))
+                k = bm.index(1)
+                for slots, c in states.items():
+                    if k not in slots:
+                        add_term(f, new, slots + (k,), c * ci)
+            states = new
+        out = {}
+        for slots, c in states.items():
+            w2, sgn = sort_wedge(slots)
+            add_term(f, out, w2, c if sgn > 0 else f.neg(c))
+        return out
 
     def rule(key, a_mono, lookup):
         b0, w, b1 = key
         out = {}
         for (a1, c1m), c1 in t.monomial_rule(b1, a_mono).items():
-            for (a3, c0m), c3 in t.monomial_rule(b0, a1).items():
-                add_term(f, out, (a3, (c0m, w, c1m)), c1 * c3)
-        return out
-
-    return rule
-
-
-def _skew_right_rule(t, alg):
-    """Move a group element across a wedge key over the acted-on polynomial
-    algebra: the inverse group element acts diagonally on both coefficients
-    and on every wedge slot (through the linearized action, with resorting
-    signs).
-
-    The image of a key is built from its three factor images: the two
-    coefficients through the twist's memoized group action, the wedge
-    through ``wedges``, a memo (exponent, wedge) -> image kept for the life
-    of the lift, so at most group order x number of wedges entries."""
-    f = t.field
-    act = t.group_action
-    order = t.group_order
-    gen_monos = [_gen_mono(alg, i) for i in range(len(alg.gens))]
-    wedges = {}
-
-    def act_wedge(e, w):
-        states = {(): f.one}
-        for gi in w:
-            new = {}
-            img = act(e, gen_monos[gi])
-            for slots, c in states.items():
-                for mono, ci in img.items():
-                    if sum(mono) != 1:
-                        raise RestrictionError(
-                            "group action image is not linear on slot %d"
-                            % gi)
-                    k = mono.index(1)
-                    if k in slots:
-                        continue
-                    add_term(f, new, slots + (k,), c * ci)
-            states = new
-        out = {}
-        for slots, c in states.items():
-            sw = sort_wedge(slots)
-            if sw is None:
-                continue
-            w2, sgn = sw
-            add_term(f, out, w2, c if sgn > 0 else f.neg(c))
-        return out
-
-    def rule(key, e, lookup):
-        b0, w, b1 = key
-        inv = (order - e) % order
-        wimg = wedges.get((inv, w))
-        if wimg is None:
-            wimg = wedges[(inv, w)] = act_wedge(inv, w)
-        right = act(inv, b1)
-        out = {}
-        for m0, c0 in act(inv, b0).items():
+            wimg = wedges.get((a1, w))
+            if wimg is None:
+                wimg = wedges[(a1, w)] = across_wedge(a1, w)
+            left = t.monomial_rule(b0, a1)
             for w2, cw in wimg.items():
-                c = f.mul(c0, cw)
-                for m1, c1 in right.items():
-                    add_term(f, out, (e, (m0, w2, m1)), c * c1)
+                c = f.mul(c1, cw)
+                for (a3, c0m), c3 in left.items():
+                    add_term(f, out, (a3, (c0m, w2, c1m)), c * c3)
         return out
 
     return rule
@@ -587,14 +558,14 @@ def _skew_right_rule(t, alg):
 def _periodic_left_rule(cplx, t):
     """Move a polynomial monomial across the two-periodic resolution of
     k[Z/p] by the twist's group action:
-    tau_n(s (x) g^a e g^b) = g^a e g^b (x) g^-(a + eps(e) + b) . s.
+    tau_n(s (x) g^a e g^b) = g^a e g^b (x) g^-(a + eps(e) + b) . s,
+    read off tau(s (x) g^(a + eps(e) + b)) = g^(a + eps(e) + b) (x) that.
 
     eps(e) in Z/p is the group degree of the generator e, read off the
     differential: degree-0 generators have degree 0, and each key
     g^a e' g^b of d(e) gives a + eps(e') + b.  A differential that is not
     homogeneous for this grading raises RestrictionError."""
-    p = t.group_order
-    act = t.group_action
+    p = t.a_spec.order
     eps = dict.fromkeys(cplx.terms[0].labels, 0)
     for n in range(1, cplx.n_max + 1):
         for lab, img in cplx.differentials[n].items():
@@ -607,8 +578,8 @@ def _periodic_left_rule(cplx, t):
 
     def rule(s_mono, key, lookup):
         a, lab, b = key
-        return {(key, m): c
-                for m, c in act(-(a + eps[lab] + b) % p, s_mono).items()}
+        return {(key, m): c for (_, m), c in t.monomial_rule(
+            s_mono, (a + eps[lab] + b) % p).items()}
 
     return rule
 
@@ -621,11 +592,13 @@ def lift_twist(bundle, t, side="left"):
       map across all tensor factors (left lifts cross left to right, right
       lifts right to left);
     * wedge families, left: the closed-form rule (generator passes through,
-      derivation corrections on coefficients and slots);
-    * wedge families, right: coefficient conjugation (Ore/flip twists) or
-      the diagonal inverse group action (skew twists);
+      corrections by delta, read off tau, on coefficients and slots; Ore
+      and flip twists);
+    * wedge families, right: one rule moving the factor across b1, the
+      wedge and b0 through tau, each slot to the degree-one part of its
+      image (Ore, flip and skew twists);
     * cyclic-periodic, left: the inverse group action on the moved factor,
-      by the group degree of the key (skew twists).
+      read off tau by the group degree of the key (skew twists).
 
     Degree n gets the CompatMap ``<family>-<side>-<n>`` around its rule.
     Returns a new bundle carrying the lifts."""
@@ -656,10 +629,8 @@ def lift_twist(bundle, t, side="left"):
             if len(t.b_spec.gens) != 1:
                 raise ResolutionError("the moved factor must be k[x]")
             rule = _koszul_left_rule(t, bundle.algebra, not one_sided)
-        elif t.kind in (ORE, FLIP):
-            rule = _koszul_right_rule(t)
-        elif t.kind == SKEW_GROUP:
-            rule = _skew_right_rule(t, bundle.algebra)
+        elif t.kind in (ORE, FLIP, SKEW_GROUP):
+            rule = _wedge_right_rule(t, bundle.algebra)
         else:
             raise ResolutionError(
                 "no right wedge lift for twist kind %r" % (t.kind,))

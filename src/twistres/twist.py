@@ -25,6 +25,11 @@ Four kinds are provided:
                      layered over a base twist (used for corrupted-rule
                      experiments and for tabulated inverses).
 
+tau is the whole input: outside this module a twist is read only through
+``TwistMap.monomial_rule``.  delta(a) is the x^0 part of tau(x (x) a)
+(``_derivation``, zero for a flip), and the group action g^-e . s is the
+B part of tau(s (x) g^e).
+
 ``CompatMap`` plays the same role one level up: it moves B- (or A-)
 factors across a module, and ``check_bimodule_compat`` verifies the two
 compatibility equations (multiplication side and module side) that make
@@ -46,10 +51,10 @@ memos live for one call: the pure-tensor ``products`` of
 ``check_bimodule_compat``.  The compat check reads the lift memo and
 writes nothing to it; it still fills the twist and algebra memos.  One
 lift rule keeps a memo of its factor images for the life of the lift (as
-long as the bundle that carries it): the skew right lift keeps the wedge
-action per (group exponent, wedge), at most group order x number of
-wedges entries.  The periodic left lift is the skew twist's group
-action itself and reads only the twist's memo of it.
+long as the bundle that carries it): the right wedge lift keeps the image
+of each wedge per (mover, wedge), one entry per pair met (for a skew
+twist, at most group order x number of wedges).  The periodic left lift
+reads the group action off tau, through the twist's memo.
 """
 
 from __future__ import annotations
@@ -239,10 +244,16 @@ def ore_twist(a_spec, b_spec, delta_gens, name=None):
         return out
 
     t = TwistMap(a_spec, b_spec, ORE, rule, name=name or "ore")
-    t.delta_of_monomial = delta_of_monomial
-    t.delta_images = images
     t.preserves_degree = not any(img.terms for img in images.values())
     return t
+
+
+def _derivation(t, a_mono):
+    """delta(a) for a twist over B = k[x], read off tau as the x^0 part of
+    tau(x (x) a): the derivation of an Ore twist, zero for a flip."""
+    one = t.b_spec.one_monomial()
+    return {am: c for (am, bm), c in t.monomial_rule((1,), a_mono).items()
+            if bm == one}
 
 
 def skew_group_twist(group_spec, poly_spec, action, name=None):
@@ -285,29 +296,16 @@ def skew_group_twist(group_spec, poly_spec, action, name=None):
     if any(closed[i] != powers[0][i] for i in range(len(closed))):
         raise TwistError("action order does not divide the group order")
 
-    act_cache = {}
-
-    def act(e, s_mono):
-        """The action of g^e on a polynomial monomial, as a terms dict."""
-        key = (e, s_mono)
-        hit = act_cache.get(key)
-        if hit is not None:
-            return hit
-        elem = poly_spec.one()
-        for i, exp in enumerate(s_mono):
-            for _ in range(exp):
-                elem = elem * powers[e][i]
-        act_cache[key] = elem.terms
-        return elem.terms
-
     def keyed_rule(b_mono, a_mono, lookup):
-        return {((a_mono, m)): c for m, c in act((n - a_mono) % n, b_mono).items()}
+        # g^-e . s by substitution; TwistMap's memo keeps each image
+        elem = poly_spec.one()
+        for i, exp in enumerate(b_mono):
+            for _ in range(exp):
+                elem = elem * powers[(n - a_mono) % n][i]
+        return {(a_mono, m): c for m, c in elem.terms.items()}
 
-    t = TwistMap(group_spec, poly_spec, SKEW_GROUP, keyed_rule,
-                 name=name or "skew-group")
-    t.group_action = act
-    t.group_order = n
-    return t
+    return TwistMap(group_spec, poly_spec, SKEW_GROUP, keyed_rule,
+                    name=name or "skew-group")
 
 
 def custom_twist(a_spec, b_spec, table, base=None, name=None):

@@ -63,7 +63,9 @@ from .resolutions import (
     one_sided_koszul_kx,
     poly_koszul,
 )
-from .twist import FLIP, ORE, TwistMap, flip_twist, ore_twist, triangular_action_twist
+from .twist import (
+    FLIP, ORE, _derivation, flip_twist, ore_twist, triangular_action_twist,
+)
 
 import random
 
@@ -821,19 +823,19 @@ class OreFreeForm:
         return rep
 
 
-def _skew_extension_spec(t, x_name):
+def _skew_extension_spec(t, images):
     """The one-variable extension algebra matching an ore-type twist: the
     first factor's generators plus the new variable, commutators given by
-    the twist's derivation.  All-zero derivations yield a plain
-    polynomial algebra so the construction can iterate."""
+    the derivation images on the generators (index -> {monomial: scalar},
+    read off tau).  All-zero derivations yield a plain polynomial algebra
+    so the construction can iterate."""
     a = t.a_spec
-    gens = a.gens + (x_name,)
+    gens = a.gens + t.b_spec.gens
     table = {}
     xi = len(a.gens)
-    for idx, img in sorted(getattr(t, "delta_images", {}).items()):
-        entries = {mono + (0,): c for mono, c in img.terms.items()}
-        if entries:
-            table[(xi, idx)] = entries
+    for idx, img in enumerate(images):
+        if img:
+            table[(xi, idx)] = {mono + (0,): c for mono, c in img.items()}
     name = "k<%s>" % ",".join(gens)
     if not table:
         return polynomial_algebra(gens, field=a.field,
@@ -841,19 +843,18 @@ def _skew_extension_spec(t, x_name):
     return iterated_ore_algebra(gens, table, field=a.field, name=name)
 
 
-def ore_module_resolution(bundle, delta, x_name="x"):
+def ore_module_resolution(bundle, t):
     """Resolve the ground field over a skew one-variable extension of the
     base ring by totalizing against the two-term resolution over the new
     polynomial variable.
 
     ``bundle`` is a one-sided wedge resolution of the ground field over
-    the base ring; ``delta`` is either a flip/derivation twist whose
-    first factor is that ring, or a mapping from generator names to
-    derivation images (elements or strings).  A constant term makes the
-    ground field a non-module and raises AugmentationError before
-    anything is lifted.  The derivation reaches the resolution's terms
-    through the left lift, which refuses an image beyond
-    constants-plus-linear with RestrictionError.
+    the base ring; ``t`` is a flip or derivation twist whose first factor
+    is that ring and whose second is k[x].  The derivation is read off
+    tau: a constant term makes the ground field a non-module and raises
+    AugmentationError before anything is lifted.  The derivation reaches
+    the resolution's terms through the left lift, which refuses an image
+    beyond constants-plus-linear with RestrictionError.
 
     Returns the total complex with an ``ore_form`` attribute: the change
     of presentation onto free modules over the extension, whose
@@ -866,39 +867,27 @@ def ore_module_resolution(bundle, delta, x_name="x"):
         raise ProductError(
             "the change of presentation needs wedge labels; got family %r"
             % (bundle.family,))
-    if isinstance(delta, TwistMap):
-        t = delta
-        if t.a_spec is not alg:
-            raise ProductError(
-                "the twist's first factor must be the resolution's algebra")
-        if t.kind not in (ORE, FLIP):
-            raise ProductError(
-                "one-variable extensions need a flip or derivation twist; "
-                "got %r" % (t.kind,))
-        if len(t.b_spec.gens) != 1:
-            raise ProductError("the adjoined factor must be one-variable")
-        x_name = t.b_spec.gens[0]
-    else:
-        if x_name in alg.gens:
-            raise ProductError(
-                "extension variable %r collides with a generator of %r"
-                % (x_name, alg.name))
-        bx = polynomial_algebra((x_name,), field=alg.field,
-                                name="k[%s]" % x_name)
-        t = ore_twist(alg, bx, dict(delta or {}))
-    f = alg.field
+    if t.a_spec is not alg:
+        raise ProductError(
+            "the twist's first factor must be the resolution's algebra")
+    if t.kind not in (ORE, FLIP):
+        raise ProductError(
+            "one-variable extensions need a flip or derivation twist; "
+            "got %r" % (t.kind,))
+    if len(t.b_spec.gens) != 1:
+        raise ProductError("the adjoined factor must be one-variable")
     unit = alg.one_monomial()
-    for idx, img in sorted(getattr(t, "delta_images", {}).items()):
-        c = img.terms.get(unit)
-        if c is not None and not f.is_zero(c):
+    images = [_derivation(t, *alg.gen(g).terms) for g in alg.gens]
+    for idx, img in enumerate(images):
+        if unit in img:
             raise AugmentationError(
                 "derivation image of generator %d has the constant term %r; "
                 "the derivation does not descend to the ground field"
-                % (idx, c))
+                % (idx, img[unit]))
     pm = lift_twist(bundle, t, side="left")
     pn = one_sided_koszul_kx(t.b_spec)
     tc = one_sided_twisted_product(pm, pn)
-    tc.ore_form = OreFreeForm(tc, _skew_extension_spec(t, x_name))
+    tc.ore_form = OreFreeForm(tc, _skew_extension_spec(t, images))
     return tc
 
 
@@ -929,7 +918,9 @@ def iterated_ore_tower(gen_names, brackets):
             val = brackets.get((gen_names[pos], g))
             if val is not None:
                 images[g] = val
-        tc = ore_module_resolution(bundle, images, x_name=gen_names[pos])
+        bx = polynomial_algebra((gen_names[pos],), field=alg.field,
+                                name="k[%s]" % gen_names[pos])
+        tc = ore_module_resolution(bundle, ore_twist(alg, bx, images))
         totals.append(tc)
         bundle = tc.ore_form.rebundled
     return totals, bundle

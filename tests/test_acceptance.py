@@ -469,13 +469,40 @@ def test_criterion_8_mutations_break_the_checks(monkeypatch):
         def without_degree(cplx, t):
             def rule(s_mono, key, lookup):
                 a, _lab, b = key
-                return {(key, m): c for m, c in
-                        t.group_action(-(a + b) % 3, s_mono).items()}
+                return {(key, m): c for (_, m), c in
+                        t.monomial_rule(s_mono, (a + b) % 3).items()}
             return rule
 
         monkeypatch.setattr(resolutions, "_periodic_left_rule",
                             without_degree)
         assert not check_lift_chain_map(lift_twist(periodic, t3), 2).passed
+
+        # every right wedge lift leaving the wedge untouched, as an Ore or
+        # flip twist does: only the coefficients move through tau, so the
+        # skew twist's action on the slots is lost and its right lift
+        # squares fail, while Weyl's still pass
+        monkeypatch.undo()
+        tw = weyl_twist()
+        weyl_right = poly_koszul(tw.b_spec)
+        skew_right = poly_koszul(t3.b_spec)
+        assert check_lift_chain_map(
+            lift_twist(skew_right, t3, side="right"), 2).passed
+
+        def wedge_untouched(t, alg):
+            def rule(key, a_mono, lookup):
+                b0, w, b1 = key
+                out = {}
+                for (a1, c1m), c1 in t.monomial_rule(b1, a_mono).items():
+                    for (a3, c0m), c3 in t.monomial_rule(b0, a1).items():
+                        add_term(t.field, out, (a3, (c0m, w, c1m)), c1 * c3)
+                return out
+            return rule
+
+        monkeypatch.setattr(resolutions, "_wedge_right_rule", wedge_untouched)
+        assert not check_lift_chain_map(
+            lift_twist(skew_right, t3, side="right"), 2).passed
+        assert check_lift_chain_map(
+            lift_twist(weyl_right, tw, side="right"), 2).passed
 
         # the one bar rule with the right walk's factors left in the order
         # they were crossed: each right image keeps its middle factors

@@ -275,13 +275,19 @@ def closed_form_derivation(spec, images, mono):
     lambda: ore_twist(polynomial_algebra(("a", "b"), field=PrimeField(3)),
                       polynomial_algebra(("x",), field=PrimeField(3)),
                       {"a": "b^2", "b": "a - 1"}),
-    weyl_twist, solvable_pair_twist,
-], ids=["nonlinear", "nonlinear-f3", "weyl", "solvable-pair"])
+    weyl_twist, solvable_pair_twist, flip_xy,
+], ids=["nonlinear", "nonlinear-f3", "weyl", "solvable-pair", "flip"])
 def test_ore_derivation_matches_closed_form(make):
+    # delta read off tau as the x^0 part of tau(x (x) a) obeys the product
+    # rule on the generator images, which are read off tau as well
     t = make()
-    for mono in basis_up_to(t.a_spec, 5):
-        assert t.delta_of_monomial(mono) == closed_form_derivation(
-            t.a_spec, t.delta_images, mono)
+    a = t.a_spec
+    images = {i: a.element(twist._derivation(t, *a.gen(g).terms))
+              for i, g in enumerate(a.gens)}
+    assert any(img.terms for img in images.values()) == (t.kind == "ore")
+    for mono in basis_up_to(a, 5):
+        assert twist._derivation(t, mono) == closed_form_derivation(
+            a, images, mono)
 
 
 @pytest.mark.parametrize("make", [

@@ -14,8 +14,8 @@ from twistres.algebra import (
 from twistres.complex import GROUND_KEY, FreeElement, compose_check, \
     exactness_report, truncate
 from twistres.twist import (
-    flip_twist, ore_twist, solvable_pair_twist, triangular_action_twist,
-    weyl_twist,
+    TwistError, flip_twist, ore_twist, solvable_pair_twist,
+    triangular_action_twist, weyl_twist,
 )
 from twistres.resolutions import (
     ONE_SIDED_KOSZUL, RESOLVES_ALGEBRA, RESOLVES_GROUND, AugmentationError,
@@ -429,7 +429,9 @@ def test_extension_free_form_roundtrip_and_values():
 
 def test_extension_zero_derivation_gives_polynomial_stage():
     kz = polynomial_algebra(("z",), name="k[z]")
-    tc = ore_module_resolution(one_sided_koszul_kx(kz), {}, x_name="w")
+    tc = ore_module_resolution(
+        one_sided_koszul_kx(kz),
+        ore_twist(kz, polynomial_algebra(("w",), name="k[w]"), {}))
     assert tc.ore_form.skew.variant == POLYNOMIAL
     kzw = polynomial_algebra(("z", "w"), name="k[z,w]")
     rep = complexes_match(tc.ore_form.rebundled.complex,
@@ -440,8 +442,8 @@ def test_extension_zero_derivation_gives_polynomial_stage():
 def test_extension_rejects_constant_commutators():
     kx = _kx()
     with pytest.raises(AugmentationError) as err:
-        ore_module_resolution(one_sided_koszul_kx(kx), {"x": "-1"},
-                              x_name="y")
+        ore_module_resolution(one_sided_koszul_kx(kx),
+                              ore_twist(kx, _ky(), {"x": "-1"}))
     assert str(err.value) == (
         "derivation image of generator 0 has the constant term -1; the "
         "derivation does not descend to the ground field")
@@ -452,20 +454,23 @@ def test_extension_rejects_quadratic_derivation():
     # two-sided wedge lift does
     ku = polynomial_algebra(("u",), name="k[u]")
     with pytest.raises(RestrictionError):
-        ore_module_resolution(one_sided_koszul_kx(ku), {"u": "u^2"},
-                              x_name="y")
+        ore_module_resolution(one_sided_koszul_kx(ku),
+                              ore_twist(ku, _ky(), {"u": "u^2"}))
 
 
 def test_extension_rejects_wrong_shapes():
     kx, ky = _kx(), _ky()
     with pytest.raises(ProductError):
-        ore_module_resolution(poly_koszul(kx), {}, x_name="y")
+        ore_module_resolution(poly_koszul(kx), flip_twist(kx, ky))
     two = polynomial_algebra(("u", "v"), name="k[u,v]")
     t_bad = flip_twist(kx, two)
     with pytest.raises(ProductError):
         ore_module_resolution(one_sided_koszul_kx(kx), t_bad)
-    with pytest.raises(ProductError):
-        ore_module_resolution(one_sided_koszul_kx(kx), {}, x_name="x")
+    # an adjoined variable named like a base generator: the twisted
+    # product refuses the shared name
+    with pytest.raises(TwistError):
+        ore_module_resolution(one_sided_koszul_kx(kx),
+                              ore_twist(kx, _kx(), {}))
 
 
 def test_bundles_read_what_they_resolve_off_their_complex():
